@@ -1,20 +1,28 @@
 #!/usr/bin/env python3
-"""Benchmark the JIT-compiled kernels against their pure-Python definitions.
+"""Benchmark the tabu search and the covariance against their reference kernels.
 
-The structure-search kernel dominates bootstrap runtime, so this is the number
-that decides whether a 3000-replicate run takes minutes or days.  The jitted
-path is used automatically when numba is importable; ``ATTACHNET_JIT=0``
-selects the fallback.
+The references in ``tests/reference_kernels.py`` are the per-candidate search
+(a depth-first cycle check and a fresh local score for every candidate move)
+and the two-pass covariance loop.  Both sides run on the active kernel backend
+(``attachnet._kernels.backend()``), and the script fails unless the searches
+return the identical learned graph and score.  The structure search dominates
+bootstrap runtime, so its figure decides whether a 3000-replicate run takes
+minutes or days.
 
-    python benchmarks/bench_kernels.py --nodes 20 --rows 1000 --repeats 3
+    PYTHONPATH=src python benchmarks/bench_kernels.py --nodes 36 --rows 1000 --repeats 3
 """
 import argparse
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 from attachnet import _kernels
-from attachnet.score import stats_from_matrix
+from attachnet.score import DEFAULT_RIDGE, stats_from_matrix
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from reference_kernels import covariance_kernel, tabu_search_kernel  # noqa: E402
 
 
 def synthetic_problem(nodes: int, rows: int, seed: int = 7):
@@ -45,44 +53,41 @@ def main() -> None:
     parser.add_argument("--nodes", type=int, default=20)
     parser.add_argument("--rows", type=int, default=1000)
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--skip-pure-search", action="store_true",
-                        help="only benchmark the jitted search (the pure one is slow)")
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--skip-reference-search", action="store_true",
+                        help="only time the current search (the reference one is slow)")
     args = parser.parse_args()
 
-    if not _kernels.JIT_ENABLED:
-        parser.error("run with numba available and ATTACHNET_JIT unset to compare paths")
+    data = synthetic_problem(args.nodes, args.rows, args.seed)
+    items = tuple(f"v{i}" for i in range(args.nodes))
 
-    data = synthetic_problem(args.nodes, args.rows)
-    stats = stats_from_matrix(data, tuple(f"v{i}" for i in range(args.nodes)))
+    print(f"problem: {args.nodes} nodes x {args.rows} rows, seed {args.seed}, "
+          f"backend {_kernels.backend()}, best of {args.repeats}")
+    print(f"{'kernel':<22} {'current':>12} {'reference':>12} {'speedup':>9}")
 
-    print(f"problem: {args.nodes} nodes x {args.rows} rows, best of {args.repeats}")
-    print(f"{'kernel':<22} {'numba':>12} {'numpy':>12} {'speedup':>9}")
+    t_new, stats = time_fn(stats_from_matrix, data, items, repeats=args.repeats)
+    t_ref, (_, ref_cov) = time_fn(covariance_kernel, data, repeats=args.repeats)
+    cov_diff = np.abs(stats.cov - ref_cov).max()
+    print(f"{'covariance':<22} {t_new * 1e3:>10.2f}ms {t_ref * 1e3:>10.2f}ms {t_ref / t_new:>8.1f}x"
+          f"   max |diff| {cov_diff:.1e}")
 
-    # covariance
-    jit_cov = _kernels.covariance_kernel
-    pure_cov = _kernels.pure_python(_kernels.covariance_kernel)
-    jit_cov(data)  # compile
-    t_jit, r1 = time_fn(jit_cov, data, repeats=args.repeats)
-    t_pure, r2 = time_fn(pure_cov, data, repeats=args.repeats)
-    assert np.allclose(r1[1], r2[1])
-    print(f"{'covariance':<22} {t_jit * 1e3:>10.2f}ms {t_pure * 1e3:>10.2f}ms {t_pure / t_jit:>8.1f}x")
-
-    # full tabu search from the empty graph
+    # full tabu search from the empty graph, both sides on the same covariance
     def run(search):
         adj = np.zeros((args.nodes, args.nodes), dtype=np.int8)
-        return search(stats.cov, float(stats.n), adj, 10, 100, -1, 1e-8, 0)
+        return search(stats.cov, float(stats.n), adj, 10, 100, -1, DEFAULT_RIDGE, 0)
 
-    jit_search = _kernels.tabu_search_kernel
-    run(jit_search)  # compile
-    t_jit, (adj_jit, score_jit) = time_fn(lambda: run(jit_search), repeats=args.repeats)
-    if args.skip_pure_search:
-        print(f"{'tabu search':<22} {t_jit * 1e3:>10.2f}ms {'skipped':>12}")
+    run(_kernels.tabu_search_kernel)  # JIT compilation of the scoring kernels
+    t_new, (adj, score) = time_fn(lambda: run(_kernels.tabu_search_kernel), repeats=args.repeats)
+    if args.skip_reference_search:
+        print(f"{'tabu search':<22} {t_new * 1e3:>10.2f}ms {'skipped':>12}")
         return
-    pure_search = _kernels.pure_python(_kernels.tabu_search_kernel)
-    t_pure, (adj_pure, score_pure) = time_fn(lambda: run(pure_search), repeats=max(1, args.repeats // 3))
-    assert np.array_equal(adj_jit, adj_pure), "backends disagree on the learned graph"
-    assert abs(score_jit - score_pure) < 1e-9
-    print(f"{'tabu search':<22} {t_jit * 1e3:>10.2f}ms {t_pure * 1e3:>10.2f}ms {t_pure / t_jit:>8.1f}x")
+    t_ref, (ref_adj, ref_score) = time_fn(
+        lambda: run(tabu_search_kernel), repeats=max(1, args.repeats // 3)
+    )
+    if not (np.array_equal(adj, ref_adj) and score == ref_score):
+        sys.exit("error: the search and its reference disagree on the learned graph or score")
+    print(f"{'tabu search':<22} {t_new * 1e3:>10.2f}ms {t_ref * 1e3:>10.2f}ms {t_ref / t_new:>8.1f}x"
+          f"   {int(adj.sum())} arcs, score {score:.6f} (identical)")
 
 
 if __name__ == "__main__":

@@ -1,14 +1,19 @@
 """Numeric kernels for scoring and structure search.
 
-Every kernel is written as plain numpy code that also compiles under numba's
-nopython mode.  When numba is importable and the ``ATTACHNET_JIT`` environment
-variable is not ``0``, the kernels are JIT-compiled (cached, GIL released);
-otherwise the pure-Python definitions run unchanged.  ``benchmarks/`` compares
-the two paths.
+The scoring kernels (``local_score`` and the Cholesky solve under it) are plain
+numpy code that also compiles under numba's nopython mode.  numba is an
+optional extra (``pip install -e .[jit]``): when it is importable and the
+``ATTACHNET_JIT`` environment variable is not ``0``, they are JIT-compiled
+(cached); otherwise the pure-Python definitions run unchanged.  The tabu search
+is plain numpy/Python on either backend: it keeps a dict of local scores, which
+is not nopython code, and spends its time in the scoring kernels and in
+whole-matrix numpy operations.  ``benchmarks/bench_kernels.py`` times it
+against the reference search kept under ``tests/``.
 """
 from __future__ import annotations
 
 import os
+from collections import deque
 
 import numpy as np
 
@@ -128,74 +133,16 @@ def local_score(cov, n, v, parent_idx, ridge, metric):
     return ll
 
 
-@_jit
-def _gather_parents(adj, v, extra, skip, out):
-    """Write the parent indices of v (with one optional add/remove) into out."""
-    cnt = 0
-    m = adj.shape[0]
-    for u in range(m):
-        if u == v:
-            continue
-        is_parent = adj[u, v] == 1
-        if u == skip:
-            is_parent = False
-        if u == extra:
-            is_parent = True
-        if is_parent:
-            out[cnt] = u
-            cnt += 1
-    return cnt
+def _reachability(a):
+    """Transitive closure of a DAG's 0/1 float adjacency: True where a path exists."""
+    reach = a
+    while True:
+        nxt = np.minimum(reach + reach @ reach, 1.0)
+        if np.array_equal(nxt, reach):
+            return reach > 0
+        reach = nxt
 
 
-@_jit
-def _has_path(adj, src, dst, skip_u, skip_v):
-    """Depth-first reachability src -> dst, ignoring the arc (skip_u, skip_v)."""
-    m = adj.shape[0]
-    if src == dst:
-        return True
-    seen = np.zeros(m, dtype=np.int8)
-    stack = np.empty(m, dtype=np.int64)
-    top = 0
-    stack[top] = src
-    top += 1
-    seen[src] = 1
-    while top > 0:
-        top -= 1
-        u = stack[top]
-        for v in range(m):
-            if adj[u, v] == 1 and not (u == skip_u and v == skip_v):
-                if v == dst:
-                    return True
-                if seen[v] == 0:
-                    seen[v] = 1
-                    stack[top] = v
-                    top += 1
-    return False
-
-
-@_jit
-def _move_code(kind, u, v, m):
-    return kind * m * m + u * m + v
-
-
-@_jit
-def _inverse_code(kind, u, v, m):
-    if kind == ADD:
-        return _move_code(REMOVE, u, v, m)
-    if kind == REMOVE:
-        return _move_code(ADD, u, v, m)
-    return _move_code(REVERSE, v, u, m)
-
-
-@_jit
-def _in_tabu(tabu, code):
-    for i in range(tabu.shape[0]):
-        if tabu[i] == code:
-            return True
-    return False
-
-
-@_jit
 def tabu_search_kernel(cov, n, adj, tabu_len, max_iter, max_parents, ridge, metric):
     """Score-based DAG search with add/remove/reverse moves.
 
@@ -204,102 +151,107 @@ def tabu_search_kernel(cov, n, adj, tabu_len, max_iter, max_parents, ridge, metr
     non-improving steps, with a tabu list holding the inverses of the last
     ``tabu_len`` moves (aspiration: a tabu move is allowed when it beats the
     best score seen).  Ties between moves break on the smallest
-    (from, to, kind) triple.  Mutates ``adj``; returns the best adjacency seen
-    and its score.
+    (from, to, kind) triple: a move replaces the best so far only when its
+    delta is larger by more than 1e-12.  ``max_parents < 0`` means no limit.
+    Mutates ``adj``; returns the best adjacency seen and its score.
+
+    The search is incremental.  ``d_add[u, v]`` and ``d_rm[u, v]`` cache the
+    change of ``ls[v]`` when u joins or leaves v's parents, so a move only
+    re-scores the columns of the one or two nodes whose parent set changed; a
+    reversal u -> v is worth ``d_rm[u, v] + d_add[v, u]``.  Cycle checks read a
+    transitive closure recomputed once per iteration, and local scores are
+    memoised per (node, parent set) for the duration of the call.
     """
     m = cov.shape[0]
-    scratch = np.empty(m, dtype=np.int64)
+    memo = {}
+
+    def score(v, parents):
+        key = (v, parents)
+        if key not in memo:
+            memo[key] = local_score(cov, n, v, np.array(parents, dtype=np.int64), ridge, metric)
+        return memo[key]
+
+    parents = [tuple(np.flatnonzero(adj[:, v]).tolist()) for v in range(m)]
     ls = np.empty(m)
     for v in range(m):
-        cnt = _gather_parents(adj, v, -1, -1, scratch)
-        ls[v] = local_score(cov, n, v, scratch[:cnt], ridge, metric)
+        ls[v] = score(v, parents[v])
+    # -inf marks a move that is never taken: v has no room for a parent, or u
+    # is already a parent (add) or is not one (remove).
+    d_add = np.full((m, m), -np.inf)
+    d_rm = np.full((m, m), -np.inf)
+
+    def refresh(v):
+        pa = parents[v]
+        d_add[:, v] = -np.inf
+        d_rm[:, v] = -np.inf
+        for u in pa:
+            d_rm[u, v] = score(v, tuple(w for w in pa if w != u)) - ls[v]
+        if max_parents < 0 or len(pa) < max_parents:
+            for u in range(m):
+                if u != v and u not in pa:
+                    d_add[u, v] = score(v, tuple(sorted(pa + (u,)))) - ls[v]
+
+    for v in range(m):
+        refresh(v)
+
     current = ls.sum()
     best = current
     best_adj = adj.copy()
-    tabu = np.full(max(tabu_len, 1), -1, dtype=np.int64)
-    tabu_head = 0
+    tabu = deque(maxlen=max(tabu_len, 1))
     stall = 0
     while stall <= max_iter:
+        a = adj.astype(np.float64)
+        reach = _reachability(a)
+        present = a > 0
+        # add u -> v needs no arc between them and no path v -> u; reverse
+        # u -> v needs no u -> v path other than the arc itself
+        addable = ~present & ~present.T & ~reach.T
+        np.fill_diagonal(addable, False)
+        reversible = present & ~((a @ reach) > 0)
+        deltas = np.full((m, m, 2), -np.inf)
+        deltas[..., 0] = np.where(present, d_rm, np.where(addable, d_add, -np.inf))
+        deltas[..., 1] = np.where(reversible, d_rm + d_add.T, -np.inf)
+        deltas = deltas.reshape(-1)  # (from, to, kind) scan order
+        deltas[np.isnan(deltas)] = -np.inf
+        for kind, u, v in tabu:
+            slot = (u * m + v) * 2 + (kind == REVERSE)
+            if kind != REVERSE and (kind == REMOVE) != present[u, v]:
+                continue  # slot 0 holds the other kind of move
+            if current + deltas[slot] <= best + 1e-9:
+                deltas[slot] = -np.inf
+        # A move can only replace the best so far if it beats every earlier
+        # delta, so scanning the running-maximum records in order picks the
+        # same move as scanning every candidate.
+        before = np.concatenate(([-np.inf], np.maximum.accumulate(deltas)[:-1]))
         best_delta = -np.inf
-        bk = -1
-        bu = -1
-        bv = -1
-        bscore_v = 0.0
-        bscore_u = 0.0
-        for u in range(m):
-            for v in range(m):
-                if u == v:
-                    continue
-                if adj[u, v] == 0:
-                    if adj[v, u] == 1:
-                        continue  # covered by reverse of (v, u)
-                    if max_parents >= 0:
-                        cnt = _gather_parents(adj, v, -1, -1, scratch)
-                        if cnt >= max_parents:
-                            continue
-                    if _has_path(adj, v, u, -1, -1):
-                        continue  # would close a cycle
-                    cnt = _gather_parents(adj, v, u, -1, scratch)
-                    cand = local_score(cov, n, v, scratch[:cnt], ridge, metric)
-                    delta = cand - ls[v]
-                    if delta > best_delta + 1e-12:
-                        code = _move_code(ADD, u, v, m)
-                        if _in_tabu(tabu, code) and current + delta <= best + 1e-9:
-                            continue
-                        best_delta = delta
-                        bk = ADD
-                        bu = u
-                        bv = v
-                        bscore_v = cand
-                else:
-                    # remove(u, v)
-                    cnt = _gather_parents(adj, v, -1, u, scratch)
-                    cand_rm = local_score(cov, n, v, scratch[:cnt], ridge, metric)
-                    delta = cand_rm - ls[v]
-                    if delta > best_delta + 1e-12:
-                        code = _move_code(REMOVE, u, v, m)
-                        if not (_in_tabu(tabu, code) and current + delta <= best + 1e-9):
-                            best_delta = delta
-                            bk = REMOVE
-                            bu = u
-                            bv = v
-                            bscore_v = cand_rm
-                    # reverse(u, v): remove u -> v then add v -> u
-                    if max_parents >= 0:
-                        cnt = _gather_parents(adj, u, -1, -1, scratch)
-                        if cnt >= max_parents:
-                            continue
-                    if _has_path(adj, u, v, u, v):
-                        continue  # another u..v path exists; reversal cycles
-                    cnt = _gather_parents(adj, u, v, -1, scratch)
-                    cand_add = local_score(cov, n, u, scratch[:cnt], ridge, metric)
-                    delta = (cand_rm - ls[v]) + (cand_add - ls[u])
-                    if delta > best_delta + 1e-12:
-                        code = _move_code(REVERSE, u, v, m)
-                        if _in_tabu(tabu, code) and current + delta <= best + 1e-9:
-                            continue
-                        best_delta = delta
-                        bk = REVERSE
-                        bu = u
-                        bv = v
-                        bscore_v = cand_rm
-                        bscore_u = cand_add
-        if bk < 0:
+        pick = -1
+        for i in np.flatnonzero(deltas > before):
+            if deltas[i] > best_delta + 1e-12:
+                best_delta = deltas[i]
+                pick = i
+        if pick < 0:
             break  # every move tabu or inadmissible
-        if bk == ADD:
-            adj[bu, bv] = 1
-            ls[bv] = bscore_v
-        elif bk == REMOVE:
-            adj[bu, bv] = 0
-            ls[bv] = bscore_v
+        cell, slot = divmod(int(pick), 2)
+        u, v = divmod(cell, m)
+        if slot == 1:
+            inverse = (REVERSE, v, u)
+            adj[u, v] = 0
+            adj[v, u] = 1
+            changed = (v, u)
+        elif present[u, v]:
+            inverse = (ADD, u, v)
+            adj[u, v] = 0
+            changed = (v,)
         else:
-            adj[bu, bv] = 0
-            adj[bv, bu] = 1
-            ls[bv] = bscore_v
-            ls[bu] = bscore_u
+            inverse = (REMOVE, u, v)
+            adj[u, v] = 1
+            changed = (v,)
+        for w in changed:
+            parents[w] = tuple(np.flatnonzero(adj[:, w]).tolist())
+            ls[w] = score(w, parents[w])
+            refresh(w)
         current = ls.sum()  # re-sum instead of accumulating deltas
-        tabu[tabu_head] = _inverse_code(bk, bu, bv, m)
-        tabu_head = (tabu_head + 1) % tabu.shape[0]
+        tabu.append(inverse)
         if current > best + 1e-9:
             best = current
             best_adj[:, :] = adj
@@ -307,29 +259,6 @@ def tabu_search_kernel(cov, n, adj, tabu_len, max_iter, max_parents, ridge, metr
         else:
             stall += 1
     return best_adj, best
-
-
-@_jit
-def covariance_kernel(x):
-    """Two-pass mean and ML covariance (denominator n) of a data matrix."""
-    n, m = x.shape
-    mean = np.zeros(m)
-    for i in range(n):
-        for j in range(m):
-            mean[j] += x[i, j]
-    for j in range(m):
-        mean[j] /= n
-    cov = np.zeros((m, m))
-    for i in range(n):
-        for j in range(m):
-            dj = x[i, j] - mean[j]
-            for k in range(j, m):
-                cov[j, k] += dj * (x[i, k] - mean[k])
-    for j in range(m):
-        for k in range(j, m):
-            cov[j, k] /= n
-            cov[k, j] = cov[j, k]
-    return mean, cov
 
 
 def pure_python(fn):

@@ -574,7 +574,9 @@ def main(argv=None) -> int:
         if hasattr(args, "seed") and args.seed is None:
             args.seed = _default_seed()
         if hasattr(args, "threads") and args.threads is None:
-            args.threads = os.cpu_count()
+            args.threads = os.cpu_count() or 1
+        if getattr(args, "threads", 1) < 1:
+            raise ValidationError("--threads must be >= 1")
         return args.func(args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

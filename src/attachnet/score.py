@@ -38,22 +38,22 @@ class SufficientStats:
 
 
 def sufficient_stats(table) -> SufficientStats:
-    """Two-pass mean/covariance of a complete response table."""
+    """Mean/covariance of a complete response table."""
     rows = np.asarray(table.rows, dtype=np.float64)
-    if rows.shape[0] < 2:
-        raise ValidationError("need at least 2 rows for sufficient statistics")
     if not np.isfinite(rows).all():
         raise ValidationError("response table contains missing values")
-    mean, cov = _kernels.covariance_kernel(rows)
-    return SufficientStats(n=rows.shape[0], mean=mean, cov=cov, items=tuple(table.items))
+    return stats_from_matrix(rows, table.items)
 
 
 def stats_from_matrix(rows: np.ndarray, items) -> SufficientStats:
+    """Mean and ML covariance (denominator n) of the centred rows, ``d.T @ d / n``."""
     rows = np.asarray(rows, dtype=np.float64)
     if rows.shape[0] < 2:
         raise ValidationError("need at least 2 rows for sufficient statistics")
-    mean, cov = _kernels.covariance_kernel(rows)
-    return SufficientStats(n=rows.shape[0], mean=mean, cov=cov, items=tuple(items))
+    n = rows.shape[0]
+    mean = rows.mean(axis=0)
+    centred = rows - mean
+    return SufficientStats(n=n, mean=mean, cov=centred.T @ centred / n, items=tuple(items))
 
 
 def local_score(node, parents, stats: SufficientStats, metric="bic", ridge=DEFAULT_RIDGE) -> float:

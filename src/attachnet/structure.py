@@ -1,12 +1,15 @@
 """Score-based DAG search, bootstrap arc strengths and model averaging.
 
-``tabu_search`` runs the add/remove/reverse local search (see
-``_kernels.tabu_search_kernel``).  ``bootstrap_strengths`` repeats the search
-on resampled data and tallies how often each connection appears and in which
-direction; ``average_network`` thresholds the tally into a consensus DAG.
-Replicates use independent seed streams derived from ``(seed, replicate)``, so
-results are bit-identical for a given configuration regardless of how many
-worker threads run them.
+``tabu_search`` runs the add/remove/reverse local search
+(``_kernels.tabu_search_kernel``: cached score deltas, a reachability matrix
+for cycle checks and a per-search memo of local scores).
+``bootstrap_strengths`` repeats the search on resampled data and tallies how
+often each connection appears and in which direction; ``average_network``
+thresholds the tally into a consensus DAG.  Replicates use independent seed
+streams derived from ``(seed, replicate)``, so results are bit-identical for a
+given configuration regardless of how many worker threads run them.  The
+search runs as Python/numpy and holds the interpreter lock, so on the numpy
+backend extra threads do not shorten a bootstrap.
 """
 from __future__ import annotations
 
@@ -38,6 +41,8 @@ class SearchConfig:
             raise ValidationError("tabu_len must be >= 1")
         if self.max_iter < 1:
             raise ValidationError("max_iter must be >= 1")
+        if self.max_parents is not None and self.max_parents < 0:
+            raise ValidationError("max_parents must be >= 0")
         if self.restarts < 0:
             raise ValidationError("restarts must be >= 0")
         if not 0 <= self.seed < 2**64:

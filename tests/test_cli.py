@@ -62,6 +62,22 @@ def test_learn_zero_replicates_exits_2(tmp_path):
     assert main(["learn", str(src), "-R", "0"]) == 2
 
 
+@pytest.mark.parametrize(
+    "flags", [["--threads", "0"], ["--threads", "-3"], ["--max-parents", "-2"]]
+)
+def test_learn_bad_search_settings_exit_2(tmp_path, capsys, flags):
+    src = survey_csv(tmp_path)
+    assert main(["learn", str(src), "-R", "1", "-m", "20", *flags]) == 2
+    assert "error" in capsys.readouterr().err
+
+
+def test_full_repro_zero_threads_exits_2(tmp_path):
+    src = survey_csv(tmp_path)
+    out = str(tmp_path / "out")
+    args = ["full-repro", str(src), "--out-dir", out, "-R", "1", "-m", "20", "--skip-stability"]
+    assert main([*args, "--threads", "0"]) == 2
+
+
 def test_seed_env_fallback(tmp_path, monkeypatch):
     src = survey_csv(tmp_path, n=120)
     monkeypatch.setenv("ATTACHNET_SEED", "42")

@@ -2,13 +2,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from attachnet.dag import Dag
 from attachnet.errors import ValidationError
-from attachnet.score import graph_score, stats_from_matrix
+from attachnet.score import METRICS, graph_score, stats_from_matrix
 from attachnet.structure import (
     ArcStrengthTable,
     SearchConfig,
+    _random_dag_adjacency,
+    _run_kernel,
     average_network,
     bootstrap_strengths,
     stability_curve,
@@ -54,6 +57,9 @@ def test_config_validation():
         SearchConfig(max_iter=0)
     with pytest.raises(ValidationError):
         SearchConfig(metric="nope")
+    with pytest.raises(ValidationError):
+        SearchConfig(max_parents=-2)
+    assert SearchConfig(max_parents=0).max_parents == 0
 
 
 def test_two_correlated_items_get_one_arc(rng):
@@ -108,6 +114,44 @@ def test_max_parents_respected(rng):
     stats = stats_from_matrix(rows, nodes)
     dag = tabu_search(stats, SearchConfig(seed=0, max_parents=1))
     assert max(dag.in_degree(v) for v in nodes) <= 1
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(2, 7),
+    max_parents=st.one_of(st.none(), st.integers(0, 3)),
+    metric=st.sampled_from(sorted(METRICS)),
+    random_start=st.booleans(),
+)
+def test_search_properties(seed, m, max_parents, metric, random_start):
+    rng = np.random.default_rng(seed)
+    items = tuple(f"v{i}" for i in range(m))
+    stats = stats_from_matrix(linear_system_rows(rng, items, 200), items)
+    if random_start:
+        init = _random_dag_adjacency(m, rng)
+    else:
+        init = np.zeros((m, m), dtype=np.int8)
+    start_score = graph_score(Dag.from_adjacency(items, init), stats, metric=metric)
+    cfg = SearchConfig(max_parents=max_parents, metric=metric)
+    adj, score = _run_kernel(stats, cfg, init.copy())
+    dag = Dag.from_adjacency(items, adj)  # raises unless acyclic
+    assert score == pytest.approx(graph_score(dag, stats, metric=metric), rel=1e-12)
+    assert score >= start_score - 1e-12 * abs(start_score)
+    if max_parents is not None and not random_start:
+        assert max(dag.in_degree(v) for v in items) <= max_parents
+
+
+@settings(max_examples=10, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2**64 - 1), replicates=st.integers(1, 6))
+def test_bootstrap_counts_identical_for_one_and_two_threads(seed, replicates):
+    items = ("a", "b", "c", "d")
+    rows = linear_system_rows(np.random.default_rng(seed % 2**32), items, 300)
+    table = make_table(rows, items=items)
+    cfg = SearchConfig(seed=seed)
+    one = bootstrap_strengths(table, replicates, sample_size=100, cfg=cfg, threads=1)
+    two = bootstrap_strengths(table, replicates, sample_size=100, cfg=cfg, threads=2)
+    assert np.array_equal(one.counts, two.counts)
 
 
 def test_bootstrap_single_replicate_strengths_are_binary(rng):
