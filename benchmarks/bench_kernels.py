@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Benchmark the tabu search and the covariance against their reference kernels.
+"""Benchmark the search, the covariance and ingest against their reference kernels.
 
 The references in ``tests/reference_kernels.py`` are the per-candidate search
 (a depth-first cycle check and a fresh local score for every candidate move)
@@ -8,6 +8,11 @@ and the two-pass covariance loop.  Both sides run on the active kernel backend
 return the identical learned graph and score.  The structure search dominates
 bootstrap runtime, so its figure decides whether a 3000-replicate run takes
 minutes or days.
+
+The ingest rows time ``parse_responses`` and ``serialize_responses`` on a
+generated 40,000-row export of 36 items (the size of the public ECR export)
+against the per-cell versions in ``tests/reference_ingest.py``; the script
+fails on any difference in the parsed table or the written bytes.
 
     PYTHONPATH=src python benchmarks/bench_kernels.py --nodes 36 --rows 1000 --repeats 3
 """
@@ -18,11 +23,14 @@ from pathlib import Path
 
 import numpy as np
 
-from attachnet import _kernels
+from attachnet import _kernels, ingest
 from attachnet.score import DEFAULT_RIDGE, stats_from_matrix
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+import reference_ingest  # noqa: E402
 from reference_kernels import covariance_kernel, tabu_search_kernel  # noqa: E402
+
+EXPORT_ROWS, EXPORT_ITEMS = 40_000, 36
 
 
 def synthetic_problem(nodes: int, rows: int, seed: int = 7):
@@ -36,6 +44,24 @@ def synthetic_problem(nodes: int, rows: int, seed: int = 7):
                 col += rng.uniform(-1, 1) * data[:, order[prev]]
         data[:, j] = col
     return data
+
+
+def synthetic_export(rows: int, items: int, seed: int) -> bytes:
+    """A raw export: unpadded headers, Likert codes with 2% blank and 1%
+    out-of-range cells, codebook genders, countries, and 1% ragged rows."""
+    rng = np.random.default_rng(seed)
+    cells = rng.integers(1, 6, size=(rows, items)).astype(str).astype(object)
+    cells[rng.random((rows, items)) < 0.02] = ""
+    cells[rng.random((rows, items)) < 0.01] = "9"
+    age = rng.integers(14, 80, size=rows).astype(str)
+    gender = rng.choice(["0", "1", "2", "3"], size=rows)
+    country = rng.choice(["US", "GB", "CA", "AU", "IN", "DE", "XX", ""], size=rows)
+    ragged = rng.random(rows) < 0.01
+    lines = [",".join([f"Q{i + 1}" for i in range(items)] + ["age", "gender", "country"])]
+    for i, row in enumerate(cells.tolist()):
+        tail = [age[i], gender[i]] if ragged[i] else [age[i], gender[i], country[i]]
+        lines.append(",".join(row + tail))
+    return ("\n".join(lines) + "\n").encode()
 
 
 def time_fn(fn, *args, repeats: int):
@@ -80,14 +106,40 @@ def main() -> None:
     t_new, (adj, score) = time_fn(lambda: run(_kernels.tabu_search_kernel), repeats=args.repeats)
     if args.skip_reference_search:
         print(f"{'tabu search':<22} {t_new * 1e3:>10.2f}ms {'skipped':>12}")
-        return
-    t_ref, (ref_adj, ref_score) = time_fn(
-        lambda: run(tabu_search_kernel), repeats=max(1, args.repeats // 3)
+    else:
+        t_ref, (ref_adj, ref_score) = time_fn(
+            lambda: run(tabu_search_kernel), repeats=max(1, args.repeats // 3)
+        )
+        if not (np.array_equal(adj, ref_adj) and score == ref_score):
+            sys.exit("error: the search and its reference disagree on the learned graph or score")
+        print(f"{'tabu search':<22} {t_new * 1e3:>10.2f}ms {t_ref * 1e3:>10.2f}ms {t_ref / t_new:>8.1f}x"
+              f"   {int(adj.sum())} arcs, score {score:.6f} (identical)")
+
+    bench_ingest(args.seed, args.repeats)
+
+
+def bench_ingest(seed: int, repeats: int) -> None:
+    raw = synthetic_export(EXPORT_ROWS, EXPORT_ITEMS, seed)
+    ref_repeats = max(1, repeats // 3)
+    t_new, table = time_fn(ingest.parse_responses, raw, repeats=repeats)
+    t_ref, ref_table = time_fn(reference_ingest.parse_responses, raw, repeats=ref_repeats)
+    same = (
+        table == ref_table
+        and np.array_equal(table.rows.view(np.uint64), ref_table.rows.view(np.uint64))
+        and (table.demographics.region, table.row_errors)
+        == (ref_table.demographics.region, ref_table.row_errors)
     )
-    if not (np.array_equal(adj, ref_adj) and score == ref_score):
-        sys.exit("error: the search and its reference disagree on the learned graph or score")
-    print(f"{'tabu search':<22} {t_new * 1e3:>10.2f}ms {t_ref * 1e3:>10.2f}ms {t_ref / t_new:>8.1f}x"
-          f"   {int(adj.sum())} arcs, score {score:.6f} (identical)")
+    if not same:
+        sys.exit("error: parse_responses and its reference disagree on the parsed table")
+    print(f"{'parse (40k x 36)':<22} {t_new * 1e3:>10.2f}ms {t_ref * 1e3:>10.2f}ms {t_ref / t_new:>8.1f}x"
+          f"   {len(raw) / 1e6:.1f} MB, {table.n} rows (identical)")
+
+    t_new, text = time_fn(ingest.serialize_responses, table, repeats=repeats)
+    t_ref, ref_text = time_fn(reference_ingest.serialize_responses, table, repeats=ref_repeats)
+    if text != ref_text:
+        sys.exit("error: serialize_responses and its reference write different bytes")
+    print(f"{'serialize (40k x 36)':<22} {t_new * 1e3:>10.2f}ms {t_ref * 1e3:>10.2f}ms {t_ref / t_new:>8.1f}x"
+          f"   {len(text.encode()) / 1e6:.1f} MB (byte-identical)")
 
 
 if __name__ == "__main__":

@@ -451,7 +451,15 @@ def _add_search_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-parents", type=int, default=None)
     p.add_argument("--restarts", type=int, default=0)
     p.add_argument("--metric", choices=("bic", "aic", "loglik"), default="bic")
-    p.add_argument("--threads", type=int, default=None)
+    _add_threads_flag(p)
+
+
+def _add_threads_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--threads", type=int, default=1,
+        help="bootstrap worker threads (default 1: the search loop is Python code that "
+             "holds the interpreter lock, so on the numpy backend 2 threads run slower than 1)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -561,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--skip-stability", action="store_true")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
+    _add_threads_flag(p)
     p.set_defaults(func=cmd_full_repro)
 
     return parser
@@ -573,8 +581,6 @@ def main(argv=None) -> int:
     try:
         if hasattr(args, "seed") and args.seed is None:
             args.seed = _default_seed()
-        if hasattr(args, "threads") and args.threads is None:
-            args.threads = os.cpu_count() or 1
         if getattr(args, "threads", 1) < 1:
             raise ValidationError("--threads must be >= 1")
         return args.func(args)

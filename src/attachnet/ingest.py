@@ -3,9 +3,15 @@
 Input files are delimited text (comma or tab, auto-detected from the header
 row) with item columns named ``Q1``/``Q01`` ... and optional ``age``,
 ``gender`` and ``country`` columns.  Item names are canonicalized to the
-zero-padded form.  Unparseable numeric cells become missing values; ragged
-rows are dropped and counted.  Country codes map to continental regions via a
-bundled ISO-3166 table, demographic codes via a key=value codebook.
+zero-padded form, and two columns naming the same item are an error.
+Unparseable numeric cells become missing values, unusable ages unknown;
+ragged rows are dropped and counted.  Country codes map to continental regions
+via a bundled ISO-3166 table, demographic codes via a key=value codebook.
+
+Parsing and writing work per distinct value, not per cell: a survey export
+repeats a handful of Likert codes and demographic labels, so each distinct
+cell text is converted once per parse and each distinct value formatted once
+per written block of rows.
 
 Typical flow::
 
@@ -17,9 +23,13 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 import re
+from array import array
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -39,6 +49,9 @@ REGIONS = (
 AGE_BANDS = ((18, 20), (21, 30), (31, 40), (41, 60))
 
 _ITEM_RE = re.compile(r"^[Qq]0*([1-9][0-9]*)$")
+
+_AGE_MIN, _AGE_MAX = np.iinfo(np.int16).min, np.iinfo(np.int16).max
+_SERIALIZE_BLOCK = 512  # rows per writerows call; bounds the transient cell strings
 
 _region_table: dict[str, str] | None = None
 
@@ -208,11 +221,46 @@ def _open_text(stream):
     return stream
 
 
+class _Memo(dict):
+    """Maps each distinct key through ``convert`` once; local to one call."""
+
+    def __init__(self, convert):
+        super().__init__()
+        self.convert = convert
+
+    def __missing__(self, key):
+        value = self[key] = self.convert(key)
+        return value
+
+
+def _item_value(cell: str) -> float:
+    try:
+        return float(cell.strip())
+    except ValueError:
+        return np.nan
+
+
+def _age_value(cell: str) -> int:
+    """Whole years, or -1 (unknown) for text that is not a finite number in
+    the int16 range of ``Demographics.age``."""
+    try:
+        age = float(cell)
+    except ValueError:
+        return -1
+    if not math.isfinite(age) or not _AGE_MIN <= int(age) <= _AGE_MAX:
+        return -1
+    return int(age)
+
+
 def parse_responses(stream, schema: ColumnSchema | None = None, codebook=None) -> ResponseTable:
     """Parse a delimited survey export into a ResponseTable.
 
-    Raises ParseError when the header has no item columns; ragged rows are
-    dropped, counted in ``dropped_rows`` and described in ``row_errors``.
+    Raises ParseError when the header has no item columns or names one item
+    twice (``Q1`` and ``Q01``); ragged rows are dropped, counted in
+    ``dropped_rows`` and described in ``row_errors``.  Each distinct cell text
+    is converted once per call: item cells by ``float(cell.strip())`` (NaN if
+    that fails), ages by truncation to whole years (-1 if not a finite number
+    in the int16 range), genders and countries through the codebook.
     """
     schema = schema or ColumnSchema()
     if codebook is None:
@@ -228,16 +276,24 @@ def parse_responses(stream, schema: ColumnSchema | None = None, codebook=None) -
     header = next(csv.reader([header_line], delimiter=delimiter))
     header = [h.strip() for h in header]
 
-    item_cols: list[tuple[int, int, str]] = []  # (column, number, canonical)
+    item_cols: dict[int, int] = {}  # item number -> column
     for i, name in enumerate(header):
         match = _ITEM_RE.match(name)
         if match:
             num = int(match.group(1))
-            item_cols.append((i, num, f"Q{num:02d}"))
+            if num in item_cols:
+                raise ParseError(
+                    f"columns {header[item_cols[num]]!r} and {name!r} both name item Q{num:02d}",
+                    line=1,
+                )
+            item_cols[num] = i
     if not item_cols:
         raise ParseError("header contains no item columns (Q1... or Q01...)", line=1)
-    item_cols.sort(key=lambda t: t[1])
-    items = tuple(canon for _, _, canon in item_cols)
+    numbers = sorted(item_cols)
+    items = tuple(f"Q{num:02d}" for num in numbers)
+    columns = [item_cols[num] for num in numbers]
+    # itemgetter of one index returns the cell itself, not a 1-tuple
+    item_cells = itemgetter(*columns) if len(columns) > 1 else lambda cells: (cells[columns[0]],)
 
     lower = [h.lower() for h in header]
 
@@ -248,7 +304,22 @@ def parse_responses(stream, schema: ColumnSchema | None = None, codebook=None) -
     gender_col = find_col(schema.gender)
     country_col = find_col(schema.country)
 
-    rows: list[list[float]] = []
+    def gender_of(cell: str) -> str:
+        raw = cell.strip()
+        if raw in gender_map:
+            return gender_map[raw]
+        return raw.lower() if raw.lower() in GENDERS else "unknown"
+
+    def country_of(cell: str) -> str:
+        country = cell.strip()
+        return country_map.get(country, country).upper()
+
+    item_value = _Memo(_item_value).__getitem__
+    age_value = _Memo(_age_value).__getitem__
+    gender_value = _Memo(gender_of).__getitem__
+    country_value = _Memo(country_of).__getitem__
+
+    values = array("d")  # item cells, row-major
     ages: list[int] = []
     genders: list[str] = []
     countries: list[str] = []
@@ -261,69 +332,58 @@ def parse_responses(stream, schema: ColumnSchema | None = None, codebook=None) -
         if len(cells) != len(header):
             errors.append(f"line {lineno}: expected {len(header)} fields, got {len(cells)}")
             continue
-        values = []
-        for col, _, _ in item_cols:
-            cell = cells[col].strip()
-            try:
-                values.append(float(cell))
-            except ValueError:
-                values.append(np.nan)
-        rows.append(values)
+        values.extend(map(item_value, item_cells(cells)))
+        ages.append(-1 if age_col is None else age_value(cells[age_col]))
+        genders.append("unknown" if gender_col is None else gender_value(cells[gender_col]))
+        countries.append("" if country_col is None else country_value(cells[country_col]))
 
-        age = -1
-        if age_col is not None:
-            try:
-                age = int(float(cells[age_col]))
-            except ValueError:
-                age = -1
-        ages.append(age)
-
-        if gender_col is not None:
-            raw = cells[gender_col].strip()
-            if raw in gender_map:
-                gender = gender_map[raw]
-            elif raw.lower() in GENDERS:
-                gender = raw.lower()
-            else:
-                gender = "unknown"
-        else:
-            gender = "unknown"
-        genders.append(gender)
-
-        country = cells[country_col].strip() if country_col is not None else ""
-        country = country_map.get(country, country).upper()
-        countries.append(country)
-
-    matrix = np.array(rows, dtype=np.float64).reshape(len(rows), len(items))
     demo = Demographics(
         age=np.array(ages, dtype=np.int16),
         gender=tuple(genders),
         country=tuple(countries),
-        region=tuple(map_region(c) for c in countries),
+        region=tuple(map(_Memo(map_region).__getitem__, countries)),
     )
     return ResponseTable(
         items=items,
-        rows=matrix,
+        rows=np.frombuffer(values, dtype=np.float64).reshape(len(ages), len(items)),
         demographics=demo,
         dropped_rows=len(errors),
         row_errors=tuple(errors),
     )
 
 
+def _format_bits(bits: np.ndarray) -> np.ndarray:
+    """``f"{value:g}"`` per float64 bit pattern; "" for NaN, "-0" for -0.0."""
+    return np.array(
+        ["" if np.isnan(value) else f"{value:g}" for value in bits.view(np.float64).tolist()],
+        dtype=object,
+    )
+
+
 def serialize_responses(table: ResponseTable, buf=None) -> str:
-    """Canonical CSV form: zero-padded item columns, then age,gender,country."""
+    """Canonical CSV form: zero-padded item columns, then age,gender,country.
+
+    Works block by block of ``_SERIALIZE_BLOCK`` rows: every distinct item
+    value of a block is formatted once (keyed on its bit pattern) and
+    gathered into place, so only one block's cell strings exist at a time.
+    """
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(list(table.items) + ["age", "gender", "country"])
     demo = table.demographics
-    for i in range(table.n):
-        cells = []
-        for value in table.rows[i]:
-            cells.append("" if np.isnan(value) else f"{value:g}")
-        cells.append("" if demo.age[i] < 0 else str(int(demo.age[i])))
-        cells.append(demo.gender[i])
-        cells.append(demo.country[i])
-        writer.writerow(cells)
+    m = len(table.items)
+    ages, age_index = np.unique(demo.age, return_inverse=True)
+    age_text = np.array(["" if a < 0 else str(a) for a in ages.tolist()], dtype=object)[age_index]
+    for start in range(0, table.n, _SERIALIZE_BLOCK):
+        stop = min(start + _SERIALIZE_BLOCK, table.n)
+        bits = np.ascontiguousarray(table.rows[start:stop], dtype=np.float64).view(np.uint64)
+        distinct, index = np.unique(bits.ravel(), return_inverse=True)
+        cells = np.empty((stop - start, m + 3), dtype=object)
+        cells[:, :m] = _format_bits(distinct)[index.reshape(stop - start, m)]
+        cells[:, m] = age_text[start:stop]
+        cells[:, m + 1] = demo.gender[start:stop]
+        cells[:, m + 2] = demo.country[start:stop]
+        writer.writerows(cells.tolist())
     text = out.getvalue()
     if buf is not None:
         if isinstance(buf, str):
@@ -359,22 +419,15 @@ def filter_cohort(table: ResponseTable, f: CohortFilter) -> ResponseTable:
     )
 
 
-def _age_band(age: int) -> str:
-    for lo, hi in AGE_BANDS:
-        if lo <= age <= hi:
-            return f"{lo}-{hi}"
-    return "other"
-
-
 def demographic_summary(table: ResponseTable) -> DemographicReport:
     """Counts per region, gender and age band; each dimension sums to n."""
     region = {r: 0 for r in REGIONS}
     gender = {g: 0 for g in GENDERS}
-    age_band = {f"{lo}-{hi}": 0 for lo, hi in AGE_BANDS}
-    age_band["other"] = 0
     demo = table.demographics
-    for i in range(table.n):
-        region[demo.region[i]] += 1
-        gender[demo.gender[i]] += 1
-        age_band[_age_band(int(demo.age[i]))] += 1
+    for counts, labels in ((region, demo.region), (gender, demo.gender)):
+        for label, count in Counter(labels).items():
+            counts[label] += count
+    age = demo.age
+    age_band = {f"{lo}-{hi}": int(np.count_nonzero((age >= lo) & (age <= hi))) for lo, hi in AGE_BANDS}
+    age_band["other"] = table.n - sum(age_band.values())
     return DemographicReport(n=table.n, region=region, gender=gender, age_band=age_band)

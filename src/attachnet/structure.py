@@ -65,15 +65,22 @@ def _run_kernel(stats: SufficientStats, cfg: SearchConfig, init_adj: np.ndarray)
     )
 
 
-def _random_dag_adjacency(m: int, rng: np.random.Generator) -> np.ndarray:
-    """Random DAG: arcs sampled below the diagonal of a random node order."""
+def _random_dag_adjacency(
+    m: int, rng: np.random.Generator, max_parents: int | None = None
+) -> np.ndarray:
+    """Random DAG: arcs sampled below the diagonal of a random node order.
+
+    A sampled arc into a node that already has ``max_parents`` parents is
+    skipped; the random draws are the same with or without the limit.
+    """
     order = rng.permutation(m)
     adj = np.zeros((m, m), dtype=np.int8)
     prob = min(0.25, 4.0 / max(m, 1))
     for i in range(m):
         for j in range(i + 1, m):
             if rng.random() < prob:
-                adj[order[i], order[j]] = 1
+                if max_parents is None or adj[:, order[j]].sum() < max_parents:
+                    adj[order[i], order[j]] = 1
     return adj
 
 
@@ -88,7 +95,7 @@ def tabu_search(stats: SufficientStats, cfg: SearchConfig | None = None) -> Dag:
     best_adj, best_score = _run_kernel(stats, cfg, np.zeros((m, m), dtype=np.int8))
     for restart in range(cfg.restarts):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x5EED, restart)))
-        adj, score = _run_kernel(stats, cfg, _random_dag_adjacency(m, rng))
+        adj, score = _run_kernel(stats, cfg, _random_dag_adjacency(m, rng, cfg.max_parents))
         if score > best_score + 1e-9:
             best_adj, best_score = adj, score
     return Dag.from_adjacency(stats.items, best_adj)

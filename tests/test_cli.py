@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from attachnet.cli import main
+from attachnet.cli import build_parser, main
 
 HEADER = ",".join([f"Q{i}" for i in range(1, 7)] + ["age", "gender", "country"])
 
@@ -55,6 +55,31 @@ def test_ingest_with_age_filter(tmp_path, capsys):
 def test_ingest_bad_age_range_exits_2(tmp_path):
     src = survey_csv(tmp_path)
     assert main(["ingest", str(src), "--age", "60:18"]) == 2
+
+
+def test_ingest_duplicate_item_header_exits_2(tmp_path, capsys):
+    src = tmp_path / "dup.csv"
+    src.write_text("Q1,Q2,Q01,age\n3,4,5,30\n")
+    out = tmp_path / "cohort.csv"
+    assert main(["ingest", str(src), "-o", str(out)]) == 2
+    assert "Q01" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("age", ["inf", "1e400", "40000"])
+def test_ingest_unrepresentable_age_is_unknown(tmp_path, capsys, age):
+    src = tmp_path / "ages.csv"
+    src.write_text(f"Q1,Q2,age,gender\n3,4,{age},2\n2,5,30,1\n")
+    out = tmp_path / "cohort.csv"
+    assert main(["ingest", str(src), "-o", str(out)]) == 0
+    assert "other          1" in capsys.readouterr().out  # the unknown age is banded "other"
+    assert out.read_text().splitlines()[1:] == ["3,4,,female,", "2,5,30,male,"]
+
+
+def test_threads_default_to_one():
+    parser = build_parser()
+    assert parser.parse_args(["learn", "data.csv"]).threads == 1
+    assert parser.parse_args(["full-repro", "data.csv"]).threads == 1
 
 
 def test_learn_zero_replicates_exits_2(tmp_path):

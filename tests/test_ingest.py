@@ -1,8 +1,16 @@
+import csv
+import io
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import attachnet.ingest as ingest_module
+import reference_ingest
 from attachnet.errors import EmptyCohortError, ParseError, ValidationError
 from attachnet.ingest import (
+    GENDERS,
     CohortFilter,
     demographic_summary,
     filter_cohort,
@@ -63,6 +71,19 @@ def test_absent_demographics_are_unknown():
 def test_unpadded_and_padded_item_names_canonicalize():
     a = parse_responses(b"Q1,Q02\n1,2\n")
     assert a.items == ("Q01", "Q02")
+
+
+def test_duplicate_item_headers_are_fatal():
+    with pytest.raises(ParseError) as err:
+        parse_responses(b"Q1,Q2,Q01\n1,2,3\n")
+    assert err.value.line == 1
+    assert "'Q1' and 'Q01'" in str(err.value)
+
+
+@pytest.mark.parametrize("age", ["inf", "-inf", "1e400", "40000", "-32769", "nan"])
+def test_unrepresentable_ages_are_unknown(age):
+    table = parse_responses(f"Q1,age\n3,{age}\n4,32767.9\n5,-32768\n".encode())
+    assert table.demographics.age.tolist() == [-1, 32767, -32768]
 
 
 def test_map_region_known_codes():
@@ -187,3 +208,128 @@ def test_standard_filter_matches_reference_recipe():
     assert f.age_range == (18, 60)
     assert f.genders == frozenset({"female", "male"})
     assert f.require_complete
+
+
+# -- oracle properties: the columnar ingest against the per-cell reference ------
+
+SPECIAL_VALUES = (
+    np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -2.5e-310, 2.2250738585072014e-308,
+    1e300, -1e300, 1e16, 0.1, 123456789.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 9.0,
+)
+NAN_PAYLOAD = np.array([0x7FF8000000000001, 0xFFF0000000000002], dtype=np.uint64).view(np.float64)
+FREE_TEXT = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=8
+)
+TRICKY_TEXT = st.one_of(
+    FREE_TEXT,
+    st.sampled_from(["", "a,b", 'say "hi"', "x\ny", "line\r\nbreak", "Côte d'Ivoire", "東京", " us "]),
+)
+
+
+@st.composite
+def response_tables(draw):
+    n = draw(st.integers(0, 25))
+    m = draw(st.integers(1, 6))
+    value = st.one_of(
+        st.sampled_from(SPECIAL_VALUES + tuple(NAN_PAYLOAD)),
+        st.integers(0, 9).map(float),
+        st.floats(allow_nan=True, allow_infinity=True),
+    )
+    rows = np.array(draw(st.lists(value, min_size=n * m, max_size=n * m)), dtype=np.float64)
+    return make_table(
+        rows.reshape(n, m),
+        age=draw(st.lists(st.integers(-32768, 32767) | st.just(-1), min_size=n, max_size=n)),
+        gender=draw(st.lists(TRICKY_TEXT, min_size=n, max_size=n)),
+        country=draw(st.lists(TRICKY_TEXT, min_size=n, max_size=n)),
+    )
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(table=response_tables(), block=st.sampled_from([1, 2, 3, 7, None]))
+def test_serialize_matches_reference(table, block):
+    block = block or ingest_module._SERIALIZE_BLOCK
+    with mock.patch.object(ingest_module, "_SERIALIZE_BLOCK", block):
+        assert serialize_responses(table) == reference_ingest.serialize_responses(table)
+
+
+ITEM_CELL = st.one_of(
+    st.sampled_from(["1", "2", "3", "4", "5", "", " 3 ", "\t4", "3.5", "-0", "0", "6", "nan",
+                     "NaN", "inf", "-inf", "1e3", "1e400", "0x3", "abc", "  ", "+2", "1_0"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    FREE_TEXT,
+)
+AGE_CELL = st.one_of(
+    st.integers(-32768, 32767).map(str),
+    st.sampled_from(["", "abc", "25.5", " 30 ", "nan", "-0.9", "1e2", "32767.9"]),
+)
+GENDER_CELL = st.one_of(
+    st.sampled_from(["0", "1", "2", "3", " 2 ", "female", "MALE", "Other", "x", ""]), FREE_TEXT
+)
+COUNTRY_CELL = st.one_of(st.sampled_from(["US", "gb", " fr ", "ZZ", "", "BR"]), TRICKY_TEXT)
+
+
+@st.composite
+def raw_exports(draw):
+    numbers = draw(st.lists(st.integers(1, 40), min_size=1, max_size=6, unique=True))
+    names = [draw(st.sampled_from(["Q{}", "Q{:02d}", "q{}", " Q{} "])).format(k) for k in numbers]
+    kinds = ["item"] * len(names)
+    for extra in ("age", "gender", "country", "notes"):
+        if draw(st.booleans()):
+            names.append(draw(st.sampled_from([extra, extra.upper()])))
+            kinds.append(extra)
+    order = draw(st.permutations(range(len(names))))
+    names = [names[i] for i in order]
+    kinds = [kinds[i] for i in order]
+    cell = {"item": ITEM_CELL, "age": AGE_CELL, "gender": GENDER_CELL,
+            "country": COUNTRY_CELL, "notes": TRICKY_TEXT}
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        shape = draw(st.sampled_from(["row"] * 6 + ["short", "long", "blank"]))
+        if shape == "blank":
+            lines.append([])
+            continue
+        row = [draw(cell[kind]) for kind in kinds]
+        if shape == "short":
+            row = row[: draw(st.integers(0, len(row) - 1))]  # no cells at all: a blank line
+        elif shape == "long":
+            row.append(draw(ITEM_CELL))
+        lines.append(row)
+    delimiter = draw(st.sampled_from([",", "\t"]))
+    out = io.StringIO()
+    writer = csv.writer(out, delimiter=delimiter, lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+    writer.writerow(names)
+    writer.writerows(lines)
+    return out.getvalue().encode("utf-8")
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(raw=raw_exports())
+def test_parse_matches_reference(raw):
+    try:
+        expected = reference_ingest.parse_responses(raw)
+    except csv.Error:  # e.g. a bare "\r" the writer left unquoted: both must refuse it
+        with pytest.raises(csv.Error):
+            parse_responses(raw)
+        return
+    table = parse_responses(raw)
+    assert table == expected
+    assert table.rows.dtype == np.float64
+    assert np.array_equal(table.rows.view(np.uint64), expected.rows.view(np.uint64))
+    assert table.demographics.age.dtype == np.int16
+    assert table.demographics.region == expected.demographics.region
+    assert (table.dropped_rows, table.row_errors) == (expected.dropped_rows, expected.row_errors)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(table=response_tables())
+def test_demographic_summary_matches_reference(table):
+    table = make_table(
+        table.rows,
+        age=table.demographics.age,
+        gender=[g if g in GENDERS else "unknown" for g in table.demographics.gender],
+        country=table.demographics.country,
+    )
+    got, expected = demographic_summary(table), reference_ingest.demographic_summary(table)
+    assert got == expected
+    for dim in ("region", "gender", "age_band"):
+        assert list(getattr(got, dim)) == list(getattr(expected, dim))

@@ -116,6 +116,27 @@ def test_max_parents_respected(rng):
     assert max(dag.in_degree(v) for v in nodes) <= 1
 
 
+def test_restarts_respect_max_parents():
+    # node f has three true parents; random restart DAGs used to ignore the limit
+    rng = np.random.default_rng(3)
+    items = ("a", "b", "c", "d", "e", "f")
+    rows = rng.normal(size=(1000, 6))
+    rows[:, 5] += rows[:, 0] + rows[:, 1] + rows[:, 2]
+    stats = stats_from_matrix(rows, items)
+    for seed in range(40):
+        dag = tabu_search(stats, SearchConfig(max_parents=1, restarts=4, seed=seed))
+        assert max(dag.in_degree(v) for v in items) <= 1, seed
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 12), max_parents=st.integers(0, 3))
+def test_random_start_respects_max_parents(seed, m, max_parents):
+    free = _random_dag_adjacency(m, np.random.default_rng(seed))
+    limited = _random_dag_adjacency(m, np.random.default_rng(seed), max_parents)
+    assert limited.sum(axis=0).max() <= max_parents
+    assert np.all(limited <= free)  # same draws, arcs over the limit skipped
+
+
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
 @given(
     seed=st.integers(0, 2**32 - 1),
