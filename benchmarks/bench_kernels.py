@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Benchmark the search, the covariance and ingest against their reference kernels.
+"""Benchmark the search, the covariance, ingest and analysis against their references.
 
 The references in ``tests/reference_kernels.py`` are the per-candidate search
 (a depth-first cycle check and a fresh local score for every candidate move)
@@ -14,6 +14,12 @@ generated 40,000-row export of 36 items (the size of the public ECR export)
 against the per-cell versions in ``tests/reference_ingest.py``; the script
 fails on any difference in the parsed table or the written bytes.
 
+The analysis rows time ``kmeans_best_seed(k=2)`` over seeds 1:4000 on the four
+bundled factor tables, and the 1,260 ordered item-pair queries on the bundled
+model (``total_influence`` plus ``top_paths(k=2)``), against the seed-at-a-time
+sweep and the arc-scanning queries in ``tests/reference_analysis.py``; the
+script fails unless every result is identical.
+
     PYTHONPATH=src python benchmarks/bench_kernels.py --nodes 36 --rows 1000 --repeats 3
 """
 import argparse
@@ -23,10 +29,11 @@ from pathlib import Path
 
 import numpy as np
 
-from attachnet import _kernels, ingest
+from attachnet import _kernels, compare, fixtures, influence, ingest
 from attachnet.score import DEFAULT_RIDGE, stats_from_matrix
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+import reference_analysis  # noqa: E402
 import reference_ingest  # noqa: E402
 from reference_kernels import covariance_kernel, tabu_search_kernel  # noqa: E402
 
@@ -116,6 +123,7 @@ def main() -> None:
               f"   {int(adj.sum())} arcs, score {score:.6f} (identical)")
 
     bench_ingest(args.seed, args.repeats)
+    bench_analysis(args.repeats)
 
 
 def bench_ingest(seed: int, repeats: int) -> None:
@@ -140,6 +148,53 @@ def bench_ingest(seed: int, repeats: int) -> None:
         sys.exit("error: serialize_responses and its reference write different bytes")
     print(f"{'serialize (40k x 36)':<22} {t_new * 1e3:>10.2f}ms {t_ref * 1e3:>10.2f}ms {t_ref / t_new:>8.1f}x"
           f"   {len(text.encode()) / 1e6:.1f} MB (byte-identical)")
+
+
+
+def bench_analysis(repeats: int) -> None:
+    ref_repeats = max(1, repeats // 3)
+    tables = [fixtures.load_factor_table(name) for name in fixtures.FACTOR_TABLES]
+
+    def sweep(module):
+        return [module.kmeans_best_seed(table, k=2, seed_range=(1, 4000)) for table in tables]
+
+    t_new, results = time_fn(sweep, compare, repeats=repeats)
+    t_ref, ref_results = time_fn(sweep, reference_analysis, repeats=ref_repeats)
+    for got, expected in zip(results, ref_results):
+        if not (
+            got.assignment == expected.assignment
+            and got.centers.tobytes() == expected.centers.tobytes()
+            and got.total_within_ss.hex() == expected.total_within_ss.hex()
+            and got.best_seed == expected.best_seed
+        ):
+            sys.exit("error: kmeans_best_seed and its reference disagree")
+    print(f"{'k-means (4 x 4000)':<22} {t_new * 1e3:>10.2f}ms {t_ref * 1e3:>10.2f}ms {t_ref / t_new:>8.1f}x"
+          f"   {len(tables) * 4000} Lloyd runs (identical)")
+
+    dag, params = fixtures.load_fixture_model()
+    pairs = [(s, t) for s in dag.nodes for t in dag.nodes if s != t]
+
+    def queries(module):
+        return [
+            (module.total_influence(dag, params, s, t), module.top_paths(dag, params, s, t, k=2))
+            for s, t in pairs
+        ]
+
+    t_new, answers = time_fn(queries, influence, repeats=repeats)
+    t_ref, ref_answers = time_fn(queries, reference_analysis, repeats=ref_repeats)
+    def bits(x):  # a total over no parents is the int 0 on both sides
+        return type(x), float(x).hex()
+
+    same = all(
+        bits(total) == bits(ref_total)
+        and top == ref_top
+        and all(bits(p.product) == bits(q.product) for p, q in zip(top, ref_top))
+        for (total, top), (ref_total, ref_top) in zip(answers, ref_answers)
+    )
+    if not same:
+        sys.exit("error: the influence queries and their reference disagree")
+    print(f"{'influence (1260 pairs)':<22} {t_new * 1e3:>10.2f}ms {t_ref * 1e3:>10.2f}ms {t_ref / t_new:>8.1f}x"
+          f"   total_influence + top_paths(k=2) (identical)")
 
 
 if __name__ == "__main__":

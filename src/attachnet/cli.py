@@ -76,12 +76,12 @@ def _default_seed() -> int:
     return 1
 
 
-def _parse_age_range(text: str) -> tuple[int, int]:
+def _parse_range(text: str, what: str, example: str) -> tuple[int, int]:
     try:
         lo, hi = text.split(":")
         return int(lo), int(hi)
     except ValueError:
-        raise ValidationError(f"age range must look like 18:60, got {text!r}")
+        raise ValidationError(f"{what} must look like {example}, got {text!r}")
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -128,7 +128,7 @@ def cmd_ingest(args) -> int:
     f = standard_filter() if args.filter_standard else CohortFilter()
     if args.age:
         f = CohortFilter(
-            age_range=_parse_age_range(args.age),
+            age_range=_parse_range(args.age, "age range", "18:60"),
             genders=f.genders,
             regions=f.regions,
             require_complete=f.require_complete,
@@ -313,8 +313,8 @@ def _read_factor_table(path: str) -> FactorTable:
 
 def cmd_compare_kmeans(args) -> int:
     data = _read_factor_table(args.factors)
-    lo, hi = (int(x) for x in args.seeds.split(":"))
-    result = kmeans_best_seed(data, k=args.k, seed_range=(lo, hi))
+    seeds = _parse_range(args.seeds, "seed range", "1:4000")
+    result = kmeans_best_seed(data, k=args.k, seed_range=seeds)
     print(f"best seed {result.best_seed}; within-cluster ss {result.total_within_ss:.5f}")
     for label, members in sorted(result.clusters().items()):
         print(f"  cluster {label}: {', '.join(sorted(members))}")

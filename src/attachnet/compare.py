@@ -71,24 +71,83 @@ class KMeansResult:
         return frozenset(self.clusters().values())
 
 
-def _lloyd(points: np.ndarray, k: int, seed: int, max_iter: int = 300):
-    """One Lloyd run from k distinct seeded points; returns (labels, centers, ss)."""
-    n = points.shape[0]
-    rng = np.random.default_rng(seed)
-    centers = points[rng.choice(n, size=k, replace=False)].copy()
-    labels = np.full(n, -1)
-    for _ in range(max_iter):
-        dists = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_labels = np.argmin(dists, axis=1)
-        if np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
+# Seeds per batched Lloyd block, chosen by measuring the analysis battery's
+# peak RSS: 512 added about 0.8 MB for a few percent less time, and 128 was
+# slower for no less memory.
+_SEED_BLOCK = 256
+
+
+def _lloyd_sweep(points: np.ndarray, k: int, seeds: range, max_iter: int = 300):
+    """One Lloyd clustering per seed; yields ``(seed, labels, centers, ss)``
+    in seed order.
+
+    The seeds run ``_SEED_BLOCK`` at a time as ``(seeds, k, d)`` centre
+    arrays.  Each starts from ``default_rng(seed).choice(n, k,
+    replace=False)`` and stops at the first iteration whose assignment
+    repeats the previous one, or after ``max_iter`` updates.  Every float
+    operation is the one a seed-at-a-time run makes: distances per centre as
+    ``(x - c) ** 2`` summed over the last axis, first-minimum assignment,
+    centres as the row-order sum of their points divided by the count (an
+    empty cluster's centre stays put), and ``ss`` as a sum over the
+    flattened residuals.
+    """
+    n, d = points.shape
+    block = min(_SEED_BLOCK, len(seeds))
+    diff = np.empty((block, n, d))  # work buffers shared by every block
+    dists = np.empty((block, k, n))
+    for first in range(0, len(seeds), block):
+        chunk = seeds[first : first + block]
+        size = len(chunk)
+        centers = np.empty((size, k, d))
+        for s, seed in enumerate(chunk):
+            centers[s] = points[np.random.default_rng(seed).choice(n, size=k, replace=False)]
+        labels = np.full((size, n), -1, dtype=np.intp)
+        active = np.arange(size)
+        for _ in range(max_iter):
+            m = len(active)
+            for c in range(k):
+                np.subtract(points, centers[active, c, None, :], out=diff[:m])
+                np.square(diff[:m], out=diff[:m])
+                diff[:m].sum(axis=2, out=dists[:m, c])
+            new_labels = dists[:m].argmin(axis=1)
+            moved = (new_labels != labels[active]).any(axis=1)
+            active, new_labels = active[moved], new_labels[moved]
+            if not len(active):
+                break
+            labels[active] = new_labels
+            centers[active] = _cluster_means(points, new_labels, centers[active])
+        residuals = diff[:size]  # points - centers[labels], one cluster at a time
         for c in range(k):
-            mask = labels == c
-            if mask.any():
-                centers[c] = points[mask].mean(axis=0)
-    ss = float(((points - centers[labels]) ** 2).sum())
-    return labels, centers, ss
+            np.subtract(points, centers[:, c, None, :], out=residuals,
+                        where=(labels == c)[:, :, None])
+        np.square(residuals, out=residuals)
+        ss = residuals.reshape(size, n * d).sum(axis=1)
+        yield from zip(chunk, labels, centers, ss.tolist())
+
+
+def _cluster_means(points: np.ndarray, labels: np.ndarray, centers: np.ndarray):
+    """Per seed (row of ``labels``), each non-empty cluster's mean point.
+
+    ``points[mask].mean(axis=0)`` adds a cluster's rows in order when there
+    are two or more columns, starting from +0.0 (so an all -0.0 column sums
+    to +0.0), and the sums here add them the same way.  With one column numpy
+    sums pairwise, so that case takes numpy's own mean per cluster.
+    """
+    if points.shape[1] == 1:
+        for s, row in enumerate(labels):
+            for c in np.unique(row):
+                centers[s, c] = points[row == c].mean(axis=0)
+        return centers
+    size, k, d = centers.shape
+    bins = (labels + k * np.arange(size)[:, None]).ravel()  # one bin per (seed, cluster)
+    counts = np.bincount(bins, minlength=size * k).reshape(size, k)
+    sums = np.empty_like(centers)
+    for j in range(d):  # bincount adds the weights in order, from +0.0
+        weights = np.broadcast_to(points[:, j], labels.shape).ravel()
+        sums[:, :, j] = np.bincount(bins, weights, size * k).reshape(size, k)
+    filled = counts > 0
+    centers[filled] = sums[filled] / counts[filled][:, None]
+    return centers
 
 
 def kmeans_best_seed(data: FactorTable, k: int, seed_range=(1, 4000)) -> KMeansResult:
@@ -100,11 +159,13 @@ def kmeans_best_seed(data: FactorTable, k: int, seed_range=(1, 4000)) -> KMeansR
     if k < 1:
         raise ValidationError("k must be >= 1")
     lo, hi = seed_range
+    if not 0 <= lo <= hi:
+        raise ValidationError(f"seed range must satisfy 0 <= lo <= hi, got {lo}:{hi}")
+    points = np.asarray(data.values, dtype=np.float64)
     best = None
-    for seed in range(lo, hi + 1):
-        labels, centers, ss = _lloyd(data.values, k, seed)
+    for seed, labels, centers, ss in _lloyd_sweep(points, k, range(lo, hi + 1)):
         if best is None or ss < best[2] - 1e-12:
-            best = (labels, centers, ss, seed)
+            best = (labels.copy(), centers.copy(), ss, seed)
     labels, centers, ss, seed = best
     return KMeansResult(
         assignment={item: int(c) for item, c in zip(data.items, labels)},
@@ -219,18 +280,21 @@ def _exact_u_counts(n_a: int, n_b: int) -> list[int]:
     Classic recursion: ways(a, b, u) = ways(a-1, b, u-b) + ways(a, b-1, u).
     """
     ways: dict[tuple[int, int, int], int] = {}
+    return [_count_ways(n_a, n_b, u, ways) for u in range(n_a * n_b + 1)]
 
-    def count(a: int, b: int, u: int) -> int:
-        if u < 0 or u > a * b:
-            return 0
-        if a == 0 or b == 0:
-            return 1 if u == 0 else 0
-        key = (a, b, u)
-        if key not in ways:
-            ways[key] = count(a - 1, b, u - b) + count(a, b - 1, u)
-        return ways[key]
 
-    return [count(n_a, n_b, u) for u in range(n_a * n_b + 1)]
+def _count_ways(a: int, b: int, u: int, ways: dict) -> int:
+    # a module-level function, not a closure over ``ways``: a recursive
+    # closure is a reference cycle that kept the memo (megabytes at
+    # 18 x 18) in memory until the next full garbage collection
+    if u < 0 or u > a * b:
+        return 0
+    if a == 0 or b == 0:
+        return 1 if u == 0 else 0
+    key = (a, b, u)
+    if key not in ways:
+        ways[key] = _count_ways(a - 1, b, u - b, ways) + _count_ways(a, b - 1, u, ways)
+    return ways[key]
 
 
 def mann_whitney_u(a, b, exact_limit: int = 400) -> tuple[float, float]:

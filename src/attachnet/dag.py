@@ -19,6 +19,8 @@ class Dag:
     nodes: tuple[str, ...]
     arcs: frozenset[tuple[str, str]]
     _order: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _parents: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
+    _children: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
 
     def __init__(self, nodes, arcs):
         object.__setattr__(self, "nodes", tuple(nodes))
@@ -31,21 +33,25 @@ class Dag:
                 raise ValidationError(f"self-loop on {u}")
             if u not in known or v not in known:
                 raise ValidationError(f"arc ({u}, {v}) references unknown node")
+        parents = {n: [] for n in self.nodes}
+        children = {n: [] for n in self.nodes}
+        for u, v in self.arcs:
+            parents[v].append(u)
+            children[u].append(v)
+        # sorted once here: the path queries read them once per node per query
+        object.__setattr__(self, "_parents", {n: tuple(sorted(p)) for n, p in parents.items()})
+        object.__setattr__(self, "_children", {n: tuple(sorted(c)) for n, c in children.items()})
         object.__setattr__(self, "_order", self._toposort())
 
     def _toposort(self) -> tuple[str, ...]:
-        indeg = {n: 0 for n in self.nodes}
-        children = {n: [] for n in self.nodes}
-        for u, v in self.arcs:
-            indeg[v] += 1
-            children[u].append(v)
+        indeg = {n: len(p) for n, p in self._parents.items()}
         ready = sorted(n for n in self.nodes if indeg[n] == 0)
         order = []
         while ready:
             n = ready.pop(0)
             order.append(n)
             inserted = False
-            for ch in sorted(children[n]):
+            for ch in self._children[n]:
                 indeg[ch] -= 1
                 if indeg[ch] == 0:
                     ready.append(ch)
@@ -62,16 +68,18 @@ class Dag:
         return self._order
 
     def parents(self, node: str) -> tuple[str, ...]:
-        return tuple(sorted(u for u, v in self.arcs if v == node))
+        """Sorted parents of ``node`` (empty for a node not in the graph)."""
+        return self._parents.get(node, ())
 
     def children(self, node: str) -> tuple[str, ...]:
-        return tuple(sorted(v for u, v in self.arcs if u == node))
+        """Sorted children of ``node`` (empty for a node not in the graph)."""
+        return self._children.get(node, ())
 
     def in_degree(self, node: str) -> int:
-        return sum(1 for _, v in self.arcs if v == node)
+        return len(self.parents(node))
 
     def out_degree(self, node: str) -> int:
-        return sum(1 for u, _ in self.arcs if u == node)
+        return len(self.children(node))
 
     def has_arc(self, u: str, v: str) -> bool:
         return (u, v) in self.arcs

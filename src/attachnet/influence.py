@@ -77,12 +77,14 @@ def count_paths(dag: Dag, source: str, target: str) -> int:
     return counts.get(target, 0)
 
 
-def enumerate_paths(dag: Dag, source: str, target: str, cap: int = DEFAULT_PATH_CAP):
-    """All directed paths source -> target, depth-first in item order.
+def _walk_paths(dag: Dag, source: str, target: str, cap: int, coefficient):
+    """``(path, product)`` for every directed path source -> target,
+    depth-first in item order.
 
-    Refuses (PathCountError) when the path count exceeds ``cap``; the total
-    influence is still available through ``total_influence`` without
-    enumeration.
+    The product is carried down the walk, multiplying ``coefficient(u, v)``
+    arc by arc from the source, the same left-to-right order as
+    ``path_product``.  Refuses (PathCountError) when the path count exceeds
+    ``cap``.
     """
     _check_nodes(dag, source, target)
     if source == target:
@@ -93,27 +95,41 @@ def enumerate_paths(dag: Dag, source: str, target: str, cap: int = DEFAULT_PATH_
             f"{total} paths from {source} to {target} exceeds cap {cap}; "
             "use total_influence for the aggregate"
         )
-    # restrict the walk to nodes that can still reach the target
-    reaches = {target}
+    # restrict the walk to the (sorted) children that can still reach the target
+    onward: dict[str, tuple[str, ...]] = {target: ()}
     for node in reversed(dag.topological_order()):
-        if any(ch in reaches for ch in dag.children(node)):
-            reaches.add(node)
-    paths: list[tuple[str, ...]] = []
-    stack = [source]
-
-    def walk(node: str) -> None:
+        steps = tuple(ch for ch in dag.children(node) if ch in onward)
+        if steps:
+            onward[node] = steps
+    # an explicit stack: a recursive closure is a reference cycle, which kept
+    # each query's paths in memory until the next full garbage collection
+    found: list[tuple[tuple[str, ...], float]] = []
+    path: list[str] = []
+    todo = [(0, source, 1.0)] if source in onward else []  # (depth, node, product)
+    while todo:
+        depth, node, product = todo.pop()
+        del path[depth:]
+        path.append(node)
         if node == target:
-            paths.append(tuple(stack))
-            return
-        for child in dag.children(node):  # children() is sorted
-            if child in reaches:
-                stack.append(child)
-                walk(child)
-                stack.pop()
+            found.append((tuple(path), product))
+            continue
+        for child in reversed(onward[node]):  # the smallest child is walked first
+            todo.append((depth + 1, child, product * coefficient(node, child)))
+    return found
 
-    if source in reaches:
-        walk(source)
-    return paths
+
+def _unit(u: str, v: str) -> float:
+    return 1.0
+
+
+def enumerate_paths(dag: Dag, source: str, target: str, cap: int = DEFAULT_PATH_CAP):
+    """All directed paths source -> target, depth-first in item order.
+
+    Refuses (PathCountError) when the path count exceeds ``cap``; the total
+    influence is still available through ``total_influence`` without
+    enumeration.
+    """
+    return [path for path, _ in _walk_paths(dag, source, target, cap, _unit)]
 
 
 def path_product(path, params: GaussianBnParams) -> float:
@@ -161,10 +177,9 @@ def top_paths(
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
-    paths = enumerate_paths(dag, source, target, cap=cap)
-    scored = [InfluencePath(nodes=p, product=path_product(p, params)) for p in paths]
-    scored.sort(key=lambda ip: (-abs(ip.product), ip.nodes))
-    return scored[:k]
+    paths = _walk_paths(dag, source, target, cap, params.coefficient)
+    paths.sort(key=lambda pp: (-abs(pp[1]), pp[0]))
+    return [InfluencePath(nodes=path, product=product) for path, product in paths[:k]]
 
 
 def influence_result(

@@ -256,7 +256,9 @@ def parse_responses(stream, schema: ColumnSchema | None = None, codebook=None) -
     """Parse a delimited survey export into a ResponseTable.
 
     Raises ParseError when the header has no item columns or names one item
-    twice (``Q1`` and ``Q01``); ragged rows are dropped, counted in
+    twice (``Q1`` and ``Q01``), and when the csv module refuses a line (a
+    field over its size limit, or, in text or bytes input, a bare carriage
+    return inside an unquoted field); ragged rows are dropped, counted in
     ``dropped_rows`` and described in ``row_errors``.  Each distinct cell text
     is converted once per call: item cells by ``float(cell.strip())`` (NaN if
     that fails), ages by truncation to whole years (-1 if not a finite number
@@ -273,7 +275,10 @@ def parse_responses(stream, schema: ColumnSchema | None = None, codebook=None) -
     if not header_line:
         raise ParseError("empty input", line=1)
     delimiter = "\t" if "\t" in header_line else ","
-    header = next(csv.reader([header_line], delimiter=delimiter))
+    try:
+        header = next(csv.reader([header_line], delimiter=delimiter))
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=1) from None
     header = [h.strip() for h in header]
 
     item_cols: dict[int, int] = {}  # item number -> column
@@ -326,16 +331,19 @@ def parse_responses(stream, schema: ColumnSchema | None = None, codebook=None) -
     errors: list[str] = []
 
     reader = csv.reader(fh, delimiter=delimiter)
-    for lineno, cells in enumerate(reader, start=2):
-        if not cells:
-            continue
-        if len(cells) != len(header):
-            errors.append(f"line {lineno}: expected {len(header)} fields, got {len(cells)}")
-            continue
-        values.extend(map(item_value, item_cells(cells)))
-        ages.append(-1 if age_col is None else age_value(cells[age_col]))
-        genders.append("unknown" if gender_col is None else gender_value(cells[gender_col]))
-        countries.append("" if country_col is None else country_value(cells[country_col]))
+    try:
+        for lineno, cells in enumerate(reader, start=2):
+            if not cells:
+                continue
+            if len(cells) != len(header):
+                errors.append(f"line {lineno}: expected {len(header)} fields, got {len(cells)}")
+                continue
+            values.extend(map(item_value, item_cells(cells)))
+            ages.append(-1 if age_col is None else age_value(cells[age_col]))
+            genders.append("unknown" if gender_col is None else gender_value(cells[gender_col]))
+            countries.append("" if country_col is None else country_value(cells[country_col]))
+    except csv.Error as exc:  # an over-long field, or a bare "\r" in an unquoted one
+        raise ParseError(str(exc), line=reader.line_num + 1) from None
 
     demo = Demographics(
         age=np.array(ages, dtype=np.int16),

@@ -1,0 +1,178 @@
+"""Reference analysis: the k-means sweep and path queries attachnet used to run.
+
+``kmeans_best_seed`` runs one Lloyd clustering per seed (``_lloyd``), and the
+path queries read a node's parents and children by scanning every arc of the
+DAG and sorting the result.  ``top_paths`` ranks the paths that
+``enumerate_paths`` lists by their ``path_product``.  These bodies are kept
+unchanged as the slow oracle that ``test_analysis_oracle.py`` and
+``benchmarks/bench_kernels.py`` compare the seed-batched sweep and the cached
+adjacency of ``attachnet.compare``, ``attachnet.dag`` and
+``attachnet.influence`` against.
+"""
+import numpy as np
+
+from attachnet.compare import KMeansResult
+from attachnet.errors import PathCountError, ValidationError
+from attachnet.influence import DEFAULT_PATH_CAP, InfluencePath, _check_nodes
+
+
+# -- k-means ------------------------------------------------------------------
+
+
+def _lloyd(points: np.ndarray, k: int, seed: int, max_iter: int = 300):
+    """One Lloyd run from k distinct seeded points; returns (labels, centers, ss)."""
+    n = points.shape[0]
+    rng = np.random.default_rng(seed)
+    centers = points[rng.choice(n, size=k, replace=False)].copy()
+    labels = np.full(n, -1)
+    for _ in range(max_iter):
+        dists = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        new_labels = np.argmin(dists, axis=1)
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for c in range(k):
+            mask = labels == c
+            if mask.any():
+                centers[c] = points[mask].mean(axis=0)
+    ss = float(((points - centers[labels]) ** 2).sum())
+    return labels, centers, ss
+
+
+def kmeans_best_seed(data, k: int, seed_range=(1, 4000)) -> KMeansResult:
+    """Best-of-many Lloyd clustering: lowest within-cluster sum of squares
+    across the inclusive seed range, ties to the smaller seed."""
+    n = len(data.items)
+    if k > n:
+        raise ValidationError(f"k={k} exceeds the {n} items")
+    if k < 1:
+        raise ValidationError("k must be >= 1")
+    lo, hi = seed_range
+    best = None
+    for seed in range(lo, hi + 1):
+        labels, centers, ss = _lloyd(data.values, k, seed)
+        if best is None or ss < best[2] - 1e-12:
+            best = (labels, centers, ss, seed)
+    labels, centers, ss, seed = best
+    return KMeansResult(
+        assignment={item: int(c) for item, c in zip(data.items, labels)},
+        centers=centers,
+        total_within_ss=ss,
+        best_seed=seed,
+    )
+
+
+# -- DAG adjacency by arc scan ------------------------------------------------
+
+
+def parents(dag, node: str) -> tuple[str, ...]:
+    return tuple(sorted(u for u, v in dag.arcs if v == node))
+
+
+def children(dag, node: str) -> tuple[str, ...]:
+    return tuple(sorted(v for u, v in dag.arcs if u == node))
+
+
+def in_degree(dag, node: str) -> int:
+    return sum(1 for _, v in dag.arcs if v == node)
+
+
+def out_degree(dag, node: str) -> int:
+    return sum(1 for u, _ in dag.arcs if u == node)
+
+
+# -- path queries ---------------------------------------------------------------
+
+
+def count_paths(dag, source: str, target: str) -> int:
+    """Number of directed paths source -> target (exact, via DP)."""
+    _check_nodes(dag, source, target)
+    counts = {source: 1}
+    for node in dag.topological_order():
+        if node == source:
+            continue
+        counts[node] = sum(counts.get(p, 0) for p in parents(dag, node))
+    return counts.get(target, 0)
+
+
+def enumerate_paths(dag, source: str, target: str, cap: int = DEFAULT_PATH_CAP):
+    """All directed paths source -> target, depth-first in item order.
+
+    Refuses (PathCountError) when the path count exceeds ``cap``; the total
+    influence is still available through ``total_influence`` without
+    enumeration.
+    """
+    _check_nodes(dag, source, target)
+    if source == target:
+        raise ValidationError("source and target must differ")
+    total = count_paths(dag, source, target)
+    if total > cap:
+        raise PathCountError(
+            f"{total} paths from {source} to {target} exceeds cap {cap}; "
+            "use total_influence for the aggregate"
+        )
+    # restrict the walk to nodes that can still reach the target
+    reaches = {target}
+    for node in reversed(dag.topological_order()):
+        if any(ch in reaches for ch in children(dag, node)):
+            reaches.add(node)
+    paths: list[tuple[str, ...]] = []
+    stack = [source]
+
+    def walk(node: str) -> None:
+        if node == target:
+            paths.append(tuple(stack))
+            return
+        for child in children(dag, node):  # children() is sorted
+            if child in reaches:
+                stack.append(child)
+                walk(child)
+                stack.pop()
+
+    if source in reaches:
+        walk(source)
+    return paths
+
+
+def path_product(path, params) -> float:
+    """Product of arc coefficients along consecutive nodes of ``path``."""
+    product = 1.0
+    for u, v in zip(path, path[1:]):
+        product *= params.coefficient(u, v)
+    return product
+
+
+def total_influence(dag, params, source: str, target: str) -> float:
+    """Derivative of the target with respect to the source.
+
+    Computed in one topological sweep: influence(source) = 1 and every other
+    node accumulates coefficient-weighted influence from its parents.  Equal
+    to the sum of path products over all directed paths; zero when the target
+    is not a descendant.
+    """
+    _check_nodes(dag, source, target)
+    if source == target:
+        return 1.0
+    influence = {source: 1.0}
+    for node in dag.topological_order():
+        if node == source:
+            continue
+        influence[node] = sum(
+            params.coefficient(p, node) * influence.get(p, 0.0)
+            for p in parents(dag, node)
+        )
+    return influence.get(target, 0.0)
+
+
+def top_paths(dag, params, source: str, target: str, k: int, cap: int = DEFAULT_PATH_CAP):
+    """The k paths with the largest absolute coefficient product.
+
+    Ties break lexicographically on the node sequence; fewer than k paths
+    simply returns them all.
+    """
+    if k < 1:
+        raise ValidationError("k must be >= 1")
+    paths = enumerate_paths(dag, source, target, cap=cap)
+    scored = [InfluencePath(nodes=p, product=path_product(p, params)) for p in paths]
+    scored.sort(key=lambda ip: (-abs(ip.product), ip.nodes))
+    return scored[:k]

@@ -66,6 +66,26 @@ def test_ingest_duplicate_item_header_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_ingest_over_long_cell_exits_2(tmp_path, capsys):
+    src = tmp_path / "long.csv"
+    src.write_text("Q1,Q2,country\n3,4,US\n2,5," + "x" * 200_000 + "\n")
+    out = tmp_path / "cohort.csv"
+    assert main(["ingest", str(src), "-o", str(out)]) == 2
+    assert "error: line 3: field larger than field limit" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ingest_bare_carriage_return_ends_a_line(tmp_path, capsys):
+    """A file is read in universal-newline mode, so a bare "\r" ends the row
+    (here leaving a ragged one) instead of reaching the csv module."""
+    src = tmp_path / "cr.csv"
+    src.write_bytes(b"Q1,Q2\n3,4\n2,5\r1\n")
+    out = tmp_path / "cohort.csv"
+    assert main(["ingest", str(src), "-o", str(out)]) == 0
+    assert capsys.readouterr().err == "dropped 1 malformed rows\n"
+    assert out.read_text().splitlines()[1:] == ["3,4,,unknown,", "2,5,,unknown,"]
+
+
 @pytest.mark.parametrize("age", ["inf", "1e400", "40000"])
 def test_ingest_unrepresentable_age_is_unknown(tmp_path, capsys, age):
     src = tmp_path / "ages.csv"
@@ -211,6 +231,17 @@ def test_compare_kmeans_bundled_table(capsys):
     assert main(["compare", "kmeans", "wei2007_avoidance", "-k", "2", "--seeds", "1:200"]) == 0
     out = capsys.readouterr().out
     assert "within-cluster ss" in out
+
+
+@pytest.mark.parametrize("seeds,message", [
+    ("5:1", "0 <= lo <= hi, got 5:1"),
+    ("-2:3", "0 <= lo <= hi, got -2:3"),
+    ("1-5", "seed range must look like 1:4000, got '1-5'"),
+    ("1:2:3", "seed range must look like 1:4000, got '1:2:3'"),
+])
+def test_compare_kmeans_bad_seed_range_exits_2(capsys, seeds, message):
+    assert main(["compare", "kmeans", "lo2009", "-k", "2", f"--seeds={seeds}"]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_compare_mwu_polarity(tmp_path, capsys):

@@ -80,6 +80,18 @@ def test_duplicate_item_headers_are_fatal():
     assert "'Q1' and 'Q01'" in str(err.value)
 
 
+@pytest.mark.parametrize("raw,line,message", [
+    (b"Q1,Q2,country\n1,2,US\n3,4," + b"x" * 200_000 + b"\n", 3, "field larger than field limit"),
+    (b"Q1,Q2\n1,2\n3,4\r5\n6,7\n", 3, "new-line character seen in unquoted field"),
+    (b"Q1\rQ3,Q2\n1,2\n", 1, "new-line character seen in unquoted field"),
+])
+def test_lines_the_csv_module_refuses_are_parse_errors(raw, line, message):
+    with pytest.raises(ParseError) as err:
+        parse_responses(raw)
+    assert err.value.line == line
+    assert message in str(err.value)
+
+
 @pytest.mark.parametrize("age", ["inf", "-inf", "1e400", "40000", "-32769", "nan"])
 def test_unrepresentable_ages_are_unknown(age):
     table = parse_responses(f"Q1,age\n3,{age}\n4,32767.9\n5,-32768\n".encode())
@@ -308,7 +320,7 @@ def test_parse_matches_reference(raw):
     try:
         expected = reference_ingest.parse_responses(raw)
     except csv.Error:  # e.g. a bare "\r" the writer left unquoted: both must refuse it
-        with pytest.raises(csv.Error):
+        with pytest.raises(ParseError):
             parse_responses(raw)
         return
     table = parse_responses(raw)
