@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -304,6 +305,19 @@ def test_full_repro_chain_on_synthetic_corpus(tmp_path, capsys):
     assert (outdir / "analysis" / "pagerank.csv").exists()
     printed = capsys.readouterr().out
     assert "mean residual sd" in printed
+
+    # stage 5 is `attachnet analyze` on the model it wrote: same files, same stdout
+    stage5 = printed.split("[5/5] analysis reports\n", 1)[1]
+    reports = {p.name: p.read_bytes() for p in (outdir / "analysis").iterdir()}
+    dot = (outdir / "network.dot").read_bytes()
+    shutil.rmtree(outdir / "analysis")
+    (outdir / "network.dot").unlink()
+    assert main(["analyze", str(outdir / "model.json"), "--out-dir", str(outdir / "analysis"),
+                 "--dot", str(outdir / "network.dot")]) == 0
+    assert capsys.readouterr().out == stage5
+    assert {p.name: p.read_bytes() for p in (outdir / "analysis").iterdir()} == reports
+    assert len(reports) == 8
+    assert (outdir / "network.dot").read_bytes() == dot
 
 
 def test_export_writes_reference_files(tmp_path):
