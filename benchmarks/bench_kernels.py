@@ -1,13 +1,18 @@
 #!/usr/bin/env python3
-"""Benchmark the search, the covariance, ingest and analysis against their references.
+"""Benchmark the search, the covariance, cycle repair, ingest and analysis
+against their references.
 
 The references in ``tests/reference_kernels.py`` are the per-candidate search
 (a depth-first cycle check and a fresh local score for every candidate move)
-and the two-pass covariance loop.  Both sides run on the active kernel backend
-(``attachnet._kernels.backend()``), and the script fails unless the searches
-return the identical learned graph and score.  The structure search dominates
+and the two-pass covariance loop; the script fails unless the searches return
+the identical learned graph and score.  The structure search dominates
 bootstrap runtime, so its figure decides whether a 3000-replicate run takes
 minutes or days.
+
+The cycle-repair row times ``average_network`` on a fixed batch of random
+bootstrap tallies against the Tarjan-component repair in
+``tests/reference_structure.py``; the script fails on any difference in the
+averaged graph or in the warnings, in order.
 
 The ingest rows time ``parse_responses`` and ``serialize_responses`` on a
 generated 40,000-row export of 36 items (the size of the public ECR export)
@@ -25,19 +30,22 @@ script fails unless every result is identical.
 import argparse
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 
-from attachnet import _kernels, compare, fixtures, influence, ingest
+from attachnet import _kernels, compare, fixtures, influence, ingest, structure
 from attachnet.score import DEFAULT_RIDGE, stats_from_matrix
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 import reference_analysis  # noqa: E402
 import reference_ingest  # noqa: E402
+import reference_structure  # noqa: E402
 from reference_kernels import covariance_kernel, tabu_search_kernel  # noqa: E402
 
 EXPORT_ROWS, EXPORT_ITEMS = 40_000, 36
+REPAIR_TABLES, REPAIR_ITEMS = 200, 12
 
 
 def synthetic_problem(nodes: int, rows: int, seed: int = 7):
@@ -109,7 +117,7 @@ def main() -> None:
         adj = np.zeros((args.nodes, args.nodes), dtype=np.int8)
         return search(stats.cov, float(stats.n), adj, 10, 100, -1, DEFAULT_RIDGE, 0)
 
-    run(_kernels.tabu_search_kernel)  # JIT compilation of the scoring kernels
+    run(_kernels.tabu_search_kernel)  # warm-up
     t_new, (adj, score) = time_fn(lambda: run(_kernels.tabu_search_kernel), repeats=args.repeats)
     if args.skip_reference_search:
         print(f"{'tabu search':<22} {t_new * 1e3:>10.2f}ms {'skipped':>12}")
@@ -122,8 +130,38 @@ def main() -> None:
         print(f"{'tabu search':<22} {t_new * 1e3:>10.2f}ms {t_ref * 1e3:>10.2f}ms {t_ref / t_new:>8.1f}x"
               f"   {int(adj.sum())} arcs, score {score:.6f} (identical)")
 
+    bench_repair(args.seed, args.repeats)
     bench_ingest(args.seed, args.repeats)
     bench_analysis(args.repeats)
+
+
+def random_strengths(rng, m: int) -> structure.ArcStrengthTable:
+    """Tallies of R <= 9 replicates with ``counts[i, j] + counts[j, i] <= R``."""
+    replicates = int(rng.integers(1, 10))
+    both = np.triu(rng.integers(0, replicates + 1, size=(m, m)), 1)
+    upper = np.floor(rng.random((m, m)) * (both + 1)).astype(np.int64)
+    return structure.ArcStrengthTable(
+        tuple(f"Q{k + 1:02d}" for k in rng.permutation(m)), upper + (both - upper).T, replicates
+    )
+
+
+def bench_repair(seed: int, repeats: int) -> None:
+    rng = np.random.default_rng(seed)
+    tables = [random_strengths(rng, REPAIR_ITEMS) for _ in range(REPAIR_TABLES)]
+
+    def average_all(average):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            dags = [average(table, 0.2) for table in tables]
+        return dags, [str(w.message) for w in caught]
+
+    t_new, (dags, messages) = time_fn(average_all, structure.average_network, repeats=repeats)
+    t_ref, expected = time_fn(average_all, reference_structure.average_network, repeats=repeats)
+    if (dags, messages) != expected:
+        sys.exit("error: average_network and its reference disagree on a graph or a warning")
+    repairs = sum(message.startswith("dropped arc") for message in messages)
+    print(f"{'cycle repair':<22} {t_new * 1e3:>10.2f}ms {t_ref * 1e3:>10.2f}ms {t_ref / t_new:>8.1f}x"
+          f"   {REPAIR_TABLES} tables, {repairs} arcs dropped (identical)")
 
 
 def bench_ingest(seed: int, repeats: int) -> None:
@@ -182,11 +220,12 @@ def bench_analysis(repeats: int) -> None:
 
     t_new, answers = time_fn(queries, influence, repeats=repeats)
     t_ref, ref_answers = time_fn(queries, reference_analysis, repeats=ref_repeats)
-    def bits(x):  # a total over no parents is the int 0 on both sides
-        return type(x), float(x).hex()
+    def bits(x):  # the reference gives the int 0 for a target without parents
+        return float(x).hex()
 
     same = all(
-        bits(total) == bits(ref_total)
+        type(total) is float
+        and bits(total) == bits(ref_total)
         and top == ref_top
         and all(bits(p.product) == bits(q.product) for p, q in zip(top, ref_top))
         for (total, top), (ref_total, ref_top) in zip(answers, ref_answers)

@@ -37,6 +37,7 @@ from .errors import (
     PathCountError,
     ValidationError,
 )
+from .fixtures import load_fixture_model
 from .influence import (
     InfluencePath,
     InfluenceResult,
@@ -66,7 +67,6 @@ from .params import (
     InterceptReport,
     fit_mle,
     intercept_report,
-    load_fixture_model,
     read_model,
     simulate,
     write_model,

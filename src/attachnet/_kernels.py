@@ -1,46 +1,23 @@
 """Numeric kernels for scoring and structure search.
 
-The scoring kernels (``local_score`` and the Cholesky solve under it) are plain
-numpy code that also compiles under numba's nopython mode.  numba is an
-optional extra (``pip install -e .[jit]``): when it is importable and the
-``ATTACHNET_JIT`` environment variable is not ``0``, they are JIT-compiled
-(cached); otherwise the pure-Python definitions run unchanged.  The tabu search
-is plain numpy/Python on either backend: it keeps a dict of local scores, which
-is not nopython code, and spends its time in the scoring kernels and in
-whole-matrix numpy operations.  ``benchmarks/bench_kernels.py`` times it
-against the reference search kept under ``tests/``.
+Everything here is plain numpy/Python.  The scoring kernels (``local_score``
+and the Cholesky solve under it) are scalar loops over a parent set.  The tabu
+search keeps a dict of local scores and spends its time in those kernels and
+in whole-matrix numpy operations, among them ``_reachability``, which also
+finds the arcs on cycles when ``structure.average_network`` repairs a
+consensus graph.  ``benchmarks/bench_kernels.py`` times the search against the
+reference search kept under ``tests/``.
 """
 from __future__ import annotations
 
-import os
 from collections import deque
 
 import numpy as np
 
-try:
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    numba = None
-    _HAVE_NUMBA = False
-
-JIT_ENABLED = _HAVE_NUMBA and os.environ.get("ATTACHNET_JIT", "1").lower() not in (
-    "0",
-    "false",
-    "no",
-)
-
 
 def backend() -> str:
-    """Name of the active kernel backend: ``numba`` or ``numpy``."""
-    return "numba" if JIT_ENABLED else "numpy"
-
-
-def _jit(fn):
-    if JIT_ENABLED:
-        return numba.njit(cache=True, nogil=True)(fn)
-    return fn
+    """Name of the kernel backend, reported by the benchmarks: always ``numpy``."""
+    return "numpy"
 
 
 LOG_2PI = 1.8378770664093453
@@ -49,7 +26,6 @@ LOG_2PI = 1.8378770664093453
 ADD, REMOVE, REVERSE = 0, 1, 2
 
 
-@_jit
 def _chol_solve(a, b):
     """Solve the SPD system a @ x = b via Cholesky.
 
@@ -83,7 +59,6 @@ def _chol_solve(a, b):
     return x, True
 
 
-@_jit
 def residual_variance(cov, v, parent_idx, ridge):
     """ML residual variance of node v regressed on the given parents.
 
@@ -112,7 +87,6 @@ def residual_variance(cov, v, parent_idx, ridge):
     return var, True
 
 
-@_jit
 def local_score(cov, n, v, parent_idx, ridge, metric):
     """Decomposable Gaussian score term for one node.
 
@@ -259,8 +233,3 @@ def tabu_search_kernel(cov, n, adj, tabu_len, max_iter, max_parents, ridge, metr
         else:
             stall += 1
     return best_adj, best
-
-
-def pure_python(fn):
-    """Return the uncompiled definition of a kernel (the jitted py_func)."""
-    return getattr(fn, "py_func", fn)

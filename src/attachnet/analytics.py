@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import csv
 import heapq
-import io
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._csv import csv_text
 from .dag import Dag
 from .errors import ConvergenceError, ValidationError
 from .params import GaussianBnParams
@@ -41,16 +41,8 @@ class Partition:
         """Label-free view for comparing partitions."""
         return frozenset(self.clusters().values())
 
-    def to_csv(self, buf=None) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["node", "cluster"])
-        for node in sorted(self.assignment):
-            writer.writerow([node, self.assignment[node]])
-        text = out.getvalue()
-        if buf is not None:
-            buf.write(text)
-        return text
+    def to_csv(self) -> str:
+        return csv_text(["node", "cluster"], sorted(self.assignment.items()))
 
     @classmethod
     def from_csv(cls, buf) -> "Partition":
@@ -75,16 +67,9 @@ class CentralityVector:
     def argmax(self) -> str:
         return self.top(1)[0]
 
-    def to_csv(self, buf=None) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["node", "value"])
-        for node in sorted(self.values):
-            writer.writerow([node, f"{self.values[node]:.10g}"])
-        text = out.getvalue()
-        if buf is not None:
-            buf.write(text)
-        return text
+    def to_csv(self) -> str:
+        rows = ([node, f"{value:.10g}"] for node, value in sorted(self.values.items()))
+        return csv_text(["node", "value"], rows)
 
 
 def _weight_matrix(dag: Dag, params: GaussianBnParams) -> np.ndarray:

@@ -24,11 +24,13 @@ import argparse
 import csv
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import fixtures
+from ._csv import csv_text
 from .analytics import (
     Partition,
     betweenness,
@@ -37,7 +39,6 @@ from .analytics import (
     pagerank,
 )
 from .compare import (
-    FactorTable,
     confidence_ellipse,
     edge_set_correlation,
     kmeans_best_seed,
@@ -127,18 +128,13 @@ def cmd_ingest(args) -> int:
 
     f = standard_filter() if args.filter_standard else CohortFilter()
     if args.age:
-        f = CohortFilter(
-            age_range=_parse_range(args.age, "age range", "18:60"),
-            genders=f.genders,
-            regions=f.regions,
-            require_complete=f.require_complete,
-        )
+        f = replace(f, age_range=_parse_range(args.age, "age range", "18:60"))
     if args.genders:
-        f = CohortFilter(f.age_range, frozenset(args.genders.split(",")), f.regions, f.require_complete)
+        f = replace(f, genders=frozenset(args.genders.split(",")))
     if args.regions:
-        f = CohortFilter(f.age_range, f.genders, frozenset(args.regions.split(",")), f.require_complete)
+        f = replace(f, regions=frozenset(args.regions.split(",")))
     if args.require_complete:
-        f = CohortFilter(f.age_range, f.genders, f.regions, True)
+        f = replace(f, require_complete=True)
     if f != CohortFilter():
         table = filter_cohort(table, f)
 
@@ -161,10 +157,9 @@ def cmd_ingest(args) -> int:
         _write(args.output, serialize_responses(table))
         print(f"wrote {args.output}")
     if args.report:
-        lines = ["dimension,group,count"]
-        for dim, counts in (("region", report.region), ("gender", report.gender), ("age", report.age_band)):
-            lines += [f"{dim},{g},{c}" for g, c in counts.items()]
-        _write(args.report, "\n".join(lines) + "\n")
+        dims = (("region", report.region), ("gender", report.gender), ("age", report.age_band))
+        rows = ([dim, g, c] for dim, counts in dims for g, c in counts.items())
+        _write(args.report, csv_text(["dimension", "group", "count"], rows))
     return 0
 
 
@@ -278,17 +273,22 @@ def cmd_analyze(args) -> int:
         _write(outdir / "betweenness.csv", bet.to_csv())
         _write(outdir / "pagerank.csv", pr.to_csv())
         _write(outdir / "partition.csv", partition.to_csv())
-        coupling_lines = ["from_cluster,to_cluster,sum_abs_coefficient"] + [
-            f"{a},{b},{v:.5f}" for (a, b), v in sorted(coupling.items())
-        ]
-        _write(outdir / "coupling.csv", "\n".join(coupling_lines) + "\n")
+        rows = ([a, b, f"{v:.5f}"] for (a, b), v in sorted(coupling.items()))
+        _write(outdir / "coupling.csv",
+               csv_text(["from_cluster", "to_cluster", "sum_abs_coefficient"], rows))
         _write(outdir / "arcs.csv", dag.to_arc_csv())
         print(f"wrote reports to {outdir}")
     if args.dot:
-        weights = {(p, c): v for p, c, v in params.arc_items()}
-        _write(args.dot, dag.to_dot(partition=partition.assignment, weights=weights))
+        _write_dot(args.dot, dag, params, partition)
         print(f"wrote {args.dot}")
     return 0
+
+
+def _write_dot(path, dag, params, partition) -> None:
+    """The network as Graphviz source, clustered by ``partition`` and labelled
+    with the fitted coefficients."""
+    weights = {(p, c): v for p, c, v in params.arc_items()}
+    _write(path, dag.to_dot(partition=partition.assignment, weights=weights))
 
 
 def cmd_influence(args) -> int:
@@ -304,23 +304,15 @@ def cmd_influence(args) -> int:
     return 0
 
 
-def _read_factor_table(path: str) -> FactorTable:
-    if path in fixtures.FACTOR_TABLES:
-        return fixtures.load_factor_table(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        return FactorTable.from_csv(fh)
-
-
 def cmd_compare_kmeans(args) -> int:
-    data = _read_factor_table(args.factors)
+    data = fixtures.load_factor_table(args.factors)
     seeds = _parse_range(args.seeds, "seed range", "1:4000")
     result = kmeans_best_seed(data, k=args.k, seed_range=seeds)
     print(f"best seed {result.best_seed}; within-cluster ss {result.total_within_ss:.5f}")
     for label, members in sorted(result.clusters().items()):
         print(f"  cluster {label}: {', '.join(sorted(members))}")
     if args.output:
-        lines = ["item,cluster"] + [f"{i},{c}" for i, c in sorted(result.assignment.items())]
-        _write(args.output, "\n".join(lines) + "\n")
+        _write(args.output, csv_text(["item", "cluster"], sorted(result.assignment.items())))
     return 0
 
 
@@ -332,16 +324,41 @@ def cmd_compare_edges(args) -> int:
     return 0
 
 
+def _read_rows(path, columns: int) -> tuple[list[str], list[dict]]:
+    """Header and data rows of a CSV file with at least ``columns`` columns."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    header = reader.fieldnames or []
+    if len(header) < columns:
+        raise ValidationError(f"{path}: expected at least {columns} columns")
+    if not rows:
+        raise ValidationError(f"{path}: no data rows")
+    return header, rows
+
+
+def _number(text, path, row: int) -> float:
+    try:
+        return float(text)
+    except (TypeError, ValueError):  # TypeError: the row has too few cells
+        raise ValidationError(f"{path} row {row}: {text!r} is not a number") from None
+
+
 def cmd_compare_mwu(args) -> int:
-    with open(args.values, newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    value_col = [c for c in rows[0] if c != "item"][0]
-    values = {r["item"]: float(r[value_col]) for r in rows}
+    header, rows = _read_rows(args.values, 2)
+    if "item" not in header:
+        raise ValidationError(f"{args.values}: no item column")
+    value_col = [c for c in header if c != "item"][0]
     if args.groups == "polarity":
         groups = fixtures.load_polarity()
     else:
         with open(args.groups, newline="", encoding="utf-8") as fh:
             groups = {r["item"]: r["group"] for r in csv.DictReader(fh)}
+    values = {}
+    for row, r in enumerate(rows, start=1):
+        if r["item"] not in groups:
+            raise ValidationError(f"{args.values} row {row}: item {r['item']!r} has no group")
+        values[r["item"]] = _number(r[value_col], args.values, row)
     names = sorted({groups[i] for i in values})
     if len(names) != 2:
         raise ValidationError(f"need exactly 2 groups, found {names}")
@@ -353,7 +370,7 @@ def cmd_compare_mwu(args) -> int:
 
 
 def cmd_compare_pca(args) -> int:
-    data = _read_factor_table(args.factors)
+    data = fixtures.load_factor_table(args.factors)
     projected = pca_project(data, dims=args.dims)
     text = projected.to_csv()
     if projected.variance_explained:
@@ -367,10 +384,12 @@ def cmd_compare_pca(args) -> int:
 
 
 def cmd_compare_ellipse(args) -> int:
-    with open(args.points, newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    cols = list(rows[0])
-    pts = [(float(r[cols[-2]]), float(r[cols[-1]])) for r in rows]
+    header, rows = _read_rows(args.points, 2)
+    x, y = header[-2:]
+    pts = [
+        (_number(r[x], args.points, row), _number(r[y], args.points, row))
+        for row, r in enumerate(rows, start=1)
+    ]
     e = confidence_ellipse(pts, level=args.level)
     print(f"center: ({e.center[0]:.4f}, {e.center[1]:.4f})")
     print(f"half-axes: {e.axes[0]:.4f}, {e.axes[1]:.4f}; angle {e.angle:.1f} deg")
@@ -388,8 +407,7 @@ def cmd_export(args) -> int:
     report = intercept_report(params, fixtures.load_polarity())
     _write(outdir / "intercepts.csv", report.to_csv())
     if args.dot:
-        weights = {(p, c): v for p, c, v in params.arc_items()}
-        _write(outdir / "network.dot", dag.to_dot(partition=partition.assignment, weights=weights))
+        _write_dot(outdir / "network.dot", dag, params, partition)
     print(f"wrote reference model files to {outdir}")
     return 0
 
@@ -433,12 +451,11 @@ def cmd_full_repro(args) -> int:
     print(f"  mean residual sd: {mean_sd:.4f}")
 
     print("[5/5] analysis reports")
-    ns = argparse.Namespace(
-        model=str(outdir / "model.json"), fixture=False, out_dir=str(outdir / "analysis"),
-        damping=0.85, steps=4, clusters=None, dot=str(outdir / "network.dot"),
-    )
-    cmd_analyze(ns)
-    return 0
+    analyze = args.analyze_parser.parse_args([])  # analyze's own defaults
+    analyze.model = str(outdir / "model.json")
+    analyze.out_dir = str(outdir / "analysis")
+    analyze.dot = str(outdir / "network.dot")
+    return cmd_analyze(analyze)
 
 
 # -- parser ------------------------------------------------------------------
@@ -511,6 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clusters", help="node,cluster CSV overriding walktrap")
     p.add_argument("--dot", help="write a Graphviz file here")
     p.set_defaults(func=cmd_analyze)
+    analyze_parser = p
 
     p = sub.add_parser("influence", help="total influence and top paths between two items")
     p.add_argument("model", nargs="?", default=None)
@@ -570,7 +588,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--skip-stability", action="store_true")
     p.add_argument("--seed", type=int, default=None)
     _add_threads_flag(p)
-    p.set_defaults(func=cmd_full_repro)
+    # stage 5 takes analyze's defaults from this parser: building a second
+    # parser in every run kept about 0.3 MB more resident at the peak
+    p.set_defaults(func=cmd_full_repro, analyze_parser=analyze_parser)
 
     return parser
 

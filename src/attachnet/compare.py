@@ -7,7 +7,6 @@ edge-set correlation between two weighted networks.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -15,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from ._csv import csv_text
 from .errors import ValidationError
 
 
@@ -37,21 +37,19 @@ class FactorTable:
             raise ValidationError("empty factor table")
         factor_cols = [k for k in rows[0] if k.lower().startswith("f")]
         items = tuple(r["item"] for r in rows)
-        values = np.array(
-            [[float(r[c]) for c in factor_cols] for r in rows], dtype=np.float64
-        )
-        return cls(items=items, values=values)
+        values = []
+        for row, r in enumerate(rows, start=1):
+            try:
+                values.append([float(r[c]) for c in factor_cols])
+            except (TypeError, ValueError):  # TypeError: the row has too few cells
+                raise ValidationError(f"row {row}: non-numeric loading for {r['item']!r}") from None
+        return cls(items=items, values=np.array(values, dtype=np.float64))
 
-    def to_csv(self, buf=None) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["item"] + [f"f{i + 1}" for i in range(self.dims)])
-        for item, row in zip(self.items, self.values):
-            writer.writerow([item] + [f"{v:.10g}" for v in row])
-        text = out.getvalue()
-        if buf is not None:
-            buf.write(text)
-        return text
+    def to_csv(self) -> str:
+        return csv_text(
+            ["item"] + [f"f{i + 1}" for i in range(self.dims)],
+            ([item] + [f"{v:.10g}" for v in row] for item, row in zip(self.items, self.values)),
+        )
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,11 @@ that every arc endpoint is a known node, and that a topological order exists.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._csv import csv_text
 from .errors import ValidationError
 
 
@@ -105,17 +105,9 @@ class Dag:
 
     # -- export ----------------------------------------------------------
 
-    def to_arc_csv(self, buf=None) -> str:
-        """Arc list as ``from,to`` CSV text (also written to ``buf`` if given)."""
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["from", "to"])
-        for u, v in sorted(self.arcs):
-            writer.writerow([u, v])
-        text = out.getvalue()
-        if buf is not None:
-            buf.write(text)
-        return text
+    def to_arc_csv(self) -> str:
+        """Arc list as ``from,to`` CSV text."""
+        return csv_text(["from", "to"], sorted(self.arcs))
 
     @classmethod
     def from_arc_csv(cls, buf, nodes=None) -> "Dag":

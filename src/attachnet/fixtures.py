@@ -14,7 +14,7 @@ import csv
 from importlib import resources
 
 from .dag import Dag
-from .errors import FixtureError
+from .errors import FixtureError, ValidationError
 from .params import GaussianBnParams
 
 EXPECTED_NODES = 36
@@ -102,6 +102,7 @@ FACTOR_TABLES = {
 
 
 def load_factor_table(name: str):
+    """A bundled factor table by name, or a factor CSV by path."""
     from .compare import FactorTable
 
     if name in FACTOR_TABLES:
@@ -109,7 +110,10 @@ def load_factor_table(name: str):
     else:
         path = name
     with open(path, newline="", encoding="utf-8") as fh:
-        return FactorTable.from_csv(fh)
+        try:
+            return FactorTable.from_csv(fh)
+        except ValidationError as exc:
+            raise ValidationError(f"{name}: {exc}") from None
 
 
 def load_edge_weights(name_or_path) -> dict:

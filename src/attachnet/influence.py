@@ -10,12 +10,11 @@ each other.
 """
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._csv import csv_text
 from .dag import Dag
 from .errors import PathCountError, ValidationError
 from .params import GaussianBnParams
@@ -36,28 +35,16 @@ class InfluenceResult:
     total: float
     paths: tuple[InfluencePath, ...] | None = None
 
-    def to_csv(self, buf=None) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["source", "target", "total", "path_rank", "path", "product"])
+    def to_csv(self) -> str:
+        lead = [self.source, self.target, f"{self.total:.6g}"]
         if self.paths:
-            for rank, path in enumerate(self.paths, start=1):
-                writer.writerow(
-                    [
-                        self.source,
-                        self.target,
-                        f"{self.total:.6g}",
-                        rank,
-                        "->".join(path.nodes),
-                        f"{path.product:.6g}",
-                    ]
-                )
+            rows = (
+                lead + [rank, "->".join(path.nodes), f"{path.product:.6g}"]
+                for rank, path in enumerate(self.paths, start=1)
+            )
         else:
-            writer.writerow([self.source, self.target, f"{self.total:.6g}", "", "", ""])
-        text = out.getvalue()
-        if buf is not None:
-            buf.write(text)
-        return text
+            rows = [lead + ["", "", ""]]
+        return csv_text(["source", "target", "total", "path_rank", "path", "product"], rows)
 
 
 def _check_nodes(dag: Dag, *nodes: str) -> None:
@@ -156,8 +143,8 @@ def total_influence(dag: Dag, params: GaussianBnParams, source: str, target: str
         if node == source:
             continue
         influence[node] = sum(
-            params.coefficient(p, node) * influence.get(p, 0.0)
-            for p in dag.parents(node)
+            (params.coefficient(p, node) * influence.get(p, 0.0) for p in dag.parents(node)),
+            0.0,
         )
     return influence.get(target, 0.0)
 

@@ -33,6 +33,7 @@ from operator import itemgetter
 
 import numpy as np
 
+from ._csv import csv_text
 from .errors import EmptyCohortError, ParseError, ValidationError
 
 GENDERS = ("female", "male", "other", "unknown")
@@ -51,7 +52,7 @@ AGE_BANDS = ((18, 20), (21, 30), (31, 40), (41, 60))
 _ITEM_RE = re.compile(r"^[Qq]0*([1-9][0-9]*)$")
 
 _AGE_MIN, _AGE_MAX = np.iinfo(np.int16).min, np.iinfo(np.int16).max
-_SERIALIZE_BLOCK = 512  # rows per writerows call; bounds the transient cell strings
+_SERIALIZE_BLOCK = 512  # rows formatted at a time; bounds the transient cell strings
 
 _region_table: dict[str, str] | None = None
 
@@ -375,24 +376,24 @@ def serialize_responses(table: ResponseTable, buf=None) -> str:
     value of a block is formatted once (keyed on its bit pattern) and
     gathered into place, so only one block's cell strings exist at a time.
     """
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(list(table.items) + ["age", "gender", "country"])
     demo = table.demographics
     m = len(table.items)
     ages, age_index = np.unique(demo.age, return_inverse=True)
     age_text = np.array(["" if a < 0 else str(a) for a in ages.tolist()], dtype=object)[age_index]
-    for start in range(0, table.n, _SERIALIZE_BLOCK):
-        stop = min(start + _SERIALIZE_BLOCK, table.n)
-        bits = np.ascontiguousarray(table.rows[start:stop], dtype=np.float64).view(np.uint64)
-        distinct, index = np.unique(bits.ravel(), return_inverse=True)
-        cells = np.empty((stop - start, m + 3), dtype=object)
-        cells[:, :m] = _format_bits(distinct)[index.reshape(stop - start, m)]
-        cells[:, m] = age_text[start:stop]
-        cells[:, m + 1] = demo.gender[start:stop]
-        cells[:, m + 2] = demo.country[start:stop]
-        writer.writerows(cells.tolist())
-    text = out.getvalue()
+
+    def rows():
+        for start in range(0, table.n, _SERIALIZE_BLOCK):
+            stop = min(start + _SERIALIZE_BLOCK, table.n)
+            bits = np.ascontiguousarray(table.rows[start:stop], dtype=np.float64).view(np.uint64)
+            distinct, index = np.unique(bits.ravel(), return_inverse=True)
+            cells = np.empty((stop - start, m + 3), dtype=object)
+            cells[:, :m] = _format_bits(distinct)[index.reshape(stop - start, m)]
+            cells[:, m] = age_text[start:stop]
+            cells[:, m + 1] = demo.gender[start:stop]
+            cells[:, m + 2] = demo.country[start:stop]
+            yield from cells.tolist()
+
+    text = csv_text(list(table.items) + ["age", "gender", "country"], rows())
     if buf is not None:
         if isinstance(buf, str):
             with open(buf, "w", encoding="utf-8") as fh:

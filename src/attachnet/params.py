@@ -6,14 +6,13 @@ ML (denominator n) convention unless ``unbiased`` is requested.
 """
 from __future__ import annotations
 
-import csv
-import io
 import json
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._csv import csv_text
 from .dag import Dag
 from .errors import ValidationError
 
@@ -93,18 +92,14 @@ class InterceptReport:
 
     rows: tuple[dict, ...]
 
-    def to_csv(self, buf=None) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["item", "intercept", "residual_sd", "polarity"])
-        for r in self.rows:
-            writer.writerow(
+    def to_csv(self) -> str:
+        return csv_text(
+            ["item", "intercept", "residual_sd", "polarity"],
+            (
                 [r["item"], f"{r['intercept']:.5f}", f"{r['residual_sd']:.5f}", r["polarity"]]
-            )
-        text = out.getvalue()
-        if buf is not None:
-            buf.write(text)
-        return text
+                for r in self.rows
+            ),
+        )
 
     def values(self, polarity: str) -> list[float]:
         return [r["intercept"] for r in self.rows if r["polarity"] == polarity]
@@ -190,13 +185,6 @@ def read_model(source) -> tuple[Dag, GaussianBnParams]:
         coefficients=coefficients,
     )
     return dag, params
-
-
-def load_fixture_model(path=None) -> tuple[Dag, GaussianBnParams]:
-    """Bundled reference ECR network (36 items, 123 arcs); see fixtures."""
-    from .fixtures import load_fixture_model as _load
-
-    return _load(path)
 
 
 def simulate(dag: Dag, params: GaussianBnParams, n: int, rng) -> np.ndarray:

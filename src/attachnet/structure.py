@@ -13,8 +13,6 @@ backend extra threads do not shorten a bootstrap.
 """
 from __future__ import annotations
 
-import csv
-import io
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -22,6 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _kernels
+from ._csv import csv_text
 from .dag import Dag, roots_and_terminals  # noqa: F401  (re-exported)
 from .errors import ValidationError
 from .score import METRICS, DEFAULT_RIDGE, SufficientStats, stats_from_matrix
@@ -122,10 +121,8 @@ class ArcStrengthTable:
             return 0.0
         return self.counts[i, j] / both
 
-    def to_csv(self, buf=None) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["from", "to", "strength", "direction"])
+    def to_csv(self) -> str:
+        rows = []
         m = len(self.items)
         for i in range(m):
             for j in range(m):
@@ -134,7 +131,7 @@ class ArcStrengthTable:
                 both = self.counts[i, j] + self.counts[j, i]
                 if both == 0:
                     continue
-                writer.writerow(
+                rows.append(
                     [
                         self.items[i],
                         self.items[j],
@@ -142,10 +139,7 @@ class ArcStrengthTable:
                         f"{self.counts[i, j] / both:.6g}",
                     ]
                 )
-        text = out.getvalue()
-        if buf is not None:
-            buf.write(text)
-        return text
+        return csv_text(["from", "to", "strength", "direction"], rows)
 
 
 def bootstrap_strengths(
@@ -215,56 +209,6 @@ def _thresholded_arcs(strengths: ArcStrengthTable, threshold: float):
     return arcs, undirected
 
 
-def _strongly_connected(nodes, arc_set):
-    """Tarjan SCC; iterative to keep recursion limits out of the picture."""
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    result = []
-    counter = [0]
-    children = {n: sorted(v for u, v in arc_set if u == n) for n in nodes}
-
-    for root in nodes:
-        if root in index:
-            continue
-        work = [(root, iter(children[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for child in it:
-                if child not in index:
-                    index[child] = low[child] = counter[0]
-                    counter[0] += 1
-                    stack.append(child)
-                    on_stack.add(child)
-                    work.append((child, iter(children[child])))
-                    advanced = True
-                    break
-                if child in on_stack:
-                    low[node] = min(low[node], index[child])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == node:
-                        break
-                result.append(comp)
-    return result
-
-
 def average_network(strengths: ArcStrengthTable, threshold: float = 0.5) -> Dag:
     """Consensus DAG: pairs at/above the threshold, majority orientation.
 
@@ -277,31 +221,32 @@ def average_network(strengths: ArcStrengthTable, threshold: float = 0.5) -> Dag:
     arcs, undirected = _thresholded_arcs(strengths, threshold)
     for u, v in undirected:
         warnings.warn(f"pair {u}-{v} has no majority direction; left undirected")
-    dag, _ = _repair_cycles(strengths.items, arcs)
-    return dag
+    return _repair_cycles(strengths.items, arcs)
 
 
-def _repair_cycles(items, arcs):
+def _repair_cycles(items, arcs) -> Dag:
+    """Drop the weakest arc on a cycle, with a warning, until none is left.
+
+    An arc u -> v lies on a cycle exactly when v reaches u, which the
+    search's reachability matrix of the remaining arcs answers.
+    """
+    index = {item: i for i, item in enumerate(items)}
     arc_set = {(u, v): (s, d) for u, v, s, d in arcs}
-    dropped = []
+    adj = np.zeros((len(items), len(items)))
+    for u, v in arc_set:
+        adj[index[u], index[v]] = 1.0
     while True:
-        cyclic = [
-            comp for comp in _strongly_connected(items, set(arc_set)) if len(comp) > 1
-        ]
-        if not cyclic:
+        reach = _kernels._reachability(adj)
+        in_cycles = [(u, v) for (u, v) in arc_set if reach[index[v], index[u]]]
+        if not in_cycles:
             break
-        in_cycles = [
-            (u, v)
-            for (u, v) in arc_set
-            if any(u in comp and v in comp for comp in cyclic)
-        ]
         u, v = min(in_cycles, key=lambda a: (arc_set[a][0] * arc_set[a][1], a))
         s, d = arc_set.pop((u, v))
-        dropped.append((u, v))
+        adj[index[u], index[v]] = 0.0
         warnings.warn(
             f"dropped arc {u}->{v} (strength*direction {s * d:.4g}) to break a cycle"
         )
-    return Dag(items, set(arc_set)), dropped
+    return Dag(items, set(arc_set))
 
 
 @dataclass(frozen=True)
@@ -310,26 +255,12 @@ class StabilityReport:
 
     entries: tuple[dict, ...]
 
-    def to_csv(self, buf=None) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(
-            ["replicates", "directed_mean", "directed_sd", "undirected_mean", "undirected_sd"]
+    def to_csv(self) -> str:
+        stats = ("directed_mean", "directed_sd", "undirected_mean", "undirected_sd")
+        return csv_text(
+            ("replicates",) + stats,
+            ([e["replicates"]] + [f"{e[key]:.6g}" for key in stats] for e in self.entries),
         )
-        for e in self.entries:
-            writer.writerow(
-                [
-                    e["replicates"],
-                    f"{e['directed_mean']:.6g}",
-                    f"{e['directed_sd']:.6g}",
-                    f"{e['undirected_mean']:.6g}",
-                    f"{e['undirected_sd']:.6g}",
-                ]
-            )
-        text = out.getvalue()
-        if buf is not None:
-            buf.write(text)
-        return text
 
 
 def _derived_seed(seed: int, *tags: int) -> int:
@@ -364,7 +295,7 @@ def stability_curve(
                 table, big_r, sample_size=sample_size, cfg=run_cfg, threads=threads
             )
             arcs, und = _thresholded_arcs(strengths, threshold)
-            dag, _ = _repair_cycles(strengths.items, arcs)
+            dag = _repair_cycles(strengths.items, arcs)
             directed.append(len(dag.arcs))
             undirected.append(len(und))
         entries.append(

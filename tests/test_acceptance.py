@@ -58,7 +58,7 @@ class Checklist:
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
-    # force one-time JIT compilation outside any timed section
+    # run one search before any timed section
     rows = np.random.default_rng(0).normal(size=(50, 3))
     tabu_search(stats_from_matrix(rows, ("a", "b", "c")), SearchConfig(seed=0))
 

@@ -260,6 +260,40 @@ def test_compare_mwu_polarity(tmp_path, capsys):
     assert "p=0.000334" in out
 
 
+@pytest.mark.parametrize("command,text,message", [
+    pytest.param(["compare", "mwu"], "item,value\n", "{path}: no data rows",
+                 id="mwu-header-only"),
+    pytest.param(["compare", "mwu"], "item,value\nQ01,1.5\nZZ,2.5\n",
+                 "{path} row 2: item 'ZZ' has no group", id="mwu-item-without-group"),
+    pytest.param(["compare", "mwu"], "item,value\nQ01,1.5\nQ02,abc\n",
+                 "{path} row 2: 'abc' is not a number", id="mwu-non-numeric"),
+    pytest.param(["compare", "mwu"], "name,value\nQ01,1.5\n", "{path}: no item column",
+                 id="mwu-no-item-column"),
+    pytest.param(["compare", "ellipse"], "x,y\n", "{path}: no data rows",
+                 id="ellipse-header-only"),
+    pytest.param(["compare", "ellipse"], "x,y\n1,2\n3,oops\n4,5\n",
+                 "{path} row 2: 'oops' is not a number", id="ellipse-non-numeric"),
+    pytest.param(["compare", "ellipse"], "x\n1\n2\n3\n", "{path}: expected at least 2 columns",
+                 id="ellipse-one-column"),
+    pytest.param(["compare", "pca"], "item,f1,f2\nQ01,0.5,0.1\nQ02,bad,0.2\n",
+                 "{path}: row 2: non-numeric loading for 'Q02'", id="pca-non-numeric"),
+    pytest.param(["compare", "kmeans", "-k", "2"],
+                 "item,f1,f2\nQ01,0.5,0.1\nQ02,0.4,x\nQ03,0.1,0.2\n",
+                 "{path}: row 2: non-numeric loading for 'Q02'", id="kmeans-non-numeric"),
+])
+def test_compare_bad_input_exits_2(tmp_path, capsys, command, text, message):
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    assert main([*command, str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+
+
+def test_influence_over_path_cap_exits_2(capsys):
+    assert main(["influence", "--fixture", "--from", "Q05", "--to", "Q03", "-k", "2",
+                 "--cap", "1"]) == 2
+    assert "78 paths from Q05 to Q03 exceeds cap 1" in capsys.readouterr().err
+
+
 def test_compare_pca_and_ellipse(tmp_path, capsys):
     assert main(["compare", "pca", "wei2007_anxiety", "--dims", "2", "-o", str(tmp_path / "pca.csv")]) == 0
     assert "variance explained" in capsys.readouterr().out

@@ -95,6 +95,14 @@ def test_non_descendant_influence_is_zero(fixture_model):
     assert total_influence(dag, params, "Q02", "Q05") == 0.0
 
 
+def test_influence_on_a_parentless_target_is_float_zero(fixture_model):
+    dag, params = fixture_model
+    assert dag.parents("Q02") == ()
+    total = total_influence(dag, params, "Q05", "Q02")
+    assert type(total) is float and total == 0.0
+    assert type(influence_result(dag, params, "Q05", "Q02", k=2).total) is float
+
+
 def test_fixture_path_products_match_reported_values(fixture_model):
     dag, params = fixture_model
     assert path_product(("Q05", "Q07", "Q23", "Q03"), params) == pytest.approx(-0.0167, abs=5e-4)

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from attachnet import _kernels
 from attachnet.dag import Dag
 from attachnet.errors import ValidationError
 from attachnet.score import graph_score, local_score, stats_from_matrix, sufficient_stats
@@ -148,15 +147,3 @@ def test_node_in_own_parents_rejected(rng):
     with pytest.raises(ValidationError):
         local_score("a", ("a",), stats)
 
-
-def test_jit_and_python_kernels_agree(rng):
-    cov = np.cov(rng.normal(size=(6, 50)), ddof=0)
-    pure = _kernels.pure_python(_kernels.local_score)
-    pure_rv = _kernels.pure_python(_kernels.residual_variance)
-    parent_idx = np.array([0, 2, 4], dtype=np.int64)
-    jit_value = _kernels.local_score(cov, 50.0, 1, parent_idx, 1e-8, 0)
-    py_value = pure(cov, 50.0, 1, parent_idx, 1e-8, 0)
-    assert jit_value == pytest.approx(py_value, rel=1e-12)
-    assert _kernels.residual_variance(cov, 1, parent_idx, 1e-8)[0] == pytest.approx(
-        pure_rv(cov, 1, parent_idx, 1e-8)[0], rel=1e-12
-    )
