@@ -2,12 +2,13 @@
 """Benchmark the search, the covariance, cycle repair, ingest and analysis
 against their references.
 
-The references in ``tests/reference_kernels.py`` are the per-candidate search
-(a depth-first cycle check and a fresh local score for every candidate move)
-and the two-pass covariance loop; the script fails unless the searches return
-the identical learned graph and score.  The structure search dominates
-bootstrap runtime, so its figure decides whether a 3000-replicate run takes
-minutes or days.
+The references in ``tests/reference_kernels.py`` are the ndarray Cholesky
+local score, the per-candidate search (a depth-first cycle check and a fresh
+local score for every candidate move) and the two-pass covariance loop; the
+script fails unless the local scores of every parent set of a 12-node problem
+are identical, and the searches return the identical learned graph and score.
+The structure search dominates bootstrap runtime, so its figure decides
+whether a 3000-replicate run takes minutes or days.
 
 The cycle-repair row times ``average_network`` on a fixed batch of random
 bootstrap tallies against the Tarjan-component repair in
@@ -28,6 +29,7 @@ script fails unless every result is identical.
     PYTHONPATH=src python benchmarks/bench_kernels.py --nodes 36 --rows 1000 --repeats 3
 """
 import argparse
+import itertools
 import sys
 import time
 import warnings
@@ -42,10 +44,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 import reference_analysis  # noqa: E402
 import reference_ingest  # noqa: E402
 import reference_structure  # noqa: E402
+import reference_kernels  # noqa: E402
 from reference_kernels import covariance_kernel, tabu_search_kernel  # noqa: E402
 
 EXPORT_ROWS, EXPORT_ITEMS = 40_000, 36
 REPAIR_TABLES, REPAIR_ITEMS = 200, 12
+SCORE_NODES = 12
 
 
 def synthetic_problem(nodes: int, rows: int, seed: int = 7):
@@ -130,9 +134,41 @@ def main() -> None:
         print(f"{'tabu search':<22} {t_new * 1e3:>10.2f}ms {t_ref * 1e3:>10.2f}ms {t_ref / t_new:>8.1f}x"
               f"   {int(adj.sum())} arcs, score {score:.6f} (identical)")
 
+    bench_local_score(args.rows, args.seed, args.repeats)
     bench_repair(args.seed, args.repeats)
     bench_ingest(args.seed, args.repeats)
     bench_analysis(args.repeats)
+
+
+def bench_local_score(rows: int, seed: int, repeats: int) -> None:
+    """BIC local score of every node under every parent set of a 12-node problem."""
+    stats = stats_from_matrix(synthetic_problem(SCORE_NODES, rows, seed), range(SCORE_NODES))
+    n = float(stats.n)
+    cases = [
+        (v, parents)
+        for v in range(SCORE_NODES)
+        for size in range(SCORE_NODES)
+        for parents in itertools.combinations([u for u in range(SCORE_NODES) if u != v], size)
+    ]
+
+    def current():
+        c = stats.cov.tolist()
+        return [_kernels.local_score(c, n, v, parents, DEFAULT_RIDGE, 0) for v, parents in cases]
+
+    def reference():
+        return [
+            reference_kernels.local_score(
+                stats.cov, n, v, np.array(parents, dtype=np.int64), DEFAULT_RIDGE, 0
+            )
+            for v, parents in cases
+        ]
+
+    t_new, scores = time_fn(current, repeats=repeats)
+    t_ref, ref_scores = time_fn(reference, repeats=max(1, repeats // 3))
+    if [float(x).hex() for x in scores] != [float(x).hex() for x in ref_scores]:
+        sys.exit("error: local_score and its reference disagree")
+    print(f"{'local score':<22} {t_new * 1e3:>10.2f}ms {t_ref * 1e3:>10.2f}ms {t_ref / t_new:>8.1f}x"
+          f"   {len(cases)} parent sets of {SCORE_NODES} nodes (identical)")
 
 
 def random_strengths(rng, m: int) -> structure.ArcStrengthTable:

@@ -1,15 +1,16 @@
 """Numeric kernels for scoring and structure search.
 
-Everything here is plain numpy/Python.  The scoring kernels (``local_score``
-and the Cholesky solve under it) are scalar loops over a parent set.  The tabu
-search keeps a dict of local scores and spends its time in those kernels and
-in whole-matrix numpy operations, among them ``_reachability``, which also
-finds the arcs on cycles when ``structure.average_network`` repairs a
-consensus graph.  ``benchmarks/bench_kernels.py`` times the search against the
-reference search kept under ``tests/``.
+The scoring kernels (``local_score`` and the Cholesky solve under it) are
+scalar loops over a parent set that read the covariance as nested lists: a
+Python float rounds as a float64 does, without the cost of a numpy scalar.
+The tabu search spends its time in them and in whole-matrix numpy operations
+on the adjacency and its closure, ``_reachability``, which also finds the arcs
+on cycles for ``structure.average_network``.  ``benchmarks/bench_kernels.py``
+times both against the references kept under ``tests/``.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
 
 import numpy as np
@@ -27,79 +28,74 @@ ADD, REMOVE, REVERSE = 0, 1, 2
 
 
 def _chol_solve(a, b):
-    """Solve the SPD system a @ x = b via Cholesky.
-
-    Returns (x, ok); ok is False when the factorization breaks down.
-    """
-    p = a.shape[0]
-    low = np.zeros((p, p))
+    """Solve the SPD system a @ x = b (a list of rows) via Cholesky, with the
+    forward substitution done row by row.  Returns (x, ok); ok is False when
+    the factorization breaks down."""
+    p = len(a)
+    low = []
+    y = []
     for i in range(p):
-        for j in range(i + 1):
-            s = a[i, j]
+        row = []
+        for j in range(i):
+            s = a[i][j]
+            other = low[j]
             for k in range(j):
-                s -= low[i, k] * low[j, k]
-            if i == j:
-                if s <= 0.0:
-                    return np.zeros(p), False
-                low[i, i] = np.sqrt(s)
-            else:
-                low[i, j] = s / low[j, j]
-    y = np.zeros(p)
-    for i in range(p):
+                s -= row[k] * other[k]
+            row.append(s / other[j])
+        s = a[i][i]
+        for k in range(i):
+            s -= row[k] * row[k]
+        if s <= 0.0:
+            return [0.0] * p, False
+        row.append(math.sqrt(s))
+        low.append(row)
         s = b[i]
         for k in range(i):
-            s -= low[i, k] * y[k]
-        y[i] = s / low[i, i]
-    x = np.zeros(p)
+            s -= row[k] * y[k]
+        y.append(s / row[i])
+    x = [0.0] * p
     for i in range(p - 1, -1, -1):
         s = y[i]
         for k in range(i + 1, p):
-            s -= low[k, i] * x[k]
-        x[i] = s / low[i, i]
+            s -= low[k][i] * x[k]
+        x[i] = s / low[i][i]
     return x, True
 
 
-def residual_variance(cov, v, parent_idx, ridge):
-    """ML residual variance of node v regressed on the given parents.
-
-    Falls back to a single ridge retry on a singular parent submatrix;
-    returns (variance, ok).
-    """
-    p = parent_idx.shape[0]
-    if p == 0:
-        return cov[v, v], True
-    sub = np.empty((p, p))
-    rhs = np.empty(p)
-    for i in range(p):
-        rhs[i] = cov[parent_idx[i], v]
-        for j in range(p):
-            sub[i, j] = cov[parent_idx[i], parent_idx[j]]
+def residual_variance(c, v, parents, ridge):
+    """ML residual variance of node v regressed on the given parents, from the
+    nested-list covariance ``c``, with a single ridge retry on a singular
+    parent submatrix; returns (variance, ok)."""
+    rhs = [c[u][v] for u in parents]
+    sub = [[c[u][w] for w in parents] for u in parents]
     beta, ok = _chol_solve(sub, rhs)
     if not ok:
-        for i in range(p):
-            sub[i, i] += ridge
+        for i in range(len(parents)):
+            sub[i][i] += ridge
         beta, ok = _chol_solve(sub, rhs)
         if not ok:
             return 0.0, False
-    var = cov[v, v]
-    for i in range(p):
-        var -= rhs[i] * beta[i]
+    var = c[v][v]
+    for r, b in zip(rhs, beta):
+        var -= r * b
     return var, True
 
 
-def local_score(cov, n, v, parent_idx, ridge, metric):
+def local_score(c, n, v, parents, ridge, metric):
     """Decomposable Gaussian score term for one node.
 
-    metric: 0 = penalized by (p + 2)/2 * ln n, 1 = penalized by (p + 2),
-    2 = raw maximized log-likelihood.
+    ``c`` is the covariance as nested lists and ``parents`` a sequence of
+    column indices.  metric: 0 = penalized by (p + 2)/2 * ln n, 1 = penalized
+    by (p + 2), 2 = raw maximized log-likelihood.
     """
-    var, ok = residual_variance(cov, v, parent_idx, ridge)
+    var, ok = residual_variance(c, v, parents, ridge)
     if not ok:
         return -np.inf
     if var < 1e-12:
         var = 1e-12
+    # np.log, not math.log: the two differ in the last bit on some inputs
     ll = -0.5 * n * (LOG_2PI + np.log(var) + 1.0)
-    k = parent_idx.shape[0] + 2
+    k = len(parents) + 2
     if metric == 0:
         return ll - 0.5 * k * np.log(n)
     if metric == 1:
@@ -115,6 +111,16 @@ def _reachability(a):
         if np.array_equal(nxt, reach):
             return reach > 0
         reach = nxt
+
+
+def _add_arc_reach(reach, u, v):
+    """Update the closure ``reach`` in place for a new arc u -> v that closes
+    no cycle: u and its ancestors now reach v and its descendants."""
+    src = reach[:, u].copy()
+    src[u] = True
+    dst = reach[v].copy()
+    dst[v] = True
+    reach |= src[:, None] & dst
 
 
 def tabu_search_kernel(cov, n, adj, tabu_len, max_iter, max_parents, ridge, metric):
@@ -133,22 +139,21 @@ def tabu_search_kernel(cov, n, adj, tabu_len, max_iter, max_parents, ridge, metr
     change of ``ls[v]`` when u joins or leaves v's parents, so a move only
     re-scores the columns of the one or two nodes whose parent set changed; a
     reversal u -> v is worth ``d_rm[u, v] + d_add[v, u]``.  Cycle checks read a
-    transitive closure recomputed once per iteration, and local scores are
-    memoised per (node, parent set) for the duration of the call.
+    transitive closure that an addition extends in place and a removal or
+    reversal recomputes; local scores are memoised per (node, parent set).
     """
     m = cov.shape[0]
+    c = cov.tolist()
     memo = {}
 
     def score(v, parents):
         key = (v, parents)
         if key not in memo:
-            memo[key] = local_score(cov, n, v, np.array(parents, dtype=np.int64), ridge, metric)
+            memo[key] = local_score(c, n, v, parents, ridge, metric)
         return memo[key]
 
     parents = [tuple(np.flatnonzero(adj[:, v]).tolist()) for v in range(m)]
-    ls = np.empty(m)
-    for v in range(m):
-        ls[v] = score(v, parents[v])
+    ls = np.array([score(v, parents[v]) for v in range(m)])
     # -inf marks a move that is never taken: v has no room for a parent, or u
     # is already a parent (add) or is not one (remove).
     d_add = np.full((m, m), -np.inf)
@@ -156,14 +161,17 @@ def tabu_search_kernel(cov, n, adj, tabu_len, max_iter, max_parents, ridge, metr
 
     def refresh(v):
         pa = parents[v]
-        d_add[:, v] = -np.inf
-        d_rm[:, v] = -np.inf
+        base = ls[v]
+        col = [-np.inf] * m
         for u in pa:
-            d_rm[u, v] = score(v, tuple(w for w in pa if w != u)) - ls[v]
+            col[u] = score(v, tuple(w for w in pa if w != u)) - base
+        d_rm[:, v] = col
+        col = [-np.inf] * m
         if max_parents < 0 or len(pa) < max_parents:
             for u in range(m):
                 if u != v and u not in pa:
-                    d_add[u, v] = score(v, tuple(sorted(pa + (u,)))) - ls[v]
+                    col[u] = score(v, tuple(sorted(pa + (u,)))) - base
+        d_add[:, v] = col
 
     for v in range(m):
         refresh(v)
@@ -173,23 +181,23 @@ def tabu_search_kernel(cov, n, adj, tabu_len, max_iter, max_parents, ridge, metr
     best_adj = adj.copy()
     tabu = deque(maxlen=max(tabu_len, 1))
     stall = 0
+    present = adj != 0
+    reach = _reachability(present.astype(np.float64))
     while stall <= max_iter:
-        a = adj.astype(np.float64)
-        reach = _reachability(a)
-        present = a > 0
         # add u -> v needs no arc between them and no path v -> u; reverse
         # u -> v needs no u -> v path other than the arc itself
-        addable = ~present & ~present.T & ~reach.T
-        np.fill_diagonal(addable, False)
-        reversible = present & ~((a @ reach) > 0)
-        deltas = np.full((m, m, 2), -np.inf)
-        deltas[..., 0] = np.where(present, d_rm, np.where(addable, d_add, -np.inf))
+        addable = ~(present | present.T | reach.T)
+        reversible = present & ~(np.matmul(present, reach, dtype=np.float64) > 0)
+        deltas = np.empty((m, m, 2))
+        # d_rm is -inf off the arcs and d_add on the diagonal, so cells with
+        # neither an arc nor an admissible addition get -inf
+        deltas[..., 0] = np.where(addable, d_add, d_rm)
         deltas[..., 1] = np.where(reversible, d_rm + d_add.T, -np.inf)
         deltas = deltas.reshape(-1)  # (from, to, kind) scan order
         deltas[np.isnan(deltas)] = -np.inf
         for kind, u, v in tabu:
             slot = (u * m + v) * 2 + (kind == REVERSE)
-            if kind != REVERSE and (kind == REMOVE) != present[u, v]:
+            if kind != REVERSE and (kind == REMOVE) != bool(present[u, v]):
                 continue  # slot 0 holds the other kind of move
             if current + deltas[slot] <= best + 1e-9:
                 deltas[slot] = -np.inf
@@ -199,13 +207,14 @@ def tabu_search_kernel(cov, n, adj, tabu_len, max_iter, max_parents, ridge, metr
         before = np.concatenate(([-np.inf], np.maximum.accumulate(deltas)[:-1]))
         best_delta = -np.inf
         pick = -1
-        for i in np.flatnonzero(deltas > before):
-            if deltas[i] > best_delta + 1e-12:
-                best_delta = deltas[i]
+        records = np.flatnonzero(deltas > before)
+        for i, delta in zip(records.tolist(), deltas[records].tolist()):
+            if delta > best_delta + 1e-12:
+                best_delta = delta
                 pick = i
         if pick < 0:
             break  # every move tabu or inadmissible
-        cell, slot = divmod(int(pick), 2)
+        cell, slot = divmod(pick, 2)
         u, v = divmod(cell, m)
         if slot == 1:
             inverse = (REVERSE, v, u)
@@ -220,6 +229,11 @@ def tabu_search_kernel(cov, n, adj, tabu_len, max_iter, max_parents, ridge, metr
             inverse = (REMOVE, u, v)
             adj[u, v] = 1
             changed = (v,)
+        present = adj != 0
+        if inverse[0] == REMOVE:
+            _add_arc_reach(reach, u, v)
+        else:
+            reach = _reachability(present.astype(np.float64))
         for w in changed:
             parents[w] = tuple(np.flatnonzero(adj[:, w]).tolist())
             ls[w] = score(w, parents[w])

@@ -13,14 +13,13 @@ normalization and uniform teleport for dangling nodes.
 """
 from __future__ import annotations
 
-import csv
 import heapq
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._csv import csv_text
+from ._csv import csv_text, read_rows
 from .dag import Dag
 from .errors import ConvergenceError, ValidationError
 from .params import GaussianBnParams
@@ -46,7 +45,7 @@ class Partition:
 
     @classmethod
     def from_csv(cls, buf) -> "Partition":
-        rows = list(csv.DictReader(buf))
+        rows = read_rows(buf, ("node", "cluster"))
         return cls(assignment={r["node"]: r["cluster"] for r in rows})
 
 

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fixtures
-from ._csv import csv_text
+from ._csv import csv_text, load_csv, read_rows
 from .analytics import (
     Partition,
     betweenness,
@@ -211,8 +211,7 @@ def cmd_fit(args) -> int:
     table = parse_responses(args.input)
     table = filter_cohort(table, CohortFilter(require_complete=True))
     if args.dag:
-        with open(args.dag, newline="", encoding="utf-8") as fh:
-            dag = Dag.from_arc_csv(fh, nodes=table.items)
+        dag = load_csv(args.dag, Dag.from_arc_csv, table.items)
     else:
         dag, _ = _load_model(args)
     params = fit_mle(dag, table, unbiased=args.unbiased)
@@ -245,8 +244,7 @@ def cmd_analyze(args) -> int:
     print(f"top pagerank: {', '.join(pr.top(3))}")
 
     if args.clusters:
-        with open(args.clusters, newline="", encoding="utf-8") as fh:
-            partition = Partition.from_csv(fh)
+        partition = load_csv(args.clusters, Partition.from_csv)
     elif getattr(args, "fixture", False):
         partition = fixtures.load_fixture_partition()
         walked = communities_walktrap(dag, params, steps=args.steps)
@@ -352,8 +350,8 @@ def cmd_compare_mwu(args) -> int:
     if args.groups == "polarity":
         groups = fixtures.load_polarity()
     else:
-        with open(args.groups, newline="", encoding="utf-8") as fh:
-            groups = {r["item"]: r["group"] for r in csv.DictReader(fh)}
+        group_rows = load_csv(args.groups, read_rows, ("item", "group"))
+        groups = {r["item"]: r["group"] for r in group_rows}
     values = {}
     for row, r in enumerate(rows, start=1):
         if r["item"] not in groups:
@@ -391,8 +389,9 @@ def cmd_compare_ellipse(args) -> int:
         for row, r in enumerate(rows, start=1)
     ]
     e = confidence_ellipse(pts, level=args.level)
+    angle = round(e.angle, 1) % 180.0  # an angle just below 180 would print as 180.0
     print(f"center: ({e.center[0]:.4f}, {e.center[1]:.4f})")
-    print(f"half-axes: {e.axes[0]:.4f}, {e.axes[1]:.4f}; angle {e.angle:.1f} deg")
+    print(f"half-axes: {e.axes[0]:.4f}, {e.axes[1]:.4f}; angle {angle:.1f} deg")
     return 0
 
 

@@ -6,7 +6,6 @@ edge-set correlation between two weighted networks.
 """
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from ._csv import csv_text
+from ._csv import csv_text, read_rows
 from .errors import ValidationError
 
 
@@ -32,7 +31,7 @@ class FactorTable:
 
     @classmethod
     def from_csv(cls, buf) -> "FactorTable":
-        rows = list(csv.DictReader(buf))
+        rows = read_rows(buf, ("item",))
         if not rows:
             raise ValidationError("empty factor table")
         factor_cols = [k for k in rows[0] if k.lower().startswith("f")]

@@ -5,12 +5,11 @@ that every arc endpoint is a known node, and that a topological order exists.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._csv import csv_text
+from ._csv import csv_text, read_rows
 from .errors import ValidationError
 
 
@@ -111,7 +110,7 @@ class Dag:
 
     @classmethod
     def from_arc_csv(cls, buf, nodes=None) -> "Dag":
-        rows = list(csv.DictReader(buf))
+        rows = read_rows(buf, ("from", "to"))
         arcs = {(r["from"], r["to"]) for r in rows}
         if nodes is None:
             nodes = sorted({u for u, _ in arcs} | {v for _, v in arcs})

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 from importlib import resources
 
+from ._csv import load_csv, read_rows
 from .dag import Dag
 from .errors import FixtureError, ValidationError
 from .params import GaussianBnParams
@@ -109,11 +110,7 @@ def load_factor_table(name: str):
         path = data_path(FACTOR_TABLES[name])
     else:
         path = name
-    with open(path, newline="", encoding="utf-8") as fh:
-        try:
-            return FactorTable.from_csv(fh)
-        except ValidationError as exc:
-            raise ValidationError(f"{name}: {exc}") from None
+    return load_csv(path, FactorTable.from_csv)
 
 
 def load_edge_weights(name_or_path) -> dict:
@@ -124,12 +121,15 @@ def load_edge_weights(name_or_path) -> dict:
     }
     path = data_path(builtin[name_or_path]) if name_or_path in builtin else name_or_path
     out: dict[frozenset, float] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            pair = frozenset((row["item_a"], row["item_b"]))
-            if len(pair) != 2:
-                raise FixtureError(f"degenerate pair in {path}: {row}")
-            out[pair] = float(row["weight"])
+    rows = load_csv(path, read_rows, ("item_a", "item_b", "weight"))
+    for row, r in enumerate(rows, start=1):
+        pair = frozenset((r["item_a"], r["item_b"]))
+        if len(pair) != 2:
+            raise FixtureError(f"degenerate pair in {path}: {r}")
+        try:
+            out[pair] = float(r["weight"])
+        except (TypeError, ValueError):  # TypeError: the row has too few cells
+            raise ValidationError(f"{path} row {row}: {r['weight']!r} is not a number") from None
     return out
 
 

@@ -418,7 +418,12 @@ def filter_cohort(table: ResponseTable, f: CohortFilter) -> ResponseTable:
         in_range = np.isfinite(table.rows) & (table.rows >= 1) & (table.rows <= 5)
         mask &= in_range.all(axis=1)
     if not mask.any():
-        raise EmptyCohortError("cohort filter removed every row")
+        message = "cohort filter removed every row"
+        if f.require_complete:
+            unanswered = [i for i, ok in zip(table.items, in_range.any(axis=0)) if not ok]
+            if unanswered:
+                message += f"; no answer in 1-5 for {', '.join(unanswered)}"
+        raise EmptyCohortError(message)
     return ResponseTable(
         items=table.items,
         rows=table.rows[mask],

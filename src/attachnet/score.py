@@ -61,9 +61,9 @@ def local_score(node, parents, stats: SufficientStats, metric="bic", ridge=DEFAU
     if node in parents:
         raise ValidationError(f"{node} cannot be its own parent")
     v = stats.index(node)
-    parent_idx = np.array(sorted(stats.index(p) for p in parents), dtype=np.int64)
+    parent_idx = sorted(stats.index(p) for p in parents)
     return float(
-        _kernels.local_score(stats.cov, stats.n, v, parent_idx, ridge, METRICS[metric])
+        _kernels.local_score(stats.cov.tolist(), stats.n, v, parent_idx, ridge, METRICS[metric])
     )
 
 

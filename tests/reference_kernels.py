@@ -1,14 +1,96 @@
-"""Reference kernels: the search and covariance that attachnet used to run.
+"""Reference kernels: the scoring, search and covariance that attachnet used to run.
 
-These are the per-candidate re-scoring tabu search (a depth-first cycle check
-for every candidate move, every local score recomputed on every iteration) and
-the two-pass covariance loop.  They are kept unchanged as the slow oracle that
-``test_search_oracle.py`` and ``benchmarks/bench_kernels.py`` compare the
+These are the ndarray Cholesky local score, the per-candidate re-scoring tabu
+search (a depth-first cycle check for every candidate move, every local score
+recomputed on every iteration) and the two-pass covariance loop.  They are
+kept unchanged as the slow oracle that ``test_search_oracle.py`` and
+``benchmarks/bench_kernels.py`` compare the list-based local score, the
 incremental search and the matmul covariance against.
 """
 import numpy as np
 
-from attachnet._kernels import ADD, REMOVE, REVERSE, local_score
+from attachnet._kernels import ADD, LOG_2PI, REMOVE, REVERSE
+
+
+def _chol_solve(a, b):
+    """Solve the SPD system a @ x = b via Cholesky.
+
+    Returns (x, ok); ok is False when the factorization breaks down.
+    """
+    p = a.shape[0]
+    low = np.zeros((p, p))
+    for i in range(p):
+        for j in range(i + 1):
+            s = a[i, j]
+            for k in range(j):
+                s -= low[i, k] * low[j, k]
+            if i == j:
+                if s <= 0.0:
+                    return np.zeros(p), False
+                low[i, i] = np.sqrt(s)
+            else:
+                low[i, j] = s / low[j, j]
+    y = np.zeros(p)
+    for i in range(p):
+        s = b[i]
+        for k in range(i):
+            s -= low[i, k] * y[k]
+        y[i] = s / low[i, i]
+    x = np.zeros(p)
+    for i in range(p - 1, -1, -1):
+        s = y[i]
+        for k in range(i + 1, p):
+            s -= low[k, i] * x[k]
+        x[i] = s / low[i, i]
+    return x, True
+
+
+def residual_variance(cov, v, parent_idx, ridge):
+    """ML residual variance of node v regressed on the given parents.
+
+    Falls back to a single ridge retry on a singular parent submatrix;
+    returns (variance, ok).
+    """
+    p = parent_idx.shape[0]
+    if p == 0:
+        return cov[v, v], True
+    sub = np.empty((p, p))
+    rhs = np.empty(p)
+    for i in range(p):
+        rhs[i] = cov[parent_idx[i], v]
+        for j in range(p):
+            sub[i, j] = cov[parent_idx[i], parent_idx[j]]
+    beta, ok = _chol_solve(sub, rhs)
+    if not ok:
+        for i in range(p):
+            sub[i, i] += ridge
+        beta, ok = _chol_solve(sub, rhs)
+        if not ok:
+            return 0.0, False
+    var = cov[v, v]
+    for i in range(p):
+        var -= rhs[i] * beta[i]
+    return var, True
+
+
+def local_score(cov, n, v, parent_idx, ridge, metric):
+    """Decomposable Gaussian score term for one node.
+
+    metric: 0 = penalized by (p + 2)/2 * ln n, 1 = penalized by (p + 2),
+    2 = raw maximized log-likelihood.
+    """
+    var, ok = residual_variance(cov, v, parent_idx, ridge)
+    if not ok:
+        return -np.inf
+    if var < 1e-12:
+        var = 1e-12
+    ll = -0.5 * n * (LOG_2PI + np.log(var) + 1.0)
+    k = parent_idx.shape[0] + 2
+    if metric == 0:
+        return ll - 0.5 * k * np.log(n)
+    if metric == 1:
+        return ll - k
+    return ll
 
 
 def _gather_parents(adj, v, extra, skip, out):

@@ -280,12 +280,64 @@ def test_compare_mwu_polarity(tmp_path, capsys):
     pytest.param(["compare", "kmeans", "-k", "2"],
                  "item,f1,f2\nQ01,0.5,0.1\nQ02,0.4,x\nQ03,0.1,0.2\n",
                  "{path}: row 2: non-numeric loading for 'Q02'", id="kmeans-non-numeric"),
+    pytest.param(["compare", "edges", "fixture"], "item_a,item_b,weight\nQ01,Q02,abc\n",
+                 "{path} row 1: 'abc' is not a number", id="edges-non-numeric"),
 ])
 def test_compare_bad_input_exits_2(tmp_path, capsys, command, text, message):
     path = tmp_path / "input.csv"
     path.write_text(text)
     assert main([*command, str(path)]) == 2
     assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+
+
+@pytest.mark.parametrize("argv,text,column", [
+    pytest.param(["compare", "pca", "{path}"], "name,f1\nQ01,0.5\n", "item", id="factor-table"),
+    pytest.param(["analyze", "--fixture", "--clusters", "{path}"], "node,label\nQ01,C1\n",
+                 "cluster", id="partition"),
+    pytest.param(["fit", "{survey}", "--dag", "{path}"], "source,to\nQ01,Q02\n", "from",
+                 id="arc-list"),
+    pytest.param(["compare", "mwu", "{values}", "--groups", "{path}"], "item,label\nQ01,a\n",
+                 "group", id="mwu-groups"),
+    pytest.param(["compare", "edges", "{path}", "external"], "a,b,weight\nQ01,Q02,0.5\n",
+                 "item_a", id="edge-weights"),
+])
+def test_csv_without_expected_column_exits_2(tmp_path, capsys, argv, text, column):
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    values = tmp_path / "values.csv"
+    values.write_text("item,value\nQ01,1.5\n")
+    names = {"path": path, "survey": survey_csv(tmp_path), "values": values}
+    assert main([arg.format(**names) for arg in argv]) == 2
+    assert capsys.readouterr().err == f"error: {path}: no {column} column\n"
+
+
+def test_compare_ellipse_angle_just_below_180_prints_0(tmp_path, capsys):
+    from attachnet.compare import confidence_ellipse
+
+    # an x-aligned ellipse tilted clockwise by about 0.006 degrees
+    x = np.linspace(-2.0, 2.0, 9)
+    points = np.column_stack([x, -1e-4 * x + 0.1 * np.array([1, -1, 0, 0, 0, 0, 0, -1, 1])])
+    assert 179.99 < confidence_ellipse(points, level=0.95).angle < 180.0
+    path = tmp_path / "points.csv"
+    path.write_text("x,y\n" + "".join(f"{a!r},{b!r}\n" for a, b in points.tolist()))
+    assert main(["compare", "ellipse", str(path)]) == 0
+    assert capsys.readouterr().out.endswith("; angle 0.0 deg\n")
+
+
+def test_all_blank_item_exits_2_naming_it(tmp_path, capsys):
+    src = survey_csv(tmp_path, n=40)
+    lines = src.read_text().splitlines()
+    src.write_text("\n".join([lines[0]] + [",".join([""] + line.split(",")[1:]) for line in lines[1:]]) + "\n")
+    assert main(["learn", str(src), "-R", "1", "-m", "20", "--seed", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: cohort filter removed every row; no answer in 1-5 for Q01\n"
+    )
+
+
+def test_empty_cohort_exits_2(tmp_path, capsys):
+    src = survey_csv(tmp_path, n=40)
+    assert main(["ingest", str(src), "--age", "90:99", "-o", str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err == "error: cohort filter removed every row\n"
 
 
 def test_influence_over_path_cap_exits_2(capsys):

@@ -107,6 +107,17 @@ def test_needs_enough_rows():
         fit_mle(dag, table)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_fit_needs_more_rows_than_parents_plus_one(n):
+    table = make_table([[1, 2, 3], [2, 3, 5], [3, 1, 2], [4, 4, 1]][:n])
+    dag = Dag(table.items, {("Q01", "Q03"), ("Q02", "Q03")})
+    if n <= 3:
+        with pytest.raises(ValidationError, match="need more than 3 rows to fit 2 parents"):
+            fit_mle(dag, table)
+    else:
+        assert np.isfinite(fit_mle(dag, table).residual_sd["Q03"])
+
+
 def test_rank_deficient_design_warns(rng):
     x = rng.normal(size=100)
     rows = np.column_stack([x, x, rng.normal(size=100)])

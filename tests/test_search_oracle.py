@@ -1,16 +1,19 @@
-"""Oracle tests: the incremental search and the matmul covariance against the
-reference kernels in ``reference_kernels.py``.
+"""Oracle tests: the list-based local score, the incremental search, its
+reachability updates and the matmul covariance against the reference kernels
+in ``reference_kernels.py``.
 
-The search must return the identical adjacency and the identical score (``==``,
-not approximately) as the per-candidate reference, on clean data and on data
-whose covariance is singular, so that the ridge retry and the ``-inf`` score of
-a failed factorization both take part in the search.
+The local score and the search must return identical values (``==``, not
+approximately) and the identical adjacency as the ndarray references, on clean
+data and on data whose covariance is singular, so that the ridge retry and the
+``-inf`` score of a failed factorization both take part.
 """
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference_kernels
 from attachnet import _kernels
 from attachnet.score import METRICS, DEFAULT_RIDGE, stats_from_matrix
 from attachnet.structure import _random_dag_adjacency
@@ -68,16 +71,83 @@ def test_search_matches_reference_exactly(seed, m, max_parents, metric, start):
     assert score == ref_score
 
 
+@pytest.mark.parametrize("degeneracy", DEGENERACIES)
+def test_local_score_matches_frozen_reference(degeneracy):
+    """Every node, every parent set of up to 4 and every metric on 10 columns."""
+    rng = np.random.default_rng(DEGENERACIES.index(degeneracy))
+    m = 10
+    rows = simulated_rows(rng, m, int(rng.integers(30, 400)), degeneracy)
+    _, cov = covariance_kernel(rows)
+    n = float(rows.shape[0])
+    c = cov.tolist()
+    ridged = failed = 0
+    for v in range(m):
+        others = [u for u in range(m) if u != v]
+        for parents in itertools.chain.from_iterable(
+            itertools.combinations(others, size) for size in range(5)
+        ):
+            idx = np.array(parents, dtype=np.int64)
+            if parents and not reference_kernels._chol_solve(cov[np.ix_(idx, idx)], cov[idx, v])[1]:
+                ridged += 1
+            for metric in METRICS.values():
+                got = _kernels.local_score(c, n, v, parents, DEFAULT_RIDGE, metric)
+                want = reference_kernels.local_score(cov, n, v, idx, DEFAULT_RIDGE, metric)
+                assert got == want or (np.isnan(got) and np.isnan(want)), (v, parents, metric)
+                failed += want == -np.inf
+    if degeneracy == "constant":
+        assert ridged > 0
+    if degeneracy == "scaled duplicate":
+        assert failed > 0
+
+
+def _admissible_moves(adj, reach):
+    """Every add, remove and reverse move that keeps ``adj`` acyclic."""
+    m = adj.shape[0]
+    present = adj != 0
+    moves = []
+    for u, v in itertools.permutations(range(m), 2):
+        if present[u, v]:
+            moves.append((_kernels.REMOVE, u, v))
+            if not (present[u] & reach[:, v]).any():  # no other u -> v path
+                moves.append((_kernels.REVERSE, u, v))
+        elif not present[v, u] and not reach[v, u]:
+            moves.append((_kernels.ADD, u, v))
+    return moves
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(data=st.data(), m=st.integers(2, 12), start=st.sampled_from(["empty", "random"]))
+def test_incremental_reachability_matches_closure(data, m, start):
+    """The search's closure upkeep: extend in place after an addition,
+    recompute after a removal or a reversal."""
+    if start == "empty":
+        adj = np.zeros((m, m), dtype=np.int8)
+    else:
+        adj = _random_dag_adjacency(m, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+    reach = _kernels._reachability(adj.astype(np.float64))
+    for _ in range(data.draw(st.integers(1, 30))):
+        kind, u, v = data.draw(st.sampled_from(_admissible_moves(adj, reach)))
+        if kind == _kernels.ADD:
+            adj[u, v] = 1
+            _kernels._add_arc_reach(reach, u, v)
+        else:
+            adj[u, v] = 0
+            if kind == _kernels.REVERSE:
+                adj[v, u] = 1
+            reach = _kernels._reachability(adj.astype(np.float64))
+        assert np.array_equal(reach, _kernels._reachability(adj.astype(np.float64)))
+
+
 def test_degenerate_data_reaches_ridge_and_failed_factorization():
     rng = np.random.default_rng(0)
     rows = simulated_rows(rng, 5, 100, "constant")
     _, cov = covariance_kernel(rows)
     # the constant column is a singular 1x1 parent block: only the ridge retry solves it
-    assert not _kernels._chol_solve(cov[:1, :1], cov[:1, 2])[1]
-    assert np.isfinite(_kernels.local_score(cov, 100.0, 2, np.array([0]), DEFAULT_RIDGE, 0))
+    assert not _kernels._chol_solve(cov[:1, :1].tolist(), cov[:1, 2].tolist())[1]
+    assert np.isfinite(_kernels.local_score(cov.tolist(), 100.0, 2, (0,), DEFAULT_RIDGE, 0))
     rows = simulated_rows(rng, 5, 100, "scaled duplicate")
     _, cov = covariance_kernel(rows)
-    assert _kernels.local_score(cov, 100.0, 2, np.array([0, 1]), DEFAULT_RIDGE, 0) == -np.inf
+    assert _kernels.local_score(cov.tolist(), 100.0, 2, (0, 1), DEFAULT_RIDGE, 0) == -np.inf
 
 
 @pytest.mark.parametrize("degeneracy", DEGENERACIES)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from attachnet.dag import Dag
 from attachnet.errors import ValidationError
-from attachnet.score import METRICS, graph_score, stats_from_matrix
+from attachnet.score import DEFAULT_RIDGE, METRICS, graph_score, local_score, stats_from_matrix
 from attachnet.structure import (
     ArcStrengthTable,
     SearchConfig,
@@ -18,6 +18,7 @@ from attachnet.structure import (
     tabu_search,
 )
 from conftest import make_table
+from reference_kernels import tabu_search_kernel as reference_search
 
 
 def all_dags(nodes):
@@ -212,6 +213,31 @@ def test_bootstrap_deterministic_across_thread_counts(rng):
     serial = bootstrap_strengths(table, replicates=12, sample_size=150, cfg=cfg)
     threaded = bootstrap_strengths(table, replicates=12, sample_size=150, cfg=cfg, threads=4)
     assert np.array_equal(serial.counts, threaded.counts)
+
+
+def test_constant_column_in_bootstrap_sample_gives_finite_tally():
+    # Q01 takes a second value in one row of 200, so most 20-row samples see it
+    # constant: its variance is 0, and scoring it as a parent takes the ridge retry
+    rows = np.random.default_rng(5).integers(1, 6, size=(200, 4)).astype(float)
+    rows[:, 0] = 3.0
+    rows[7, 0] = 4.0
+    table = make_table(rows)
+    cfg = SearchConfig(seed=3)
+    strengths = bootstrap_strengths(table, replicates=6, sample_size=20, cfg=cfg)
+    expected = np.zeros((4, 4), dtype=np.int64)
+    constant = 0
+    for replicate in range(6):
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, replicate)))
+        stats = stats_from_matrix(rows[rng.integers(0, 200, size=20)], table.items)
+        if stats.cov[0, 0] == 0.0:
+            constant += 1
+            assert np.isfinite(local_score("Q02", ("Q01",), stats))
+        adj, score = reference_search(stats.cov, 20.0, np.zeros((4, 4), dtype=np.int8),
+                                      cfg.tabu_len, cfg.max_iter, -1, DEFAULT_RIDGE, 0)
+        assert np.isfinite(score)
+        expected += adj
+    assert constant >= 1
+    assert np.array_equal(strengths.counts, expected)
 
 
 def test_bootstrap_rejects_incomplete_table():
