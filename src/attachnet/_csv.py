@@ -1,5 +1,7 @@
 """The one CSV writer behind every report (``\\n`` line ends, minimal
-quoting) and the reader behind every CSV input with named columns."""
+quoting) and the reader behind every CSV input with named columns.  Every
+row error reads ``<file>: row N: ...``, N counting the non-blank data rows
+from 1."""
 from __future__ import annotations
 
 import csv
@@ -17,15 +19,33 @@ def csv_text(header, rows) -> str:
     return out.getvalue()
 
 
-def read_rows(buf, columns) -> list[dict]:
-    """The rows of a CSV file as dicts; ValidationError names the first of
-    ``columns`` missing from its header."""
-    reader = csv.DictReader(buf)
-    header = reader.fieldnames or ()
+def read_rows(buf, columns=()) -> list[dict]:
+    """The rows of a CSV file as dicts, blank lines skipped; ValidationError
+    names the first of ``columns`` missing from the header, or the first row
+    whose cell count differs from the header's."""
+    reader = csv.reader(buf)
+    header = next(reader, [])
     for column in columns:
         if column not in header:
             raise ValidationError(f"no {column} column")
-    return list(reader)
+    rows = []
+    for cells in reader:
+        if not cells:
+            continue
+        if len(cells) != len(header):
+            raise ValidationError(
+                f"row {len(rows) + 1}: expected {len(header)} fields, got {len(cells)}"
+            )
+        rows.append(dict(zip(header, cells)))
+    return rows
+
+
+def number(text: str, row: int) -> float:
+    """``float(text)``; ValidationError names ``row`` if that fails."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ValidationError(f"row {row}: {text!r} is not a number") from None
 
 
 def load_csv(path, load, *args):

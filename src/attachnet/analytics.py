@@ -28,7 +28,6 @@ from .params import GaussianBnParams
 @dataclass(frozen=True)
 class Partition:
     assignment: dict[str, str]
-    labels: dict[str, str] | None = None
 
     def clusters(self) -> dict[str, frozenset]:
         groups: dict[str, set] = {}

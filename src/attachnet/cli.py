@@ -21,7 +21,6 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from dataclasses import replace
@@ -30,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fixtures
-from ._csv import csv_text, load_csv, read_rows
+from ._csv import csv_text, load_csv, number, read_rows
 from .analytics import (
     Partition,
     betweenness,
@@ -322,41 +321,36 @@ def cmd_compare_edges(args) -> int:
     return 0
 
 
-def _read_rows(path, columns: int) -> tuple[list[str], list[dict]]:
-    """Header and data rows of a CSV file with at least ``columns`` columns."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
-    header = reader.fieldnames or []
-    if len(header) < columns:
-        raise ValidationError(f"{path}: expected at least {columns} columns")
+def _data_rows(buf, columns=()) -> list[dict]:
+    """The rows of a CSV file with at least two columns and one data row."""
+    rows = read_rows(buf, columns)
     if not rows:
-        raise ValidationError(f"{path}: no data rows")
-    return header, rows
+        raise ValidationError("no data rows")
+    if len(rows[0]) < 2:
+        raise ValidationError("expected at least 2 columns")
+    return rows
 
 
-def _number(text, path, row: int) -> float:
-    try:
-        return float(text)
-    except (TypeError, ValueError):  # TypeError: the row has too few cells
-        raise ValidationError(f"{path} row {row}: {text!r} is not a number") from None
+def _item_values(buf, groups) -> dict[str, float]:
+    """Item -> the number in the first column other than ``item``; every item
+    must be in ``groups``."""
+    rows = _data_rows(buf, ("item",))
+    value_col = [c for c in rows[0] if c != "item"][0]
+    values = {}
+    for row, r in enumerate(rows, start=1):
+        if r["item"] not in groups:
+            raise ValidationError(f"row {row}: item {r['item']!r} has no group")
+        values[r["item"]] = number(r[value_col], row)
+    return values
 
 
 def cmd_compare_mwu(args) -> int:
-    header, rows = _read_rows(args.values, 2)
-    if "item" not in header:
-        raise ValidationError(f"{args.values}: no item column")
-    value_col = [c for c in header if c != "item"][0]
     if args.groups == "polarity":
         groups = fixtures.load_polarity()
     else:
         group_rows = load_csv(args.groups, read_rows, ("item", "group"))
         groups = {r["item"]: r["group"] for r in group_rows}
-    values = {}
-    for row, r in enumerate(rows, start=1):
-        if r["item"] not in groups:
-            raise ValidationError(f"{args.values} row {row}: item {r['item']!r} has no group")
-        values[r["item"]] = _number(r[value_col], args.values, row)
+    values = load_csv(args.values, _item_values, groups)
     names = sorted({groups[i] for i in values})
     if len(names) != 2:
         raise ValidationError(f"need exactly 2 groups, found {names}")
@@ -381,14 +375,15 @@ def cmd_compare_pca(args) -> int:
     return 0
 
 
+def _points(buf) -> list[tuple[float, float]]:
+    """(x, y) from the last two columns of each row."""
+    rows = _data_rows(buf)
+    x, y = list(rows[0])[-2:]
+    return [(number(r[x], row), number(r[y], row)) for row, r in enumerate(rows, start=1)]
+
+
 def cmd_compare_ellipse(args) -> int:
-    header, rows = _read_rows(args.points, 2)
-    x, y = header[-2:]
-    pts = [
-        (_number(r[x], args.points, row), _number(r[y], args.points, row))
-        for row, r in enumerate(rows, start=1)
-    ]
-    e = confidence_ellipse(pts, level=args.level)
+    e = confidence_ellipse(load_csv(args.points, _points), level=args.level)
     angle = round(e.angle, 1) % 180.0  # an angle just below 180 would print as 180.0
     print(f"center: ({e.center[0]:.4f}, {e.center[1]:.4f})")
     print(f"half-axes: {e.axes[0]:.4f}, {e.axes[1]:.4f}; angle {angle:.1f} deg")

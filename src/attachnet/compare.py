@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from ._csv import csv_text, read_rows
+from ._csv import csv_text, number, read_rows
 from .errors import ValidationError
 
 
@@ -36,12 +36,7 @@ class FactorTable:
             raise ValidationError("empty factor table")
         factor_cols = [k for k in rows[0] if k.lower().startswith("f")]
         items = tuple(r["item"] for r in rows)
-        values = []
-        for row, r in enumerate(rows, start=1):
-            try:
-                values.append([float(r[c]) for c in factor_cols])
-            except (TypeError, ValueError):  # TypeError: the row has too few cells
-                raise ValidationError(f"row {row}: non-numeric loading for {r['item']!r}") from None
+        values = [[number(r[c], row) for c in factor_cols] for row, r in enumerate(rows, start=1)]
         return cls(items=items, values=np.array(values, dtype=np.float64))
 
     def to_csv(self) -> str:
@@ -294,11 +289,14 @@ def _count_ways(a: int, b: int, u: int, ways: dict) -> int:
     return ways[key]
 
 
-def mann_whitney_u(a, b, exact_limit: int = 400) -> tuple[float, float]:
+_EXACT_LIMIT = 400  # largest len(a) * len(b) with an enumerated null distribution
+
+
+def mann_whitney_u(a, b) -> tuple[float, float]:
     """Rank-sum U of the first sample and a two-tailed p value.
 
     The exact null distribution is enumerated when ``len(a) * len(b)`` is at
-    most ``exact_limit`` and the pooled values are tie-free; otherwise a
+    most ``_EXACT_LIMIT`` and the pooled values are tie-free; otherwise a
     normal approximation with tie and continuity corrections applies.
     """
     a = np.asarray(a, dtype=np.float64)
@@ -314,7 +312,7 @@ def mann_whitney_u(a, b, exact_limit: int = 400) -> tuple[float, float]:
     _, tie_counts = np.unique(pooled, return_counts=True)
     has_ties = bool((tie_counts > 1).any())
 
-    if not has_ties and n_a * n_b <= exact_limit:
+    if not has_ties and n_a * n_b <= _EXACT_LIMIT:
         counts = _exact_u_counts(n_a, n_b)
         total = sum(counts)
         u_low = min(u_a, n_a * n_b - u_a)

@@ -80,9 +80,6 @@ class Dag:
     def out_degree(self, node: str) -> int:
         return len(self.children(node))
 
-    def has_arc(self, u: str, v: str) -> bool:
-        return (u, v) in self.arcs
-
     def adjacency_matrix(self) -> np.ndarray:
         """0/1 matrix in node order; entry [i, j] = 1 for an arc i -> j."""
         idx = {n: i for i, n in enumerate(self.nodes)}

@@ -10,10 +10,9 @@ comparison suite.
 """
 from __future__ import annotations
 
-import csv
 from importlib import resources
 
-from ._csv import load_csv, read_rows
+from ._csv import load_csv, number, read_rows
 from .dag import Dag
 from .errors import FixtureError, ValidationError
 from .params import GaussianBnParams
@@ -27,11 +26,6 @@ def data_path(name: str):
     if not path.is_file():
         raise FixtureError(f"bundled data file {name} is missing")
     return path
-
-
-def _read_rows(path) -> list[dict]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
 
 
 def load_fixture_model(path=None) -> tuple[Dag, GaussianBnParams]:
@@ -48,8 +42,8 @@ def load_fixture_model(path=None) -> tuple[Dag, GaussianBnParams]:
         nodes_file = f"{path}/fixture_nodes.csv"
         arcs_file = f"{path}/fixture_arcs.csv"
 
-    node_rows = _read_rows(nodes_file)
-    arc_rows = _read_rows(arcs_file)
+    node_rows = load_csv(nodes_file, read_rows, ("item", "intercept", "stddev"))
+    arc_rows = load_csv(arcs_file, read_rows, ("from", "to", "coefficient"))
     if len(node_rows) != EXPECTED_NODES:
         raise FixtureError(
             f"expected {EXPECTED_NODES} node rows, found {len(node_rows)}"
@@ -85,12 +79,11 @@ def load_fixture_model(path=None) -> tuple[Dag, GaussianBnParams]:
 def load_fixture_partition():
     from .analytics import Partition
 
-    rows = _read_rows(data_path("fixture_clusters.csv"))
-    return Partition(assignment={r["node"]: r["cluster"] for r in rows})
+    return load_csv(data_path("fixture_clusters.csv"), Partition.from_csv)
 
 
 def load_polarity() -> dict[str, str]:
-    rows = _read_rows(data_path("fixture_polarity.csv"))
+    rows = load_csv(data_path("fixture_polarity.csv"), read_rows, ("item", "polarity"))
     return {r["item"]: r["polarity"] for r in rows}
 
 
@@ -120,19 +113,19 @@ def load_edge_weights(name_or_path) -> dict:
         "external": "external_partial_correlations.csv",
     }
     path = data_path(builtin[name_or_path]) if name_or_path in builtin else name_or_path
+    return load_csv(path, _edge_weights)
+
+
+def _edge_weights(buf) -> dict:
     out: dict[frozenset, float] = {}
-    rows = load_csv(path, read_rows, ("item_a", "item_b", "weight"))
-    for row, r in enumerate(rows, start=1):
+    for row, r in enumerate(read_rows(buf, ("item_a", "item_b", "weight")), start=1):
         pair = frozenset((r["item_a"], r["item_b"]))
         if len(pair) != 2:
-            raise FixtureError(f"degenerate pair in {path}: {r}")
-        try:
-            out[pair] = float(r["weight"])
-        except (TypeError, ValueError):  # TypeError: the row has too few cells
-            raise ValidationError(f"{path} row {row}: {r['weight']!r} is not a number") from None
+            raise ValidationError(f"row {row}: degenerate pair {r['item_a']!r}, {r['item_b']!r}")
+        out[pair] = number(r["weight"], row)
     return out
 
 
 def load_rsq_map() -> dict[int, str]:
-    rows = _read_rows(data_path("rsq_ecr_map.csv"))
+    rows = load_csv(data_path("rsq_ecr_map.csv"), read_rows, ("rsq_item", "ecr_item"))
     return {int(r["rsq_item"]): r["ecr_item"] for r in rows}

@@ -33,7 +33,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from ._csv import csv_text
+from ._csv import csv_text, load_csv, read_rows
 from .errors import EmptyCohortError, ParseError, ValidationError
 
 GENDERS = ("female", "male", "other", "unknown")
@@ -62,11 +62,8 @@ def _load_region_table() -> dict[str, str]:
     if _region_table is None:
         from .fixtures import data_path
 
-        table = {}
-        with open(data_path("country_continents.csv"), newline="") as fh:
-            for row in csv.DictReader(fh):
-                table[row["code"]] = row["region"]
-        _region_table = table
+        rows = load_csv(data_path("country_continents.csv"), read_rows, ("code", "region"))
+        _region_table = {row["code"]: row["region"] for row in rows}
     return _region_table
 
 
@@ -125,15 +122,6 @@ class Demographics:
             gender=tuple(self.gender[i] for i in idx),
             country=tuple(self.country[i] for i in idx),
             region=tuple(self.region[i] for i in idx),
-        )
-
-    @classmethod
-    def empty(cls, n: int) -> "Demographics":
-        return cls(
-            age=np.full(n, -1, dtype=np.int16),
-            gender=("unknown",) * n,
-            country=("",) * n,
-            region=("Unknown",) * n,
         )
 
 
@@ -263,15 +251,25 @@ def parse_responses(stream, schema: ColumnSchema | None = None, codebook=None) -
     ``dropped_rows`` and described in ``row_errors``.  Each distinct cell text
     is converted once per call: item cells by ``float(cell.strip())`` (NaN if
     that fails), ages by truncation to whole years (-1 if not a finite number
-    in the int16 range), genders and countries through the codebook.
+    in the int16 range), genders and countries through the codebook.  A file
+    opened from a path is closed again; a caller's stream is left open.
     """
-    schema = schema or ColumnSchema()
+    fh = _open_text(stream)
+    try:
+        return _parse_text(fh, schema or ColumnSchema(), codebook)
+    finally:
+        if isinstance(stream, (str, os.PathLike)):
+            fh.close()
+        elif isinstance(fh, io.TextIOWrapper) and fh is not stream:
+            fh.detach()  # closing or collecting the wrapper would close the caller's stream
+
+
+def _parse_text(fh, schema: ColumnSchema, codebook) -> ResponseTable:
     if codebook is None:
         codebook = default_codebook()
     gender_map = codebook.get("gender", {})
     country_map = codebook.get("country", {})
 
-    fh = _open_text(stream)
     header_line = fh.readline()
     if not header_line:
         raise ParseError("empty input", line=1)

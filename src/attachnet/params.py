@@ -156,8 +156,6 @@ def write_model(dag: Dag, params: GaussianBnParams, buf=None) -> str:
 def read_model(source) -> tuple[Dag, GaussianBnParams]:
     if hasattr(source, "read"):
         payload = json.load(source)
-    elif isinstance(source, str) and source.lstrip().startswith("{"):
-        payload = json.loads(source)
     else:
         with open(source, encoding="utf-8") as fh:
             payload = json.load(fh)

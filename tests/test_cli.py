@@ -264,24 +264,36 @@ def test_compare_mwu_polarity(tmp_path, capsys):
     pytest.param(["compare", "mwu"], "item,value\n", "{path}: no data rows",
                  id="mwu-header-only"),
     pytest.param(["compare", "mwu"], "item,value\nQ01,1.5\nZZ,2.5\n",
-                 "{path} row 2: item 'ZZ' has no group", id="mwu-item-without-group"),
+                 "{path}: row 2: item 'ZZ' has no group", id="mwu-item-without-group"),
     pytest.param(["compare", "mwu"], "item,value\nQ01,1.5\nQ02,abc\n",
-                 "{path} row 2: 'abc' is not a number", id="mwu-non-numeric"),
+                 "{path}: row 2: 'abc' is not a number", id="mwu-non-numeric"),
     pytest.param(["compare", "mwu"], "name,value\nQ01,1.5\n", "{path}: no item column",
                  id="mwu-no-item-column"),
+    pytest.param(["compare", "mwu"], "item,value\nQ01,1.5\nQ02\n",
+                 "{path}: row 2: expected 2 fields, got 1", id="mwu-short-row"),
+    pytest.param(["compare", "mwu"], "item,value\nQ01,1.5,7\n",
+                 "{path}: row 1: expected 2 fields, got 3", id="mwu-long-row"),
     pytest.param(["compare", "ellipse"], "x,y\n", "{path}: no data rows",
                  id="ellipse-header-only"),
     pytest.param(["compare", "ellipse"], "x,y\n1,2\n3,oops\n4,5\n",
-                 "{path} row 2: 'oops' is not a number", id="ellipse-non-numeric"),
+                 "{path}: row 2: 'oops' is not a number", id="ellipse-non-numeric"),
     pytest.param(["compare", "ellipse"], "x\n1\n2\n3\n", "{path}: expected at least 2 columns",
                  id="ellipse-one-column"),
+    pytest.param(["compare", "ellipse"], "x,y\n1,2\n3,4\n5\n",
+                 "{path}: row 3: expected 2 fields, got 1", id="ellipse-short-row"),
     pytest.param(["compare", "pca"], "item,f1,f2\nQ01,0.5,0.1\nQ02,bad,0.2\n",
-                 "{path}: row 2: non-numeric loading for 'Q02'", id="pca-non-numeric"),
+                 "{path}: row 2: 'bad' is not a number", id="pca-non-numeric"),
+    pytest.param(["compare", "pca"], "item,f1,f2\nQ01,0.5,0.1\nQ02,0.2\n",
+                 "{path}: row 2: expected 3 fields, got 2", id="pca-short-row"),
     pytest.param(["compare", "kmeans", "-k", "2"],
                  "item,f1,f2\nQ01,0.5,0.1\nQ02,0.4,x\nQ03,0.1,0.2\n",
-                 "{path}: row 2: non-numeric loading for 'Q02'", id="kmeans-non-numeric"),
+                 "{path}: row 2: 'x' is not a number", id="kmeans-non-numeric"),
     pytest.param(["compare", "edges", "fixture"], "item_a,item_b,weight\nQ01,Q02,abc\n",
-                 "{path} row 1: 'abc' is not a number", id="edges-non-numeric"),
+                 "{path}: row 1: 'abc' is not a number", id="edges-non-numeric"),
+    pytest.param(["compare", "edges", "fixture"], "item_a,item_b,weight\nQ01,Q02\n",
+                 "{path}: row 1: expected 3 fields, got 2", id="edges-short-row"),
+    pytest.param(["compare", "edges", "fixture"], "item_a,item_b,weight\nQ01,Q01,0.5\n",
+                 "{path}: row 1: degenerate pair 'Q01', 'Q01'", id="edges-degenerate-pair"),
 ])
 def test_compare_bad_input_exits_2(tmp_path, capsys, command, text, message):
     path = tmp_path / "input.csv"
@@ -290,25 +302,32 @@ def test_compare_bad_input_exits_2(tmp_path, capsys, command, text, message):
     assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
 
 
-@pytest.mark.parametrize("argv,text,column", [
-    pytest.param(["compare", "pca", "{path}"], "name,f1\nQ01,0.5\n", "item", id="factor-table"),
+@pytest.mark.parametrize("argv,text,message", [
+    pytest.param(["compare", "pca", "{path}"], "name,f1\nQ01,0.5\n", "no item column",
+                 id="factor-table"),
     pytest.param(["analyze", "--fixture", "--clusters", "{path}"], "node,label\nQ01,C1\n",
-                 "cluster", id="partition"),
-    pytest.param(["fit", "{survey}", "--dag", "{path}"], "source,to\nQ01,Q02\n", "from",
+                 "no cluster column", id="partition"),
+    pytest.param(["analyze", "--fixture", "--clusters", "{path}"], "node,cluster\nQ01,C1\nQ02\n",
+                 "row 2: expected 2 fields, got 1", id="partition-short-row"),
+    pytest.param(["fit", "{survey}", "--dag", "{path}"], "source,to\nQ01,Q02\n", "no from column",
                  id="arc-list"),
+    pytest.param(["fit", "{survey}", "--dag", "{path}"], "from,to\nQ01,Q02\nQ03\n",
+                 "row 2: expected 2 fields, got 1", id="arc-list-short-row"),
     pytest.param(["compare", "mwu", "{values}", "--groups", "{path}"], "item,label\nQ01,a\n",
-                 "group", id="mwu-groups"),
+                 "no group column", id="mwu-groups"),
+    pytest.param(["compare", "mwu", "{values}", "--groups", "{path}"], "item,group\nQ01\n",
+                 "row 1: expected 2 fields, got 1", id="mwu-groups-short-row"),
     pytest.param(["compare", "edges", "{path}", "external"], "a,b,weight\nQ01,Q02,0.5\n",
-                 "item_a", id="edge-weights"),
+                 "no item_a column", id="edge-weights"),
 ])
-def test_csv_without_expected_column_exits_2(tmp_path, capsys, argv, text, column):
+def test_csv_without_expected_column_exits_2(tmp_path, capsys, argv, text, message):
     path = tmp_path / "input.csv"
     path.write_text(text)
     values = tmp_path / "values.csv"
     values.write_text("item,value\nQ01,1.5\n")
     names = {"path": path, "survey": survey_csv(tmp_path), "values": values}
     assert main([arg.format(**names) for arg in argv]) == 2
-    assert capsys.readouterr().err == f"error: {path}: no {column} column\n"
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
 def test_compare_ellipse_angle_just_below_180_prints_0(tmp_path, capsys):

@@ -56,6 +56,11 @@ def test_arc_csv_round_trip():
     assert again == dag
 
 
+def test_arc_csv_short_row_is_a_validation_error():
+    with pytest.raises(ValidationError, match="row 2: expected 2 fields, got 1"):
+        Dag.from_arc_csv(io.StringIO("from,to\nQ01,Q02\nQ03\n"))
+
+
 def test_adjacency_round_trip():
     dag = Dag(("a", "b", "c"), {("a", "c"), ("b", "c")})
     assert Dag.from_adjacency(dag.nodes, dag.adjacency_matrix()) == dag

@@ -52,7 +52,8 @@ def test_fit_fixture_model_byte_identical(tmp_path, capsys):
     the parse of a canonical CSV without depending on the BLAS build)."""
     model = tmp_path / "model.json"
     assert main(["fit", str(GOLDEN / "cohort.csv"), "--fixture", "-o", str(model)]) == 0
-    table = reference_ingest.parse_responses(str(GOLDEN / "cohort.csv"))
+    with open(GOLDEN / "cohort.csv", encoding="utf-8", newline="") as fh:
+        table = reference_ingest.parse_responses(fh)
     table = filter_cohort(table, CohortFilter(require_complete=True))
     dag, _ = fixtures.load_fixture_model()
     assert model.read_text(encoding="utf-8") == write_model(dag, fit_mle(dag, table))

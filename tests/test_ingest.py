@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import gc
 import io
 from unittest import mock
 
@@ -78,6 +80,34 @@ def test_duplicate_item_headers_are_fatal():
         parse_responses(b"Q1,Q2,Q01\n1,2,3\n")
     assert err.value.line == 1
     assert "'Q1' and 'Q01'" in str(err.value)
+
+
+@pytest.mark.parametrize("text,outcome", [
+    ("Q1,Q2\n1,2\n", contextlib.nullcontext()),
+    ("age\n30\n", pytest.raises(ParseError)),
+], ids=["parsed", "parse-error"])
+def test_file_opened_from_path_is_closed(tmp_path, monkeypatch, text, outcome):
+    path = tmp_path / "survey.csv"
+    path.write_text(text)
+    opened = []
+
+    def spy_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(ingest_module, "open", spy_open, raising=False)
+    with outcome:
+        parse_responses(path, codebook={})
+    assert [fh.closed for fh in opened] == [True]
+
+
+def test_caller_streams_stay_open():
+    binary = io.BytesIO(b"Q1,Q2\n1,2\n")
+    text = io.StringIO("Q1,Q2\n1,2\n")
+    parse_responses(binary)
+    parse_responses(text)
+    gc.collect()  # a dropped TextIOWrapper closes the stream it wraps
+    assert not binary.closed and not text.closed
 
 
 @pytest.mark.parametrize("raw,line,message", [
