@@ -21,10 +21,13 @@ against the per-cell versions in ``tests/reference_ingest.py``; the script
 fails on any difference in the parsed table or the written bytes.
 
 The analysis rows time ``kmeans_best_seed(k=2)`` over seeds 1:4000 on the four
-bundled factor tables, and the 1,260 ordered item-pair queries on the bundled
-model (``total_influence`` plus ``top_paths(k=2)``), against the seed-at-a-time
-sweep and the arc-scanning queries in ``tests/reference_analysis.py``; the
-script fails unless every result is identical.
+bundled factor tables, the 1,260 ordered item-pair queries on the bundled
+model (``total_influence`` plus ``top_paths(k=2)``) and the Mann-Whitney
+exact null counts, against the seed-at-a-time sweep, the arc-scanning
+every-node queries and the recursive counts in ``tests/reference_analysis.py``;
+the script fails unless every result is identical.  The k-means sweep is
+timed twice: its first call draws each table shape's starts, and later calls
+find them in the start memo.
 
     PYTHONPATH=src python benchmarks/bench_kernels.py --nodes 36 --rows 1000 --repeats 3
 """
@@ -232,18 +235,25 @@ def bench_analysis(repeats: int) -> None:
     def sweep(module):
         return [module.kmeans_best_seed(table, k=2, seed_range=(1, 4000)) for table in tables]
 
-    t_new, results = time_fn(sweep, compare, repeats=repeats)
-    t_ref, ref_results = time_fn(sweep, reference_analysis, repeats=ref_repeats)
-    for got, expected in zip(results, ref_results):
-        if not (
+    def same_clusters(results, ref_results):
+        return all(
             got.assignment == expected.assignment
             and got.centers.tobytes() == expected.centers.tobytes()
             and got.total_within_ss.hex() == expected.total_within_ss.hex()
             and got.best_seed == expected.best_seed
-        ):
-            sys.exit("error: kmeans_best_seed and its reference disagree")
-    print(f"{'k-means (4 x 4000)':<22} {t_new * 1e3:>10.2f}ms {t_ref * 1e3:>10.2f}ms {t_ref / t_new:>8.1f}x"
-          f"   {len(tables) * 4000} Lloyd runs (identical)")
+            for got, expected in zip(results, ref_results)
+        )
+
+    compare._distinct_starts.cache_clear()
+    t_first, first = time_fn(sweep, compare, repeats=1)
+    t_new, results = time_fn(sweep, compare, repeats=repeats)
+    t_ref, ref_results = time_fn(sweep, reference_analysis, repeats=ref_repeats)
+    if not (same_clusters(first, ref_results) and same_clusters(results, ref_results)):
+        sys.exit("error: kmeans_best_seed and its reference disagree")
+    runs = sum(len(compare._distinct_starts(len(table.items), 2, 1, 4000)[0]) for table in tables)
+    for label, t in (("k-means first call", t_first), ("k-means warm", t_new)):
+        print(f"{label:<22} {t * 1e3:>10.2f}ms {t_ref * 1e3:>10.2f}ms {t_ref / t:>8.1f}x"
+              f"   4 tables x 4000 seeds, {runs} Lloyd runs (identical)")
 
     dag, params = fixtures.load_fixture_model()
     pairs = [(s, t) for s in dag.nodes for t in dag.nodes if s != t]
@@ -270,6 +280,18 @@ def bench_analysis(repeats: int) -> None:
         sys.exit("error: the influence queries and their reference disagree")
     print(f"{'influence (1260 pairs)':<22} {t_new * 1e3:>10.2f}ms {t_ref * 1e3:>10.2f}ms {t_ref / t_new:>8.1f}x"
           f"   total_influence + top_paths(k=2) (identical)")
+
+    sizes = [(10, 26), (18, 18), (20, 20)]  # the polarity split and the largest square ones
+
+    def u_counts(module):
+        return [module._exact_u_counts(a, b) for a, b in sizes]
+
+    t_new, counts = time_fn(u_counts, compare, repeats=repeats)
+    t_ref, ref_counts = time_fn(u_counts, reference_analysis, repeats=ref_repeats)
+    if counts != ref_counts:
+        sys.exit("error: the Mann-Whitney exact counts and their reference disagree")
+    print(f"{'Mann-Whitney counts':<22} {t_new * 1e3:>10.2f}ms {t_ref * 1e3:>10.2f}ms {t_ref / t_new:>8.1f}x"
+          f"   {', '.join(f'{a}x{b}' for a, b in sizes)} (identical)")
 
 
 if __name__ == "__main__":

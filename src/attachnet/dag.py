@@ -20,6 +20,7 @@ class Dag:
     _order: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _parents: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
     _children: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
+    _descendants: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
 
     def __init__(self, nodes, arcs):
         object.__setattr__(self, "nodes", tuple(nodes))
@@ -41,6 +42,14 @@ class Dag:
         object.__setattr__(self, "_parents", {n: tuple(sorted(p)) for n, p in parents.items()})
         object.__setattr__(self, "_children", {n: tuple(sorted(c)) for n, c in children.items()})
         object.__setattr__(self, "_order", self._toposort())
+        # children before parents, so each node unites finished sets
+        descendants: dict[str, frozenset[str]] = {}
+        for n in reversed(self._order):
+            below = set(self._children[n])
+            for ch in self._children[n]:
+                below |= descendants[ch]
+            descendants[n] = frozenset(below)
+        object.__setattr__(self, "_descendants", descendants)
 
     def _toposort(self) -> tuple[str, ...]:
         indeg = {n: len(p) for n, p in self._parents.items()}
@@ -73,6 +82,11 @@ class Dag:
     def children(self, node: str) -> tuple[str, ...]:
         """Sorted children of ``node`` (empty for a node not in the graph)."""
         return self._children.get(node, ())
+
+    def descendants(self, node: str) -> frozenset[str]:
+        """Nodes reachable from ``node`` by a directed path, ``node`` itself
+        excluded (empty for a node not in the graph)."""
+        return self._descendants.get(node, frozenset())
 
     def in_degree(self, node: str) -> int:
         return len(self.parents(node))

@@ -10,6 +10,7 @@ comparison suite.
 """
 from __future__ import annotations
 
+import math
 from importlib import resources
 
 from ._csv import load_csv, number, read_rows
@@ -42,8 +43,8 @@ def load_fixture_model(path=None) -> tuple[Dag, GaussianBnParams]:
         nodes_file = f"{path}/fixture_nodes.csv"
         arcs_file = f"{path}/fixture_arcs.csv"
 
-    node_rows = load_csv(nodes_file, read_rows, ("item", "intercept", "stddev"))
-    arc_rows = load_csv(arcs_file, read_rows, ("from", "to", "coefficient"))
+    node_rows = load_csv(nodes_file, _node_rows)
+    arc_rows = load_csv(arcs_file, _arc_rows)
     if len(node_rows) != EXPECTED_NODES:
         raise FixtureError(
             f"expected {EXPECTED_NODES} node rows, found {len(node_rows)}"
@@ -51,14 +52,13 @@ def load_fixture_model(path=None) -> tuple[Dag, GaussianBnParams]:
     if len(arc_rows) != EXPECTED_ARCS:
         raise FixtureError(f"expected {EXPECTED_ARCS} arc rows, found {len(arc_rows)}")
 
-    nodes = tuple(r["item"] for r in node_rows)
-    intercept = {r["item"]: float(r["intercept"]) for r in node_rows}
-    residual_sd = {r["item"]: float(r["stddev"]) for r in node_rows}
+    nodes = tuple(item for item, _, _ in node_rows)
+    intercept = {item: value for item, value, _ in node_rows}
+    residual_sd = {item: sd for item, _, sd in node_rows}
 
     coefficients: dict[str, dict[str, float]] = {n: {} for n in nodes}
     seen = set()
-    for r in arc_rows:
-        u, v, c = r["from"], r["to"], float(r["coefficient"])
+    for u, v, c in arc_rows:
         if u not in coefficients or v not in coefficients:
             raise FixtureError(f"arc ({u}, {v}) references an unknown item")
         if (u, v) in seen:
@@ -74,6 +74,28 @@ def load_fixture_model(path=None) -> tuple[Dag, GaussianBnParams]:
         coefficients=coefficients,
     )
     return dag, params
+
+
+def _finite(text: str, row: int) -> float:
+    """``number(text, row)``, refusing ``nan`` and ``inf`` as ``read_model``
+    does."""
+    value = number(text, row)
+    if not math.isfinite(value):
+        raise ValidationError(f"row {row}: {text!r} is not a finite number")
+    return value
+
+
+def _node_rows(buf) -> list[tuple[str, float, float]]:
+    rows = read_rows(buf, ("item", "intercept", "stddev"))
+    return [
+        (r["item"], _finite(r["intercept"], row), _finite(r["stddev"], row))
+        for row, r in enumerate(rows, start=1)
+    ]
+
+
+def _arc_rows(buf) -> list[tuple[str, str, float]]:
+    rows = read_rows(buf, ("from", "to", "coefficient"))
+    return [(r["from"], r["to"], _finite(r["coefficient"], row)) for row, r in enumerate(rows, start=1)]
 
 
 def load_fixture_partition():

@@ -53,13 +53,28 @@ def _check_nodes(dag: Dag, *nodes: str) -> None:
             raise ValidationError(f"unknown node {node!r}")
 
 
+def _path_nodes(dag: Dag, source: str, target: str) -> list[str]:
+    """The nodes on directed paths source -> target in topological order,
+    source first and target last; empty when the target is not a descendant.
+
+    Every path query sweeps only these: any other node contributes nothing to
+    a node on a path.
+    """
+    below = dag.descendants(source)
+    if target not in below:
+        return []
+    return [
+        node
+        for node in dag.topological_order()
+        if node == source or node == target or (node in below and target in dag.descendants(node))
+    ]
+
+
 def count_paths(dag: Dag, source: str, target: str) -> int:
     """Number of directed paths source -> target (exact, via DP)."""
     _check_nodes(dag, source, target)
     counts = {source: 1}
-    for node in dag.topological_order():
-        if node == source:
-            continue
+    for node in _path_nodes(dag, source, target)[1:]:
         counts[node] = sum(counts.get(p, 0) for p in dag.parents(node))
     return counts.get(target, 0)
 
@@ -76,6 +91,9 @@ def _walk_paths(dag: Dag, source: str, target: str, cap: int, coefficient):
     _check_nodes(dag, source, target)
     if source == target:
         raise ValidationError("source and target must differ")
+    between = _path_nodes(dag, source, target)
+    if not between:
+        return []
     total = count_paths(dag, source, target)
     if total > cap:
         raise PathCountError(
@@ -83,16 +101,13 @@ def _walk_paths(dag: Dag, source: str, target: str, cap: int, coefficient):
             "use total_influence for the aggregate"
         )
     # restrict the walk to the (sorted) children that can still reach the target
-    onward: dict[str, tuple[str, ...]] = {target: ()}
-    for node in reversed(dag.topological_order()):
-        steps = tuple(ch for ch in dag.children(node) if ch in onward)
-        if steps:
-            onward[node] = steps
+    on_path = set(between)
+    onward = {node: tuple(ch for ch in dag.children(node) if ch in on_path) for node in between}
     # an explicit stack: a recursive closure is a reference cycle, which kept
     # each query's paths in memory until the next full garbage collection
     found: list[tuple[tuple[str, ...], float]] = []
     path: list[str] = []
-    todo = [(0, source, 1.0)] if source in onward else []  # (depth, node, product)
+    todo = [(0, source, 1.0)]  # (depth, node, product)
     while todo:
         depth, node, product = todo.pop()
         del path[depth:]
@@ -130,18 +145,22 @@ def path_product(path, params: GaussianBnParams) -> float:
 def total_influence(dag: Dag, params: GaussianBnParams, source: str, target: str) -> float:
     """Derivative of the target with respect to the source.
 
-    Computed in one topological sweep: influence(source) = 1 and every other
-    node accumulates coefficient-weighted influence from its parents.  Equal
-    to the sum of path products over all directed paths; zero when the target
-    is not a descendant.
+    Computed in one topological sweep over the nodes on source -> target
+    paths: influence(source) = 1 and every other node accumulates
+    coefficient-weighted influence from its parents.  Equal to the sum of
+    path products over all directed paths; zero when the target is not a
+    descendant.
+
+    A sweep over every node gives the same bits: a parent of a node on those
+    paths is on them too, or is no descendant of the source and so, with
+    finite coefficients, holds +0.0 there, which is what a parent missing
+    from ``influence`` reads as here.
     """
     _check_nodes(dag, source, target)
     if source == target:
         return 1.0
     influence = {source: 1.0}
-    for node in dag.topological_order():
-        if node == source:
-            continue
+    for node in _path_nodes(dag, source, target)[1:]:
         influence[node] = sum(
             (params.coefficient(p, node) * influence.get(p, 0.0) for p in dag.parents(node)),
             0.0,

@@ -7,6 +7,7 @@ ML (denominator n) convention unless ``unbiased`` is requested.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -153,22 +154,33 @@ def write_model(dag: Dag, params: GaussianBnParams, buf=None) -> str:
     return text
 
 
+def _finite(value) -> float:
+    """``float(value)``, refusing NaN and the infinities that JSON lets through."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{value!r} is not a finite number")
+    return number
+
+
 def read_model(source) -> tuple[Dag, GaussianBnParams]:
-    if hasattr(source, "read"):
-        payload = json.load(source)
-    else:
-        with open(source, encoding="utf-8") as fh:
-            payload = json.load(fh)
+    """The DAG and parameters of a model JSON file (or open text stream);
+    ValidationError for text that is not JSON, a missing field, or a number
+    that does not parse or is not finite."""
     try:
+        if hasattr(source, "read"):
+            payload = json.load(source)
+        else:
+            with open(source, encoding="utf-8") as fh:
+                payload = json.load(fh)
         entries = payload["nodes"]
         nodes = tuple(e["name"] for e in entries)
-        intercept = {e["name"]: float(e["intercept"]) for e in entries}
-        residual_sd = {e["name"]: float(e["residual_sd"]) for e in entries}
+        intercept = {e["name"]: _finite(e["intercept"]) for e in entries}
+        residual_sd = {e["name"]: _finite(e["residual_sd"]) for e in entries}
         coefficients = {
-            e["name"]: {p["name"]: float(p["coeff"]) for p in e.get("parents", [])}
+            e["name"]: {p["name"]: _finite(p["coeff"]) for p in e.get("parents", [])}
             for e in entries
         }
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise ValidationError(f"malformed model JSON: {exc}") from exc
     arcs = {
         (parent, child)

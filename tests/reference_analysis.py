@@ -1,13 +1,16 @@
-"""Reference analysis: the k-means sweep and path queries attachnet used to run.
+"""Reference analysis: the k-means sweep, path queries and Mann-Whitney
+counts attachnet used to run.
 
 ``kmeans_best_seed`` runs one Lloyd clustering per seed (``_lloyd``), and the
 path queries read a node's parents and children by scanning every arc of the
-DAG and sorting the result.  ``top_paths`` ranks the paths that
-``enumerate_paths`` lists by their ``path_product``.  These bodies are kept
-unchanged as the slow oracle that ``test_analysis_oracle.py`` and
-``benchmarks/bench_kernels.py`` compare the seed-batched sweep and the cached
-adjacency of ``attachnet.compare``, ``attachnet.dag`` and
-``attachnet.influence`` against.
+DAG and sorting the result, and sweep every node of the graph.  ``top_paths``
+ranks the paths that ``enumerate_paths`` lists by their ``path_product``.
+``_exact_u_counts`` enumerates the Mann-Whitney null distribution by the
+memoised recursion ``_count_ways``.  These bodies are kept unchanged as the
+slow oracle that ``test_analysis_oracle.py`` and
+``benchmarks/bench_kernels.py`` compare the distinct-start sweep, the cached
+adjacency, the pruned path queries and the bottom-up counts of
+``attachnet.compare``, ``attachnet.dag`` and ``attachnet.influence`` against.
 """
 import numpy as np
 
@@ -176,3 +179,29 @@ def top_paths(dag, params, source: str, target: str, k: int, cap: int = DEFAULT_
     scored = [InfluencePath(nodes=p, product=path_product(p, params)) for p in paths]
     scored.sort(key=lambda ip: (-abs(ip.product), ip.nodes))
     return scored[:k]
+
+
+# -- Mann-Whitney exact null distribution ----------------------------------------
+
+
+def _exact_u_counts(n_a: int, n_b: int) -> list[int]:
+    """Number of rank arrangements per U value (tie-free case).
+
+    Classic recursion: ways(a, b, u) = ways(a-1, b, u-b) + ways(a, b-1, u).
+    """
+    ways: dict[tuple[int, int, int], int] = {}
+    return [_count_ways(n_a, n_b, u, ways) for u in range(n_a * n_b + 1)]
+
+
+def _count_ways(a: int, b: int, u: int, ways: dict) -> int:
+    # a module-level function, not a closure over ``ways``: a recursive
+    # closure is a reference cycle that kept the memo (megabytes at
+    # 18 x 18) in memory until the next full garbage collection
+    if u < 0 or u > a * b:
+        return 0
+    if a == 0 or b == 0:
+        return 1 if u == 0 else 0
+    key = (a, b, u)
+    if key not in ways:
+        ways[key] = _count_ways(a - 1, b, u - b, ways) + _count_ways(a, b - 1, u, ways)
+    return ways[key]

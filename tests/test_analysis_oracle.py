@@ -1,6 +1,7 @@
-"""The seed-batched k-means and the cached-adjacency path queries against
-``reference_analysis.py``, the seed-at-a-time and arc-scanning code they
-replace.  Results must be identical, bit for bit, not merely close."""
+"""The distinct-start k-means, the cached-adjacency pruned path queries and
+the bottom-up Mann-Whitney counts against ``reference_analysis.py``, the
+seed-at-a-time, arc-scanning, every-node and recursive code they replace.
+Results must be identical, bit for bit, not merely close."""
 import contextlib
 import gc
 import math
@@ -82,10 +83,13 @@ def test_kmeans_matches_reference(problem, block):
 @given(problem=factor_problems())
 def test_lloyd_sweep_matches_each_seed(problem):
     values, k, (lo, hi) = problem
+    seeds = range(lo, hi + 1)
+    starts = np.array([np.random.default_rng(seed).choice(len(values), size=k, replace=False)
+                       for seed in seeds])
     with seed_block(7):
-        runs = list(compare._lloyd_sweep(values, k, range(lo, hi + 1)))
-    assert [seed for seed, *_ in runs] == list(range(lo, hi + 1))
-    for seed, labels, centers, ss in runs:
+        runs = list(compare._lloyd_sweep(values, starts))
+    assert len(runs) == len(seeds)
+    for seed, (labels, centers, ss) in zip(seeds, runs):
         ref_labels, ref_centers, ref_ss = ref._lloyd(values, k, seed)
         assert same_bits(labels, ref_labels), seed
         assert same_bits(centers, ref_centers), seed
@@ -114,10 +118,44 @@ def test_kmeans_bundled_tables_match_reference(name):
                            ref.kmeans_best_seed(data, k, seed_range))
 
 
+@pytest.mark.parametrize("order", [("wei2007_avoidance", "wei2007_anxiety"),
+                                   ("wei2007_anxiety", "wei2007_avoidance")])
+def test_kmeans_start_memo_is_shared_and_read_only(order):
+    """Two 18-item tables share one memo entry; cold or warm, in either
+    order, each result equals the reference and nobody can write the starts."""
+    tables = {name: fixtures.load_factor_table(name) for name in order}
+    expected = {name: ref.kmeans_best_seed(table, 2) for name, table in tables.items()}
+    compare._distinct_starts.cache_clear()
+    for _ in ("cold", "warm"):
+        for name, table in tables.items():
+            assert_same_result(kmeans_best_seed(table, 2), expected[name])
+    info = compare._distinct_starts.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+    starts, seed_row = compare._distinct_starts(18, 2, 1, 4000)
+    assert starts.shape == (306, 2) and seed_row.shape == (4000,)
+    for array in (starts, seed_row):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+# -- Mann-Whitney exact counts ------------------------------------------------------
+
+
+def test_exact_u_counts_match_reference():
+    ways: dict = {}  # one memo for every (a, b): its keys carry a and b
+    for a in range(1, compare._EXACT_LIMIT + 1):
+        for b in range(1, compare._EXACT_LIMIT // a + 1):
+            expected = [ref._count_ways(a, b, u, ways) for u in range(a * b + 1)]
+            assert compare._exact_u_counts(a, b) == expected, (a, b)
+    for a, b in [(1, 1), (3, 7), (10, 26), (18, 18), (20, 20)]:
+        assert compare._exact_u_counts(a, b) == ref._exact_u_counts(a, b)
+
+
 # -- DAG adjacency and path queries ----------------------------------------------------
 
-# equal magnitudes of both signs make equal-|product| ties between paths
-COEFFICIENTS = st.sampled_from([0.5, -0.5, 0.25, -0.25, 1.0, -1.0, 2.0, -0.3, 0.7])
+# equal magnitudes of both signs make equal-|product| ties between paths; the
+# signed zeros make paths whose product is -0.0
+COEFFICIENTS = st.sampled_from([0.5, -0.5, 0.25, -0.25, 1.0, -1.0, 2.0, -0.3, 0.7, 0.0, -0.0])
 
 
 @st.composite
@@ -142,6 +180,8 @@ def test_path_queries_match_reference(model, k):
         assert dag.children(node) == ref.children(dag, node)
         assert dag.in_degree(node) == ref.in_degree(dag, node)
         assert dag.out_degree(node) == ref.out_degree(dag, node)
+        assert dag.descendants(node) == {t for t in dag.nodes
+                                         if t != node and ref.count_paths(dag, node, t)}
     for source in dag.nodes:
         for target in dag.nodes:
             # the reference returns the int 0 when the target has no parents
@@ -194,3 +234,4 @@ def test_unknown_node_has_no_adjacency(fixture_model):
     dag, _ = fixture_model
     assert dag.parents("QXX") == dag.children("QXX") == ()
     assert dag.in_degree("QXX") == dag.out_degree("QXX") == 0
+    assert dag.descendants("QXX") == frozenset()

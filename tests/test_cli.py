@@ -204,6 +204,37 @@ def test_analyze_requires_model():
     assert main(["analyze"]) == 2
 
 
+MODEL_JSON = (
+    '{"nodes": [{"name": "a", "intercept": 0.5, "residual_sd": 1.0, "parents": []},'
+    ' {"name": "b", "intercept": 0.0, "residual_sd": 1.0,'
+    ' "parents": [{"name": "a", "coeff": 0.5}]}]}'
+)
+
+
+@pytest.mark.parametrize("text,message", [
+    pytest.param('{"nodes": [', "Expecting value: line 1 column 12 (char 11)", id="truncated"),
+    pytest.param(MODEL_JSON.replace("0.5,", '"abc",'),
+                 "could not convert string to float: 'abc'", id="non-numeric-intercept"),
+    pytest.param(MODEL_JSON.replace("0.5,", "NaN,"), "nan is not a finite number",
+                 id="nan-intercept"),
+    pytest.param(MODEL_JSON.replace('"residual_sd": 1.0, "parents": [{', '"residual_sd": Infinity,'
+                                    ' "parents": [{'),
+                 "inf is not a finite number", id="infinite-residual-sd"),
+    pytest.param(MODEL_JSON.replace('"coeff": 0.5', '"coeff": -Infinity'),
+                 "-inf is not a finite number", id="infinite-coeff"),
+    pytest.param(MODEL_JSON.replace('"coeff": 0.5', '"coeff": NaN'), "nan is not a finite number",
+                 id="nan-coeff"),
+])
+def test_analyze_bad_model_json_exits_2(tmp_path, capsys, text, message):
+    model = tmp_path / "model.json"
+    model.write_text(MODEL_JSON)
+    assert main(["analyze", str(model), "--out-dir", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    model.write_text(text)
+    assert main(["analyze", str(model)]) == 2
+    assert capsys.readouterr().err == f"error: malformed model JSON: {message}\n"
+
+
 def test_influence_identity(capsys):
     assert main(["influence", "--fixture", "--from", "Q05", "--to", "Q05"]) == 0
     assert "1.0000" in capsys.readouterr().out

@@ -1,9 +1,11 @@
 import io
 import math
+import shutil
 
 import numpy as np
 import pytest
 
+from attachnet import fixtures
 from attachnet.dag import Dag
 from attachnet.errors import FixtureError, ValidationError
 from attachnet.fixtures import load_fixture_model, load_polarity
@@ -197,6 +199,29 @@ def test_fixture_loader_rejects_bad_row_counts(tmp_path):
     (tmp_path / "fixture_arcs.csv").write_text("\n".join(arcs_csv) + "\n")
     with pytest.raises(FixtureError):
         load_fixture_model(str(tmp_path))
+
+
+@pytest.mark.parametrize("table,column,cell,message", [
+    pytest.param("fixture_nodes.csv", "intercept", "oops", "row 4: 'oops' is not a number",
+                 id="non-numeric-intercept"),
+    pytest.param("fixture_nodes.csv", "stddev", "inf", "row 4: 'inf' is not a finite number",
+                 id="infinite-stddev"),
+    pytest.param("fixture_arcs.csv", "coefficient", "nan", "row 4: 'nan' is not a finite number",
+                 id="nan-coefficient"),
+])
+def test_fixture_loader_rejects_bad_numbers(tmp_path, table, column, cell, message):
+    for name in ("fixture_nodes.csv", "fixture_arcs.csv"):
+        shutil.copy(fixtures.data_path(name), tmp_path / name)
+    path = tmp_path / table
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    cells = lines[4].split(",")
+    cells[header.index(column)] = cell
+    lines[4] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError) as caught:
+        load_fixture_model(str(tmp_path))
+    assert str(caught.value) == f"{path}: {message}"
 
 
 def test_polarity_table_matches_reference_split():
