@@ -26,8 +26,7 @@ model (``total_influence`` plus ``top_paths(k=2)``) and the Mann-Whitney
 exact null counts, against the seed-at-a-time sweep, the arc-scanning
 every-node queries and the recursive counts in ``tests/reference_analysis.py``;
 the script fails unless every result is identical.  The k-means sweep is
-timed twice: its first call draws each table shape's starts, and later calls
-find them in the start memo.
+timed on its first call in the process and again once warm.
 
     PYTHONPATH=src python benchmarks/bench_kernels.py --nodes 36 --rows 1000 --repeats 3
 """
@@ -244,13 +243,17 @@ def bench_analysis(repeats: int) -> None:
             for got, expected in zip(results, ref_results)
         )
 
-    compare._distinct_starts.cache_clear()
     t_first, first = time_fn(sweep, compare, repeats=1)
     t_new, results = time_fn(sweep, compare, repeats=repeats)
     t_ref, ref_results = time_fn(sweep, reference_analysis, repeats=ref_repeats)
     if not (same_clusters(first, ref_results) and same_clusters(results, ref_results)):
         sys.exit("error: kmeans_best_seed and its reference disagree")
-    runs = sum(len(compare._distinct_starts(len(table.items), 2, 1, 4000)[0]) for table in tables)
+    # one run per distinct start, and one more for the winner's labels
+    runs = sum(
+        len({tuple(np.random.default_rng(seed).choice(len(table.items), 2, replace=False))
+             for seed in range(1, 4001)}) + 1
+        for table in tables
+    )
     for label, t in (("k-means first call", t_first), ("k-means warm", t_new)):
         print(f"{label:<22} {t * 1e3:>10.2f}ms {t_ref * 1e3:>10.2f}ms {t_ref / t:>8.1f}x"
               f"   4 tables x 4000 seeds, {runs} Lloyd runs (identical)")

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 
 from .errors import ValidationError
 
@@ -41,11 +42,16 @@ def read_rows(buf, columns=()) -> list[dict]:
 
 
 def number(text: str, row: int) -> float:
-    """``float(text)``; ValidationError names ``row`` if that fails."""
+    """``float(text)``; ValidationError names ``row`` if that fails or gives
+    nan or an infinity (``params.read_model`` holds model JSON numbers to the
+    same rule)."""
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ValidationError(f"row {row}: {text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ValidationError(f"row {row}: {text!r} is not a finite number")
+    return value
 
 
 def load_csv(path, load, *args):

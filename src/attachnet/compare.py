@@ -6,7 +6,6 @@ edge-set correlation between two weighted networks.
 """
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -68,27 +67,12 @@ class KMeansResult:
 # battery's peak RSS: 512 added about 0.8 MB for a few percent less time, and
 # 128 was slower for no less memory.
 _SEED_BLOCK = 256
-
-
-@functools.lru_cache(maxsize=8)
-def _distinct_starts(n: int, k: int, lo: int, hi: int):
-    """The start rows that seeds ``lo..hi`` draw, once each: ``(starts,
-    seed_row)``, where ``starts`` holds each distinct ``default_rng(seed)
-    .choice(n, k, replace=False)`` once, in sorted order, and ``seed_row[i]``
-    is the row that seed ``lo + i`` drew.
-
-    A draw depends on ``(n, k, seed)`` only, never on the data: seeds 1:4000
-    draw 306 distinct ordered pairs at n = 18 and 1,205 at n = 36.  Both
-    arrays are read-only because the memo hands the same ones to every caller
-    (about 37 kB at n = 18 and 51 kB at n = 36 for k = 2 and 4,000 seeds).
-    """
-    draws = np.array(
-        [np.random.default_rng(seed).choice(n, size=k, replace=False) for seed in range(lo, hi + 1)]
-    )
-    starts, seed_row = np.unique(draws, axis=0, return_inverse=True)
-    seed_row = seed_row.reshape(-1)
-    starts.flags.writeable = seed_row.flags.writeable = False
-    return starts, seed_row
+# Seeds whose starts one step of ``kmeans_best_seed`` draws together (the
+# default 1:4000 is one step), and the most distinct starts whose ``ss`` one
+# call keeps (every ordered pair and triple of 36 items fits); together they
+# bound a call's memory whatever its seed range.
+_DRAW_BLOCK = 4096
+_KNOWN_STARTS = 1 << 16
 
 
 def _lloyd_sweep(points: np.ndarray, starts: np.ndarray, max_iter: int = 300):
@@ -165,10 +149,14 @@ def kmeans_best_seed(data: FactorTable, k: int, seed_range=(1, 4000)) -> KMeansR
     """Best-of-many Lloyd clustering: lowest within-cluster sum of squares
     across the inclusive seed range, ties to the smaller seed.
 
-    Seeds that draw the same start share one Lloyd run: the sweep runs each
-    distinct start of ``_distinct_starts`` (memoised per ``(n, k, lo, hi)``)
-    once, then the seeds are replayed in order on their start's ``ss``, a
-    seed taking over only when it beats the best so far by more than 1e-12.
+    A seed's start, ``default_rng(seed).choice(n, k, replace=False)``,
+    depends on ``(n, k, seed)`` only, so seeds that draw the same start share
+    one Lloyd run: seeds 1:4000 draw 306 distinct ordered pairs of 18 items
+    and 1,205 of 36.  The seeds are drawn ``_DRAW_BLOCK`` at a time, the
+    block's starts not yet run are swept once each, and the block's seeds are
+    replayed in order on their start's ``ss``, a seed taking over only when
+    it beats the best so far by more than 1e-12.  The winning start is run
+    once more for its labels and centres.
     """
     n = len(data.items)
     if k > n:
@@ -178,17 +166,30 @@ def kmeans_best_seed(data: FactorTable, k: int, seed_range=(1, 4000)) -> KMeansR
     lo, hi = seed_range
     if not 0 <= lo <= hi:
         raise ValidationError(f"seed range must satisfy 0 <= lo <= hi, got {lo}:{hi}")
-    starts, seed_row = _distinct_starts(n, k, lo, hi)
-    runs = list(_lloyd_sweep(np.asarray(data.values, dtype=np.float64), starts))
-    rows = seed_row.tolist()
-    best_seed, best_row = lo, rows[0]
-    for seed, row in enumerate(rows, start=lo):
-        if runs[row][2] < runs[best_row][2] - 1e-12:
-            best_seed, best_row = seed, row
-    labels, centers, ss = runs[best_row]
+    points = np.asarray(data.values, dtype=np.float64)
+    known: dict[tuple, float] = {}  # ss of the starts run so far, up to _KNOWN_STARTS
+    best_seed = best_start = best_ss = None
+    for first in range(lo, hi + 1, _DRAW_BLOCK):
+        seeds = range(first, min(first + _DRAW_BLOCK, hi + 1))
+        draws = [
+            tuple(np.random.default_rng(seed).choice(n, size=k, replace=False).tolist())
+            for seed in seeds
+        ]
+        block_ss = {start: known.get(start) for start in draws}
+        fresh = [start for start, ss in block_ss.items() if ss is None]
+        if fresh:
+            for start, (_, _, ss) in zip(fresh, _lloyd_sweep(points, np.array(fresh))):
+                block_ss[start] = ss
+                if len(known) < _KNOWN_STARTS:
+                    known[start] = ss
+        for seed, start in zip(seeds, draws):
+            ss = block_ss[start]
+            if best_seed is None or ss < best_ss - 1e-12:
+                best_seed, best_start, best_ss = seed, start, ss
+    labels, centers, ss = next(_lloyd_sweep(points, np.array([best_start])))
     return KMeansResult(
         assignment={item: int(c) for item, c in zip(data.items, labels)},
-        centers=centers.copy(),
+        centers=centers,
         total_within_ss=ss,
         best_seed=best_seed,
     )

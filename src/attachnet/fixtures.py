@@ -10,7 +10,6 @@ comparison suite.
 """
 from __future__ import annotations
 
-import math
 from importlib import resources
 
 from ._csv import load_csv, number, read_rows
@@ -76,26 +75,17 @@ def load_fixture_model(path=None) -> tuple[Dag, GaussianBnParams]:
     return dag, params
 
 
-def _finite(text: str, row: int) -> float:
-    """``number(text, row)``, refusing ``nan`` and ``inf`` as ``read_model``
-    does."""
-    value = number(text, row)
-    if not math.isfinite(value):
-        raise ValidationError(f"row {row}: {text!r} is not a finite number")
-    return value
-
-
 def _node_rows(buf) -> list[tuple[str, float, float]]:
     rows = read_rows(buf, ("item", "intercept", "stddev"))
     return [
-        (r["item"], _finite(r["intercept"], row), _finite(r["stddev"], row))
+        (r["item"], number(r["intercept"], row), number(r["stddev"], row))
         for row, r in enumerate(rows, start=1)
     ]
 
 
 def _arc_rows(buf) -> list[tuple[str, str, float]]:
     rows = read_rows(buf, ("from", "to", "coefficient"))
-    return [(r["from"], r["to"], _finite(r["coefficient"], row)) for row, r in enumerate(rows, start=1)]
+    return [(r["from"], r["to"], number(r["coefficient"], row)) for row, r in enumerate(rows, start=1)]
 
 
 def load_fixture_partition():

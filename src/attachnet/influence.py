@@ -73,10 +73,19 @@ def _path_nodes(dag: Dag, source: str, target: str) -> list[str]:
 def count_paths(dag: Dag, source: str, target: str) -> int:
     """Number of directed paths source -> target (exact, via DP)."""
     _check_nodes(dag, source, target)
-    counts = {source: 1}
-    for node in _path_nodes(dag, source, target)[1:]:
+    if source == target:
+        return 1  # the path of no arcs
+    return _count_between(dag, _path_nodes(dag, source, target))
+
+
+def _count_between(dag: Dag, between: list[str]) -> int:
+    """The path count over ``_path_nodes``' list ``between``."""
+    if not between:
+        return 0
+    counts = {between[0]: 1}
+    for node in between[1:]:
         counts[node] = sum(counts.get(p, 0) for p in dag.parents(node))
-    return counts.get(target, 0)
+    return counts[between[-1]]
 
 
 def _walk_paths(dag: Dag, source: str, target: str, cap: int, coefficient):
@@ -94,7 +103,7 @@ def _walk_paths(dag: Dag, source: str, target: str, cap: int, coefficient):
     between = _path_nodes(dag, source, target)
     if not between:
         return []
-    total = count_paths(dag, source, target)
+    total = _count_between(dag, between)
     if total > cap:
         raise PathCountError(
             f"{total} paths from {source} to {target} exceeds cap {cap}; "

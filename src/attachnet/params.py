@@ -155,7 +155,8 @@ def write_model(dag: Dag, params: GaussianBnParams, buf=None) -> str:
 
 
 def _finite(value) -> float:
-    """``float(value)``, refusing NaN and the infinities that JSON lets through."""
+    """``float(value)``, refusing NaN and the infinities that JSON lets
+    through: the rule ``_csv.number`` applies to CSV cells."""
     number = float(value)
     if not math.isfinite(number):
         raise ValueError(f"{value!r} is not a finite number")

@@ -5,6 +5,7 @@ Results must be identical, bit for bit, not merely close."""
 import contextlib
 import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,12 +41,19 @@ def assert_same_result(got, expected):
 
 
 @contextlib.contextmanager
-def seed_block(size):
-    old, compare._SEED_BLOCK = compare._SEED_BLOCK, size
+def blocks(seed=None, draw=None, known=None):
+    """Run with smaller Lloyd blocks, draw blocks or a smaller cap on the
+    starts whose ss one call keeps."""
+    names = {"_SEED_BLOCK": seed, "_DRAW_BLOCK": draw, "_KNOWN_STARTS": known}
+    old = {name: getattr(compare, name) for name in names}
     try:
+        for name, value in names.items():
+            if value is not None:
+                setattr(compare, name, value)
         yield
     finally:
-        compare._SEED_BLOCK = old
+        for name, value in old.items():
+            setattr(compare, name, value)
 
 
 # small grids give duplicate points, equidistant centres (argmin ties) and,
@@ -70,11 +78,15 @@ def factor_problems(draw):
 
 
 @settings(max_examples=150, deadline=None, database=None, derandomize=True)
-@given(problem=factor_problems(), block=st.sampled_from([1, 2, 3, 7, compare._SEED_BLOCK]))
-def test_kmeans_matches_reference(problem, block):
+@given(problem=factor_problems(), block=st.sampled_from([1, 2, 3, 7, compare._SEED_BLOCK]),
+       draw=st.sampled_from([1, 4, 9, compare._DRAW_BLOCK]),
+       known=st.sampled_from([0, 2, compare._KNOWN_STARTS]))
+def test_kmeans_matches_reference(problem, block, draw, known):
     values, k, seed_range = problem
     data = FactorTable(items=tuple(f"i{j}" for j in range(len(values))), values=values)
-    with seed_block(block):  # small blocks put block edges inside the seed range
+    # small blocks put block edges inside the seed range; a small cap makes
+    # later draw blocks run again starts an earlier block ran
+    with blocks(seed=block, draw=draw, known=known):
         got = kmeans_best_seed(data, k, seed_range)
     assert_same_result(got, ref.kmeans_best_seed(data, k, seed_range))
 
@@ -86,7 +98,7 @@ def test_lloyd_sweep_matches_each_seed(problem):
     seeds = range(lo, hi + 1)
     starts = np.array([np.random.default_rng(seed).choice(len(values), size=k, replace=False)
                        for seed in seeds])
-    with seed_block(7):
+    with blocks(seed=7):
         runs = list(compare._lloyd_sweep(values, starts))
     assert len(runs) == len(seeds)
     for seed, (labels, centers, ss) in zip(seeds, runs):
@@ -120,22 +132,36 @@ def test_kmeans_bundled_tables_match_reference(name):
 
 @pytest.mark.parametrize("order", [("wei2007_avoidance", "wei2007_anxiety"),
                                    ("wei2007_anxiety", "wei2007_avoidance")])
-def test_kmeans_start_memo_is_shared_and_read_only(order):
-    """Two 18-item tables share one memo entry; cold or warm, in either
-    order, each result equals the reference and nobody can write the starts."""
+def test_kmeans_same_shape_tables_in_either_order(order):
+    """Two 18-item tables draw the same starts; called in either order, and
+    each twice, every result equals the reference: nothing carries over from
+    one call to the next."""
     tables = {name: fixtures.load_factor_table(name) for name in order}
     expected = {name: ref.kmeans_best_seed(table, 2) for name, table in tables.items()}
-    compare._distinct_starts.cache_clear()
-    for _ in ("cold", "warm"):
+    for _ in range(2):
         for name, table in tables.items():
             assert_same_result(kmeans_best_seed(table, 2), expected[name])
-    info = compare._distinct_starts.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
-    starts, seed_row = compare._distinct_starts(18, 2, 1, 4000)
-    assert starts.shape == (306, 2) and seed_row.shape == (4000,)
-    for array in (starts, seed_row):
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = 0
+
+
+def test_kmeans_memory_does_not_grow_with_the_seed_range():
+    """With almost every seed drawing its own start (k = 4 of 12 items), a
+    call's peak allocation stays put as the seed range grows eightfold."""
+    data = FactorTable(items=tuple(f"i{j}" for j in range(12)),
+                       values=np.random.default_rng(5).normal(size=(12, 3)))
+
+    def peak(hi):
+        tracemalloc.start()
+        try:
+            result = kmeans_best_seed(data, 4, (1, hi))
+            return tracemalloc.get_traced_memory()[1], result
+        finally:
+            tracemalloc.stop()
+
+    with blocks(draw=256, known=256):
+        small, _ = peak(1024)
+        large, result = peak(8192)
+    assert large < 1.25 * small, (small, large)
+    assert_same_result(result, kmeans_best_seed(data, 4, (1, 8192)))
 
 
 # -- Mann-Whitney exact counts ------------------------------------------------------
@@ -187,9 +213,9 @@ def test_path_queries_match_reference(model, k):
             # the reference returns the int 0 when the target has no parents
             assert same_bits(total_influence(dag, params, source, target),
                              float(ref.total_influence(dag, params, source, target)))
+            assert count_paths(dag, source, target) == ref.count_paths(dag, source, target)
             if source == target:
                 continue
-            assert count_paths(dag, source, target) == ref.count_paths(dag, source, target)
             assert enumerate_paths(dag, source, target) == ref.enumerate_paths(dag, source, target)
             got = top_paths(dag, params, source, target, k)
             assert got == ref.top_paths(dag, params, source, target, k)

@@ -304,6 +304,8 @@ def test_compare_mwu_polarity(tmp_path, capsys):
                  "{path}: row 2: expected 2 fields, got 1", id="mwu-short-row"),
     pytest.param(["compare", "mwu"], "item,value\nQ01,1.5,7\n",
                  "{path}: row 1: expected 2 fields, got 3", id="mwu-long-row"),
+    pytest.param(["compare", "mwu"], "item,value\nQ01,1.5\nQ02,nan\n",
+                 "{path}: row 2: 'nan' is not a finite number", id="mwu-nan"),
     pytest.param(["compare", "ellipse"], "x,y\n", "{path}: no data rows",
                  id="ellipse-header-only"),
     pytest.param(["compare", "ellipse"], "x,y\n1,2\n3,oops\n4,5\n",
@@ -312,6 +314,8 @@ def test_compare_mwu_polarity(tmp_path, capsys):
                  id="ellipse-one-column"),
     pytest.param(["compare", "ellipse"], "x,y\n1,2\n3,4\n5\n",
                  "{path}: row 3: expected 2 fields, got 1", id="ellipse-short-row"),
+    pytest.param(["compare", "ellipse"], "x,y\n1,2\n3,-inf\n4,5\n",
+                 "{path}: row 2: '-inf' is not a finite number", id="ellipse-infinite"),
     pytest.param(["compare", "pca"], "item,f1,f2\nQ01,0.5,0.1\nQ02,bad,0.2\n",
                  "{path}: row 2: 'bad' is not a number", id="pca-non-numeric"),
     pytest.param(["compare", "pca"], "item,f1,f2\nQ01,0.5,0.1\nQ02,0.2\n",
@@ -319,8 +323,13 @@ def test_compare_mwu_polarity(tmp_path, capsys):
     pytest.param(["compare", "kmeans", "-k", "2"],
                  "item,f1,f2\nQ01,0.5,0.1\nQ02,0.4,x\nQ03,0.1,0.2\n",
                  "{path}: row 2: 'x' is not a number", id="kmeans-non-numeric"),
+    pytest.param(["compare", "kmeans", "-k", "2"],
+                 "item,f1,f2\nQ01,0.5,0.1\nQ02,0.4,NaN\nQ03,0.1,0.2\n",
+                 "{path}: row 2: 'NaN' is not a finite number", id="kmeans-nan"),
     pytest.param(["compare", "edges", "fixture"], "item_a,item_b,weight\nQ01,Q02,abc\n",
                  "{path}: row 1: 'abc' is not a number", id="edges-non-numeric"),
+    pytest.param(["compare", "edges", "fixture"], "item_a,item_b,weight\nQ01,Q02,inf\n",
+                 "{path}: row 1: 'inf' is not a finite number", id="edges-infinite"),
     pytest.param(["compare", "edges", "fixture"], "item_a,item_b,weight\nQ01,Q02\n",
                  "{path}: row 1: expected 3 fields, got 2", id="edges-short-row"),
     pytest.param(["compare", "edges", "fixture"], "item_a,item_b,weight\nQ01,Q01,0.5\n",
