@@ -67,12 +67,10 @@ class KMeansResult:
 # battery's peak RSS: 512 added about 0.8 MB for a few percent less time, and
 # 128 was slower for no less memory.
 _SEED_BLOCK = 256
-# Seeds whose starts one step of ``kmeans_best_seed`` draws together (the
-# default 1:4000 is one step), and the most distinct starts whose ``ss`` one
-# call keeps (every ordered pair and triple of 36 items fits); together they
-# bound a call's memory whatever its seed range.
+# Seeds whose starts ``kmeans_best_seed`` draws and runs as one block: the
+# default 1:4000 is one block, and a wider range runs again in each block the
+# starts an earlier block ran, so a call's memory does not grow with it.
 _DRAW_BLOCK = 4096
-_KNOWN_STARTS = 1 << 16
 
 
 def _lloyd_sweep(points: np.ndarray, starts: np.ndarray, max_iter: int = 300):
@@ -152,8 +150,8 @@ def kmeans_best_seed(data: FactorTable, k: int, seed_range=(1, 4000)) -> KMeansR
     A seed's start, ``default_rng(seed).choice(n, k, replace=False)``,
     depends on ``(n, k, seed)`` only, so seeds that draw the same start share
     one Lloyd run: seeds 1:4000 draw 306 distinct ordered pairs of 18 items
-    and 1,205 of 36.  The seeds are drawn ``_DRAW_BLOCK`` at a time, the
-    block's starts not yet run are swept once each, and the block's seeds are
+    and 1,205 of 36.  The seeds are drawn ``_DRAW_BLOCK`` at a time, each
+    distinct start of a block is swept once, and the block's seeds are
     replayed in order on their start's ``ss``, a seed taking over only when
     it beats the best so far by more than 1e-12.  The winning start is run
     once more for its labels and centres.
@@ -167,7 +165,6 @@ def kmeans_best_seed(data: FactorTable, k: int, seed_range=(1, 4000)) -> KMeansR
     if not 0 <= lo <= hi:
         raise ValidationError(f"seed range must satisfy 0 <= lo <= hi, got {lo}:{hi}")
     points = np.asarray(data.values, dtype=np.float64)
-    known: dict[tuple, float] = {}  # ss of the starts run so far, up to _KNOWN_STARTS
     best_seed = best_start = best_ss = None
     for first in range(lo, hi + 1, _DRAW_BLOCK):
         seeds = range(first, min(first + _DRAW_BLOCK, hi + 1))
@@ -175,13 +172,10 @@ def kmeans_best_seed(data: FactorTable, k: int, seed_range=(1, 4000)) -> KMeansR
             tuple(np.random.default_rng(seed).choice(n, size=k, replace=False).tolist())
             for seed in seeds
         ]
-        block_ss = {start: known.get(start) for start in draws}
-        fresh = [start for start, ss in block_ss.items() if ss is None]
-        if fresh:
-            for start, (_, _, ss) in zip(fresh, _lloyd_sweep(points, np.array(fresh))):
-                block_ss[start] = ss
-                if len(known) < _KNOWN_STARTS:
-                    known[start] = ss
+        distinct = list(dict.fromkeys(draws))
+        block_ss = {
+            start: ss for start, (_, _, ss) in zip(distinct, _lloyd_sweep(points, np.array(distinct)))
+        }
         for seed, start in zip(seeds, draws):
             ss = block_ss[start]
             if best_seed is None or ss < best_ss - 1e-12:

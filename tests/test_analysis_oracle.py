@@ -41,10 +41,9 @@ def assert_same_result(got, expected):
 
 
 @contextlib.contextmanager
-def blocks(seed=None, draw=None, known=None):
-    """Run with smaller Lloyd blocks, draw blocks or a smaller cap on the
-    starts whose ss one call keeps."""
-    names = {"_SEED_BLOCK": seed, "_DRAW_BLOCK": draw, "_KNOWN_STARTS": known}
+def blocks(seed=None, draw=None):
+    """Run with smaller Lloyd blocks or draw blocks."""
+    names = {"_SEED_BLOCK": seed, "_DRAW_BLOCK": draw}
     old = {name: getattr(compare, name) for name in names}
     try:
         for name, value in names.items():
@@ -79,14 +78,13 @@ def factor_problems(draw):
 
 @settings(max_examples=150, deadline=None, database=None, derandomize=True)
 @given(problem=factor_problems(), block=st.sampled_from([1, 2, 3, 7, compare._SEED_BLOCK]),
-       draw=st.sampled_from([1, 4, 9, compare._DRAW_BLOCK]),
-       known=st.sampled_from([0, 2, compare._KNOWN_STARTS]))
-def test_kmeans_matches_reference(problem, block, draw, known):
+       draw=st.sampled_from([1, 4, 9, compare._DRAW_BLOCK]))
+def test_kmeans_matches_reference(problem, block, draw):
     values, k, seed_range = problem
     data = FactorTable(items=tuple(f"i{j}" for j in range(len(values))), values=values)
-    # small blocks put block edges inside the seed range; a small cap makes
-    # later draw blocks run again starts an earlier block ran
-    with blocks(seed=block, draw=draw, known=known):
+    # small blocks put block edges inside the seed range, and later draw
+    # blocks run again starts an earlier block ran
+    with blocks(seed=block, draw=draw):
         got = kmeans_best_seed(data, k, seed_range)
     assert_same_result(got, ref.kmeans_best_seed(data, k, seed_range))
 
@@ -157,7 +155,7 @@ def test_kmeans_memory_does_not_grow_with_the_seed_range():
         finally:
             tracemalloc.stop()
 
-    with blocks(draw=256, known=256):
+    with blocks(draw=256):
         small, _ = peak(1024)
         large, result = peak(8192)
     assert large < 1.25 * small, (small, large)
