@@ -28,10 +28,18 @@ every-node queries and the recursive counts in ``tests/reference_analysis.py``;
 the script fails unless every result is identical.  The k-means sweep is
 timed on its first call in the process and again once warm.
 
+The start-up rows give the median wall time of 10 fresh ``python -c "import
+attachnet"`` processes and of 10 importing ``attachnet.cli`` (interpreter
+start included), and whether the import loaded scipy, which only the
+comparison p values and quantiles need.
+
     PYTHONPATH=src python benchmarks/bench_kernels.py --nodes 36 --rows 1000 --repeats 3
 """
 import argparse
 import itertools
+import os
+import statistics
+import subprocess
 import sys
 import time
 import warnings
@@ -140,6 +148,7 @@ def main() -> None:
     bench_repair(args.seed, args.repeats)
     bench_ingest(args.seed, args.repeats)
     bench_analysis(args.repeats)
+    bench_startup()
 
 
 def bench_local_score(rows: int, seed: int, repeats: int) -> None:
@@ -295,6 +304,22 @@ def bench_analysis(repeats: int) -> None:
         sys.exit("error: the Mann-Whitney exact counts and their reference disagree")
     print(f"{'Mann-Whitney counts':<22} {t_new * 1e3:>10.2f}ms {t_ref * 1e3:>10.2f}ms {t_ref / t_new:>8.1f}x"
           f"   {', '.join(f'{a}x{b}' for a, b in sizes)} (identical)")
+
+
+def bench_startup(processes: int = 10) -> None:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for module in ("attachnet", "attachnet.cli"):
+        code = f"import sys, {module}; print('scipy' in sys.modules)"
+        times = []
+        for _ in range(processes):
+            start = time.perf_counter()
+            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  text=True, check=True)
+            times.append(time.perf_counter() - start)
+        scipy_loaded = "yes" if proc.stdout.strip() == "True" else "no"
+        print(f"{'import ' + module:<22} {statistics.median(times) * 1e3:>10.2f}ms {'-':>12} {'-':>9}"
+              f"   median of {processes} fresh processes; scipy loaded: {scipy_loaded}")
 
 
 if __name__ == "__main__":

@@ -1,12 +1,13 @@
 """The one CSV writer behind every report (``\\n`` line ends, minimal
 quoting) and the reader behind every CSV input with named columns.  Every
 row error reads ``<file>: row N: ...``, N counting the non-blank data rows
-from 1."""
+from 1, and every input that is not UTF-8 ``<file>: not UTF-8 text ...``."""
 from __future__ import annotations
 
 import csv
 import io
 import math
+import os
 
 from .errors import ValidationError
 
@@ -62,3 +63,14 @@ def load_csv(path, load, *args):
             return load(fh, *args)
         except ValidationError as exc:
             raise ValidationError(f"{path}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ValidationError(not_utf8(path, exc)) from None
+
+
+def not_utf8(source, exc: UnicodeDecodeError) -> str:
+    """The message for ``source``, a path or a stream, failing to decode as
+    UTF-8: a stream is named by its ``name``, if it has one.  The offset of
+    the bad byte is left out: a text stream reports it within one buffered
+    chunk, not within the file."""
+    name = source if isinstance(source, (str, os.PathLike)) else getattr(source, "name", "input")
+    return f"{name}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: {exc.reason})"

@@ -62,6 +62,7 @@ from .structure import (
     SearchConfig,
     average_network,
     bootstrap_strengths,
+    check_bootstrap_settings,
     stability_curve,
 )
 
@@ -102,6 +103,21 @@ def _load_model(args):
     if args.model is None:
         raise ValidationError("a model JSON path (or --fixture) is required")
     return read_model(args.model)
+
+
+def _checked_epochs(args, stability: bool) -> list[int]:
+    """The ``--stability`` replicate counts (none unless ``stability``), once
+    they and every bootstrap and averaging flag are in range; called before
+    any input is read, so a bad flag fails before hours of work."""
+    epochs = _parse_int_list(args.stability) if stability else []
+    check_bootstrap_settings(
+        replicates=args.replicates,
+        sample_size=args.sample_size,
+        threshold=args.threshold,
+        repeats=args.repeats,
+        epochs=epochs,
+    )
+    return epochs
 
 
 def _search_config(args) -> SearchConfig:
@@ -163,13 +179,13 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_learn(args) -> int:
+    epochs = _checked_epochs(args, bool(args.stability))
+    cfg = _search_config(args)
     table = parse_responses(args.input)
     complete = CohortFilter(require_complete=True)
     table = filter_cohort(table, complete)
-    cfg = _search_config(args)
 
     if args.stability:
-        epochs = _parse_int_list(args.stability)
         report = stability_curve(
             table,
             epochs,
@@ -408,6 +424,8 @@ def cmd_export(args) -> int:
 
 def cmd_full_repro(args) -> int:
     """End-to-end reproduction on a raw corpus export (long-running)."""
+    epochs = _checked_epochs(args, not args.skip_stability)
+    cfg = SearchConfig(seed=args.seed)
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     print("[1/5] ingest + standard cohort filter")
@@ -417,10 +435,8 @@ def cmd_full_repro(args) -> int:
     print(f"  cohort rows: {report.n}")
     _write(outdir / "cohort.csv", serialize_responses(table))
 
-    cfg = SearchConfig(seed=args.seed)
     if not args.skip_stability:
         print("[2/5] stability curve (this is the long part)")
-        epochs = _parse_int_list(args.stability)
         stab = stability_curve(
             table, epochs, repeats=args.repeats, sample_size=args.sample_size,
             cfg=cfg, threads=args.threads,

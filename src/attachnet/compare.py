@@ -3,6 +3,11 @@
 Covers seed-swept k-means over factor loadings, PCA projection, concentration
 ellipses, the Pearson-r significance transform, the Mann-Whitney U test and
 edge-set correlation between two weighted networks.
+
+scipy is imported where a p value or quantile is computed (the ellipse's F
+quantile, the Pearson t-test p and the Mann-Whitney normal approximation),
+not with the module: it costs more start-up than the rest of the package, and
+every other command runs on numpy alone.
 """
 from __future__ import annotations
 
@@ -11,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from ._csv import csv_text, number, read_rows
 from .errors import ValidationError
@@ -252,6 +256,8 @@ def confidence_ellipse(points, level: float) -> Ellipse:
 
 
 def _f_quantile(level: float, dfn: int, dfd: int) -> float:
+    from scipy import special  # imported on first use: see the module docstring
+
     x = special.betaincinv(dfn / 2.0, dfd / 2.0, level)
     return dfd * x / (dfn * (1.0 - x))
 
@@ -271,6 +277,8 @@ def pearson_significance(r: float, df: int) -> tuple[float, float]:
 
 
 def _t_sf(t: float, df: int) -> float:
+    from scipy import special
+
     return 0.5 * special.betainc(df / 2.0, 0.5, df / (df + t * t))
 
 
@@ -342,6 +350,8 @@ def mann_whitney_u(a, b) -> tuple[float, float]:
         return float(u_a), 1.0
     z = (abs(u_a - mu) - 0.5) / math.sqrt(sigma2)
     z = max(z, 0.0)
+    from scipy import special
+
     p = float(special.erfc(z / math.sqrt(2.0)))
     return float(u_a), min(1.0, p)
 

@@ -136,8 +136,3 @@ def _edge_weights(buf) -> dict:
             raise ValidationError(f"row {row}: degenerate pair {r['item_a']!r}, {r['item_b']!r}")
         out[pair] = number(r["weight"], row)
     return out
-
-
-def load_rsq_map() -> dict[int, str]:
-    rows = load_csv(data_path("rsq_ecr_map.csv"), read_rows, ("rsq_item", "ecr_item"))
-    return {int(r["rsq_item"]): r["ecr_item"] for r in rows}

@@ -33,7 +33,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from ._csv import csv_text, load_csv, read_rows
+from ._csv import csv_text, load_csv, not_utf8, read_rows
 from .errors import EmptyCohortError, ParseError, ValidationError
 
 GENDERS = ("female", "male", "other", "unknown")
@@ -81,18 +81,22 @@ def default_codebook() -> dict[str, dict[str, str]]:
 
 
 def read_codebook(path) -> dict[str, dict[str, str]]:
-    """Parse a ``column.raw_value = label`` config file."""
+    """Parse a UTF-8 ``column.raw_value = label`` config file."""
     book: dict[str, dict[str, str]] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line or "." not in line.split("=", 1)[0]:
-                raise ParseError(f"malformed codebook entry {line!r}", line=lineno)
-            key, label = (part.strip() for part in line.split("=", 1))
-            column, raw_value = key.split(".", 1)
-            book.setdefault(column, {})[raw_value] = label
+    with open(path, encoding="utf-8") as fh:
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ParseError(not_utf8(path, exc)) from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line or "." not in line.split("=", 1)[0]:
+            raise ParseError(f"malformed codebook entry {line!r}", line=lineno)
+        key, label = (part.strip() for part in line.split("=", 1))
+        column, raw_value = key.split(".", 1)
+        book.setdefault(column, {})[raw_value] = label
     return book
 
 
@@ -253,15 +257,19 @@ def parse_responses(stream, schema: ColumnSchema | None = None, codebook=None) -
     that fails), ages by truncation to whole years (-1 if not a finite number
     in the int16 range), genders and countries through the codebook.  A file
     opened from a path is closed again; a caller's stream is left open.
+    Bytes that are not UTF-8 raise ParseError naming the file.
     """
-    fh = _open_text(stream)
     try:
-        return _parse_text(fh, schema or ColumnSchema(), codebook)
-    finally:
-        if isinstance(stream, (str, os.PathLike)):
-            fh.close()
-        elif isinstance(fh, io.TextIOWrapper) and fh is not stream:
-            fh.detach()  # closing or collecting the wrapper would close the caller's stream
+        fh = _open_text(stream)
+        try:
+            return _parse_text(fh, schema or ColumnSchema(), codebook)
+        finally:
+            if isinstance(stream, (str, os.PathLike)):
+                fh.close()
+            elif isinstance(fh, io.TextIOWrapper) and fh is not stream:
+                fh.detach()  # closing or collecting the wrapper would close the caller's stream
+    except UnicodeDecodeError as exc:
+        raise ParseError(not_utf8(stream, exc)) from None
 
 
 def _parse_text(fh, schema: ColumnSchema, codebook) -> ResponseTable:

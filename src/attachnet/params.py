@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csv import csv_text
+from ._csv import csv_text, not_utf8
 from .dag import Dag
 from .errors import ValidationError
 
@@ -38,10 +38,6 @@ class GaussianBnParams:
         for child in self.nodes:
             for parent, value in sorted(self.coefficients.get(child, {}).items()):
                 yield parent, child, value
-
-    @property
-    def n_arcs(self) -> int:
-        return sum(len(v) for v in self.coefficients.values())
 
 
 def fit_mle(dag: Dag, table, unbiased: bool = False, ridge: float = 1e-8) -> GaussianBnParams:
@@ -165,8 +161,8 @@ def _finite(value) -> float:
 
 def read_model(source) -> tuple[Dag, GaussianBnParams]:
     """The DAG and parameters of a model JSON file (or open text stream);
-    ValidationError for text that is not JSON, a missing field, or a number
-    that does not parse or is not finite."""
+    ValidationError for bytes that are not UTF-8, text that is not JSON, a
+    missing field, or a number that does not parse or is not finite."""
     try:
         if hasattr(source, "read"):
             payload = json.load(source)
@@ -181,6 +177,8 @@ def read_model(source) -> tuple[Dag, GaussianBnParams]:
             e["name"]: {p["name"]: _finite(p["coeff"]) for p in e.get("parents", [])}
             for e in entries
         }
+    except UnicodeDecodeError as exc:
+        raise ValidationError(not_utf8(source, exc)) from None
     except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise ValidationError(f"malformed model JSON: {exc}") from exc
     arcs = {

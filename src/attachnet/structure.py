@@ -14,7 +14,6 @@ backend extra threads do not shorten a bootstrap.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -142,6 +141,34 @@ class ArcStrengthTable:
         return csv_text(["from", "to", "strength", "direction"], rows)
 
 
+def check_bootstrap_settings(
+    replicates: int = 1,
+    sample_size: int = 2,
+    threshold: float = 0.5,
+    repeats: int = 1,
+    epochs=(),
+) -> None:
+    """ValidationError for the first setting out of range: a replicate count
+    (``replicates`` or any of the stability ``epochs``) below 1, a
+    ``sample_size`` below 2, a ``threshold`` outside (0, 1] or ``repeats``
+    below 1.
+
+    Every default is in range, so a caller checks only what it passes.
+    ``bootstrap_strengths``, ``average_network`` and ``stability_curve`` check
+    their own settings here, and the CLI checks its flags here before it
+    reads any input.
+    """
+    for count in (replicates, *epochs):
+        if count < 1:
+            raise ValidationError(f"replicates must be >= 1, got {count}")
+    if sample_size < 2:
+        raise ValidationError(f"sample_size must be >= 2, got {sample_size}")
+    if not (0.0 < threshold <= 1.0):
+        raise ValidationError(f"threshold must be in (0, 1], got {threshold:g}")
+    if repeats < 1:
+        raise ValidationError(f"repeats must be >= 1, got {repeats}")
+
+
 def bootstrap_strengths(
     table,
     replicates: int,
@@ -155,10 +182,7 @@ def bootstrap_strengths(
     stream ``(cfg.seed, replicate)``, learns a DAG and tallies its arcs.
     """
     cfg = cfg or SearchConfig()
-    if replicates < 1:
-        raise ValidationError("replicates must be >= 1")
-    if sample_size < 2:
-        raise ValidationError("sample_size must be >= 2")
+    check_bootstrap_settings(replicates=replicates, sample_size=sample_size)
     rows = np.asarray(table.rows, dtype=np.float64)
     if not np.isfinite(rows).all():
         raise ValidationError("bootstrap requires a complete table")
@@ -173,6 +197,8 @@ def bootstrap_strengths(
         return adj
 
     if threads and threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # not on import: most runs use 1 thread
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             adjs = list(pool.map(one, range(replicates)))
     else:
@@ -216,8 +242,7 @@ def average_network(strengths: ArcStrengthTable, threshold: float = 0.5) -> Dag:
     the oriented arcs contain a cycle, the cycle arc with the smallest
     strength*direction product is dropped (repeatedly) with a warning.
     """
-    if not (0.0 < threshold <= 1.0):
-        raise ValidationError("threshold must be in (0, 1]")
+    check_bootstrap_settings(threshold=threshold)
     arcs, undirected = _thresholded_arcs(strengths, threshold)
     for u, v in undirected:
         warnings.warn(f"pair {u}-{v} has no majority direction; left undirected")
@@ -283,8 +308,10 @@ def stability_curve(
     counts are summarized as mean and (population) standard deviation.
     """
     cfg = cfg or SearchConfig()
-    if repeats < 1:
-        raise ValidationError("repeats must be >= 1")
+    epochs = tuple(epochs)
+    check_bootstrap_settings(
+        sample_size=sample_size, threshold=threshold, repeats=repeats, epochs=epochs
+    )
     entries = []
     for epoch_no, big_r in enumerate(epochs):
         directed = []

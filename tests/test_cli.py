@@ -1,11 +1,16 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from attachnet.cli import build_parser, main
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 HEADER = ",".join([f"Q{i}" for i in range(1, 7)] + ["age", "gender", "country"])
 
 
@@ -115,6 +120,29 @@ def test_learn_bad_search_settings_exit_2(tmp_path, capsys, flags):
     src = survey_csv(tmp_path)
     assert main(["learn", str(src), "-R", "1", "-m", "20", *flags]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["learn", "full-repro"])
+@pytest.mark.parametrize("flags,message", [
+    pytest.param(["-R", "0"], "replicates must be >= 1, got 0", id="zero-replicates"),
+    pytest.param(["-m", "1"], "sample_size must be >= 2, got 1", id="one-row-samples"),
+    pytest.param(["--threshold", "0"], "threshold must be in (0, 1], got 0", id="threshold-0"),
+    pytest.param(["--threshold", "1.5"], "threshold must be in (0, 1], got 1.5",
+                 id="threshold-above-1"),
+    pytest.param(["--repeats", "0"], "repeats must be >= 1, got 0", id="zero-repeats"),
+    pytest.param(["--stability", "5,0"], "replicates must be >= 1, got 0", id="zero-epoch"),
+])
+def test_bad_bootstrap_flag_exits_2_before_reading_input(tmp_path, capsys, command, flags, message):
+    src = survey_csv(tmp_path)
+    out = tmp_path / "out"
+    settings = ["-R", "1", "-m", "20", "--repeats", "1", "--seed", "1"]
+    if command == "learn":
+        argv = ["learn", str(src), *settings, "-o", str(out / "model.json"), *flags]
+    else:
+        argv = ["full-repro", str(src), "--out-dir", str(out), *settings, "--stability", "1", *flags]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()  # not even full-repro's cohort.csv
 
 
 def test_full_repro_zero_threads_exits_2(tmp_path):
@@ -233,6 +261,41 @@ def test_analyze_bad_model_json_exits_2(tmp_path, capsys, text, message):
     model.write_text(text)
     assert main(["analyze", str(model)]) == 2
     assert capsys.readouterr().err == f"error: malformed model JSON: {message}\n"
+
+
+@pytest.mark.parametrize("argv,name", [
+    pytest.param(["ingest", "{bad}"], "bad", id="survey-export"),
+    pytest.param(["ingest", "{survey}", "--codebook", "{bad}"], "bad", id="codebook"),
+    pytest.param(["compare", "kmeans", "{bad}", "-k", "2"], "bad", id="factor-csv"),
+    pytest.param(["analyze", "{bad}"], "bad", id="model-json"),
+])
+def test_non_utf8_input_exits_2_naming_the_file(tmp_path, capsys, argv, name):
+    # Latin-1 text: "é" is the byte 0xe9, which UTF-8 never ends a line with
+    bad = tmp_path / name
+    bad.write_bytes("Q1,Q2,country\n1,2,Réunion\n".encode("latin-1"))
+    names = {"bad": bad, "survey": survey_csv(tmp_path)}
+    assert main([arg.format(**names) for arg in argv]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: not UTF-8 text (byte 0xe9: invalid continuation byte)\n"
+    )
+
+
+def test_codebook_is_read_as_utf8_under_an_ascii_locale(tmp_path):
+    survey = tmp_path / "survey.csv"
+    survey.write_text("Q1,Q2,gender,country\n1,2,2,Réunion\n", encoding="utf-8")
+    codebook = tmp_path / "codes.cfg"
+    codebook.write_text("# gender.2 is féminin in the French export\n"
+                        "gender.2 = female\ncountry.Réunion = RE\n", encoding="utf-8")
+    out = tmp_path / "cohort.csv"
+    env = dict(os.environ, PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C",
+               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "attachnet.cli", "ingest", str(survey), "--codebook", str(codebook),
+         "-o", str(out)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert out.read_text(encoding="utf-8").splitlines()[1] == "1,2,,female,RE"
 
 
 def test_influence_identity(capsys):

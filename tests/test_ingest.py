@@ -375,3 +375,14 @@ def test_demographic_summary_matches_reference(table):
     assert got == expected
     for dim in ("region", "gender", "age_band"):
         assert list(getattr(got, dim)) == list(getattr(expected, dim))
+
+
+@pytest.mark.parametrize("source,name", [
+    pytest.param(b"Q1,country\n3,Fr\xe9\n", "input", id="bytes"),
+    pytest.param(io.BytesIO(b"Q1,country\n3,Fr\xe9\n"), "input", id="byte-stream"),
+])
+def test_non_utf8_input_is_a_parse_error(source, name):
+    with pytest.raises(ParseError) as err:
+        parse_responses(source)
+    assert str(err.value) == f"{name}: not UTF-8 text (byte 0xe9: invalid continuation byte)"
+

@@ -334,6 +334,26 @@ def test_stability_curve_single_epoch(rng):
     assert csv_text.startswith("replicates,directed_mean")
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    pytest.param({"epochs": [5, 0]}, "replicates must be >= 1, got 0", id="zero-epoch"),
+    pytest.param({"repeats": 0}, "repeats must be >= 1, got 0", id="zero-repeats"),
+    pytest.param({"sample_size": 1}, "sample_size must be >= 2, got 1", id="one-row-samples"),
+    pytest.param({"threshold": 1.5}, "threshold must be in (0, 1], got 1.5", id="threshold-above-1"),
+])
+def test_stability_curve_checks_every_setting_before_searching(rng, monkeypatch, kwargs, message):
+    import attachnet.structure as structure
+
+    def no_search(*args):
+        raise AssertionError("a search ran before the settings were checked")
+
+    monkeypatch.setattr(structure, "_run_kernel", no_search)
+    table = make_table(rng.normal(size=(50, 3)), items=("a", "b", "c"))
+    settings = {"epochs": [5], "repeats": 1, "sample_size": 20, **kwargs}
+    with pytest.raises(ValidationError) as err:
+        stability_curve(table, **settings)
+    assert str(err.value) == message
+
+
 def test_strength_table_direction_sums_to_one(rng):
     st = _strength_table(("a", "b"), [("a", "b", 7), ("b", "a", 3)])
     assert st.direction("a", "b") + st.direction("b", "a") == pytest.approx(1.0)
