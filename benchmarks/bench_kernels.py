@@ -26,7 +26,10 @@ model (``total_influence`` plus ``top_paths(k=2)``) and the Mann-Whitney
 exact null counts, against the seed-at-a-time sweep, the arc-scanning
 every-node queries and the recursive counts in ``tests/reference_analysis.py``;
 the script fails unless every result is identical.  The k-means sweep is
-timed on its first call in the process and again once warm.
+timed on its first call in the process and again once warm.  The k-means
+start rows for seeds 1:4000 at 18 and 36 items are timed as one block draw
+(``_draws.choice_rows``) against one ``default_rng(seed).choice`` per seed;
+the script fails unless every row is identical.
 
 The start-up rows give the median wall time of 10 fresh ``python -c "import
 attachnet"`` processes and of 10 importing ``attachnet.cli`` (interpreter
@@ -47,7 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
-from attachnet import _kernels, compare, fixtures, influence, ingest, structure
+from attachnet import _draws, _kernels, compare, fixtures, influence, ingest, structure
 from attachnet.score import DEFAULT_RIDGE, stats_from_matrix
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
@@ -258,14 +261,26 @@ def bench_analysis(repeats: int) -> None:
     if not (same_clusters(first, ref_results) and same_clusters(results, ref_results)):
         sys.exit("error: kmeans_best_seed and its reference disagree")
     # one run per distinct start, and one more for the winner's labels
+    seeds = range(1, 4001)
     runs = sum(
-        len({tuple(np.random.default_rng(seed).choice(len(table.items), 2, replace=False))
-             for seed in range(1, 4001)}) + 1
+        len(np.unique(_draws.choice_rows(seeds, len(table.items), 2), axis=0)) + 1
         for table in tables
     )
     for label, t in (("k-means first call", t_first), ("k-means warm", t_new)):
         print(f"{label:<22} {t * 1e3:>10.2f}ms {t_ref * 1e3:>10.2f}ms {t_ref / t:>8.1f}x"
               f"   4 tables x 4000 seeds, {runs} Lloyd runs (identical)")
+
+    def per_seed(n):
+        return np.array([np.random.default_rng(seed).choice(n, size=2, replace=False)
+                         for seed in seeds])
+
+    for n in (18, 36):
+        t_new, rows = time_fn(_draws.choice_rows, seeds, n, 2, repeats=repeats)
+        t_ref, ref_rows = time_fn(per_seed, n, repeats=ref_repeats)
+        if not np.array_equal(rows, ref_rows):
+            sys.exit(f"error: the block draw and default_rng disagree at n={n}")
+        print(f"{f'k-means starts (n={n})':<22} {t_new * 1e3:>10.2f}ms {t_ref * 1e3:>10.2f}ms "
+              f"{t_ref / t_new:>8.1f}x   seeds 1:4000, k=2, against default_rng per seed (identical)")
 
     dag, params = fixtures.load_fixture_model()
     pairs = [(s, t) for s in dag.nodes for t in dag.nodes if s != t]

@@ -439,7 +439,7 @@ def cmd_full_repro(args) -> int:
         print("[2/5] stability curve (this is the long part)")
         stab = stability_curve(
             table, epochs, repeats=args.repeats, sample_size=args.sample_size,
-            cfg=cfg, threads=args.threads,
+            cfg=cfg, threshold=args.threshold, threads=args.threads,
         )
         _write(outdir / "stability.csv", stab.to_csv())
     else:

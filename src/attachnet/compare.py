@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._csv import csv_text, number, read_rows
+from ._draws import choice_rows
 from .errors import ValidationError
 
 
@@ -154,7 +155,12 @@ def kmeans_best_seed(data: FactorTable, k: int, seed_range=(1, 4000)) -> KMeansR
     A seed's start, ``default_rng(seed).choice(n, k, replace=False)``,
     depends on ``(n, k, seed)`` only, so seeds that draw the same start share
     one Lloyd run: seeds 1:4000 draw 306 distinct ordered pairs of 18 items
-    and 1,205 of 36.  The seeds are drawn ``_DRAW_BLOCK`` at a time, each
+    and 1,205 of 36.  The seeds are drawn ``_DRAW_BLOCK`` at a time by
+    ``_draws.choice_rows``, which computes numpy's seeding and choice for the
+    whole block in array arithmetic; a seed takes the per-seed
+    ``default_rng`` draw only if numpy would reject one of its bounded draws,
+    if it is 2**64 or more, or if the table has over 10,000 items, and a
+    whole block does if its first row disagrees with ``default_rng``.  Each
     distinct start of a block is swept once, and the block's seeds are
     replayed in order on their start's ``ss``, a seed taking over only when
     it beats the best so far by more than 1e-12.  The winning start is run
@@ -172,10 +178,7 @@ def kmeans_best_seed(data: FactorTable, k: int, seed_range=(1, 4000)) -> KMeansR
     best_seed = best_start = best_ss = None
     for first in range(lo, hi + 1, _DRAW_BLOCK):
         seeds = range(first, min(first + _DRAW_BLOCK, hi + 1))
-        draws = [
-            tuple(np.random.default_rng(seed).choice(n, size=k, replace=False).tolist())
-            for seed in seeds
-        ]
+        draws = list(map(tuple, choice_rows(seeds, n, k).tolist()))
         distinct = list(dict.fromkeys(draws))
         block_ss = {
             start: ss for start, (_, _, ss) in zip(distinct, _lloyd_sweep(points, np.array(distinct)))

@@ -80,8 +80,16 @@ def default_codebook() -> dict[str, dict[str, str]]:
     return read_codebook(data_path("codebook_default.cfg"))
 
 
+def _bad_gender(label: str) -> str:
+    return f"codebook gender label {label!r} is not one of {', '.join(GENDERS)} (in any case)"
+
+
 def read_codebook(path) -> dict[str, dict[str, str]]:
-    """Parse a UTF-8 ``column.raw_value = label`` config file."""
+    """Parse a UTF-8 ``column.raw_value = label`` config file.
+
+    A gender label is one of ``GENDERS`` in any case and is stored lower-case;
+    any other gender label raises ParseError naming its line.
+    """
     book: dict[str, dict[str, str]] = {}
     with open(path, encoding="utf-8") as fh:
         try:
@@ -96,6 +104,10 @@ def read_codebook(path) -> dict[str, dict[str, str]]:
             raise ParseError(f"malformed codebook entry {line!r}", line=lineno)
         key, label = (part.strip() for part in line.split("=", 1))
         column, raw_value = key.split(".", 1)
+        if column == "gender":
+            if label.lower() not in GENDERS:
+                raise ParseError(_bad_gender(label), line=lineno)
+            label = label.lower()
         book.setdefault(column, {})[raw_value] = label
     return book
 
@@ -255,7 +267,8 @@ def parse_responses(stream, schema: ColumnSchema | None = None, codebook=None) -
     ``dropped_rows`` and described in ``row_errors``.  Each distinct cell text
     is converted once per call: item cells by ``float(cell.strip())`` (NaN if
     that fails), ages by truncation to whole years (-1 if not a finite number
-    in the int16 range), genders and countries through the codebook.  A file
+    in the int16 range), genders and countries through the codebook, whose
+    gender labels must be ``GENDERS`` in any case (else ValidationError).  A file
     opened from a path is closed again; a caller's stream is left open.
     Bytes that are not UTF-8 raise ParseError naming the file.
     """
@@ -275,7 +288,11 @@ def parse_responses(stream, schema: ColumnSchema | None = None, codebook=None) -
 def _parse_text(fh, schema: ColumnSchema, codebook) -> ResponseTable:
     if codebook is None:
         codebook = default_codebook()
-    gender_map = codebook.get("gender", {})
+    gender_map = {}
+    for raw, label in codebook.get("gender", {}).items():
+        if label.lower() not in GENDERS:
+            raise ValidationError(_bad_gender(label))
+        gender_map[raw] = label.lower()
     country_map = codebook.get("country", {})
 
     header_line = fh.readline()

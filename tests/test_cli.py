@@ -145,6 +145,20 @@ def test_bad_bootstrap_flag_exits_2_before_reading_input(tmp_path, capsys, comma
     assert not out.exists()  # not even full-repro's cohort.csv
 
 
+def test_full_repro_threshold_reaches_the_stability_sweep(tmp_path):
+    """The stability sweep averages at ``--threshold``: a low and a high one
+    keep different arcs, so the curves differ."""
+    src = survey_csv(tmp_path, n=200)
+    curves = {}
+    for threshold in ("0.3", "0.99"):
+        out = tmp_path / threshold
+        assert main(["full-repro", str(src), "--out-dir", str(out), "-R", "1", "-m", "100",
+                     "--stability", "4", "--repeats", "2", "--seed", "5",
+                     "--threshold", threshold]) == 0
+        curves[threshold] = (out / "stability.csv").read_text()
+    assert curves["0.3"] != curves["0.99"]
+
+
 def test_full_repro_zero_threads_exits_2(tmp_path):
     src = survey_csv(tmp_path)
     out = str(tmp_path / "out")
@@ -296,6 +310,17 @@ def test_codebook_is_read_as_utf8_under_an_ascii_locale(tmp_path):
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert out.read_text(encoding="utf-8").splitlines()[1] == "1,2,,female,RE"
+
+
+def test_unknown_codebook_gender_label_exits_2(tmp_path, capsys):
+    codebook = tmp_path / "codes.cfg"
+    codebook.write_text("gender.1 = male\ngender.2 = féminin\n", encoding="utf-8")
+    out = tmp_path / "cohort.csv"
+    assert main(["ingest", str(survey_csv(tmp_path)), "--codebook", str(codebook),
+                 "-o", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: line 2: codebook gender label 'féminin' is not "
+                                       "one of female, male, other, unknown (in any case)\n")
+    assert not out.exists()
 
 
 def test_influence_identity(capsys):

@@ -245,6 +245,29 @@ def test_codebook_remaps_gender_and_country(tmp_path):
     assert table.demographics.region[0] == "Europe"
 
 
+def test_codebook_gender_labels_match_in_any_case(tmp_path):
+    from attachnet.ingest import read_codebook
+
+    cfg = tmp_path / "codes.cfg"
+    cfg.write_text("gender.1 = MALE\ngender.2 = Female\n")
+    book = read_codebook(cfg)
+    assert book["gender"] == {"1": "male", "2": "female"}
+    table = parse_responses(b"Q1,gender\n3,2\n4,1\n", codebook={"gender": {"2": "Female"}})
+    assert table.demographics.gender == ("female", "unknown")
+
+
+def test_codebook_rejects_an_unknown_gender_label(tmp_path):
+    from attachnet.ingest import read_codebook
+
+    cfg = tmp_path / "codes.cfg"
+    cfg.write_text("gender.1 = male\ngender.2 = féminin\n", encoding="utf-8")
+    allowed = "female, male, other, unknown"
+    with pytest.raises(ParseError, match=f"line 2: .*'féminin' is not one of {allowed}"):
+        read_codebook(cfg)
+    with pytest.raises(ValidationError, match="'féminin' is not one of"):
+        parse_responses(b"Q1,gender\n3,2\n", codebook={"gender": {"2": "féminin"}})
+
+
 def test_standard_filter_matches_reference_recipe():
     f = standard_filter()
     assert f.age_range == (18, 60)
