@@ -3,10 +3,12 @@
 The scoring kernels (``local_score`` and the Cholesky solve under it) are
 scalar loops over a parent set that read the covariance as nested lists: a
 Python float rounds as a float64 does, without the cost of a numpy scalar.
-The tabu search spends its time in them and in whole-matrix numpy operations
-on the adjacency and its closure, ``_reachability``, which also finds the arcs
-on cycles for ``structure.average_network``.  ``benchmarks/bench_kernels.py``
-times both against the references kept under ``tests/``.
+The tabu search spends its time in them and in ``_pick_move``, which chooses
+each move from one cached matrix of score deltas with whole-matrix numpy
+operations on the adjacency and its closure, ``_reachability``; the closure
+also finds the arcs on cycles for ``structure.average_network``.
+``benchmarks/bench_kernels.py`` times both against the references kept under
+``tests/``.
 """
 from __future__ import annotations
 
@@ -123,22 +125,65 @@ def _add_arc_reach(reach, u, v):
     reach |= src[:, None] & dst
 
 
+def _pick_move(d, present, reach, tabu, current, best):
+    """The search's next move as ``(kind, u, v)``, or None when every move is
+    tabu or inadmissible.
+
+    ``d[u, v]`` is the change of v's local score when u joins v's parents, or
+    leaves them if it is one; a reversal of u -> v is worth
+    ``d[u, v] + d[v, u]``.  A tabu move is allowed only when it would beat the
+    best score seen (aspiration).  Ties break on the smallest (from, to, kind)
+    triple: a move replaces the best so far only when its delta is larger by
+    more than 1e-12.
+    """
+    m = len(d)
+    deltas = np.empty((m, m, 2))
+    # add u -> v needs no path v -> u, which also rules out an arc v -> u; an
+    # arc u -> v never has one, so its removal passes the same test.  Reverse
+    # u -> v needs no u -> v path other than the arc itself.
+    deltas[..., 0] = np.where(reach.T, -np.inf, d)
+    reversible = present & ~(np.matmul(present, reach, dtype=np.float64) > 0)
+    deltas[..., 1] = np.where(reversible, d + d.T, -np.inf)
+    deltas = deltas.reshape(-1)  # (from, to, kind) scan order
+    deltas[np.isnan(deltas)] = -np.inf
+    for kind, u, v in tabu:
+        slot = (u * m + v) * 2 + (kind == REVERSE)
+        if kind != REVERSE and (kind == REMOVE) != bool(present[u, v]):
+            continue  # slot 0 holds the other kind of move
+        if current + deltas[slot] <= best + 1e-9:
+            deltas[slot] = -np.inf
+    # A move can only replace the best so far if it beats every earlier
+    # delta, so scanning the running-maximum records in order picks the
+    # same move as scanning every candidate.
+    before = np.concatenate(([-np.inf], np.maximum.accumulate(deltas)[:-1]))
+    best_delta = -np.inf
+    pick = -1
+    records = np.flatnonzero(deltas > before)
+    for i, delta in zip(records.tolist(), deltas[records].tolist()):
+        if delta > best_delta + 1e-12:
+            best_delta = delta
+            pick = i
+    if pick < 0:
+        return None
+    cell, slot = divmod(pick, 2)
+    u, v = divmod(cell, m)
+    kind = REVERSE if slot else REMOVE if present[u, v] else ADD
+    return kind, u, v
+
+
 def tabu_search_kernel(cov, n, adj, tabu_len, max_iter, max_parents, ridge, metric):
     """Score-based DAG search with add/remove/reverse moves.
 
-    Hill-climbs the decomposable score; after reaching a local optimum it keeps
-    taking the best admissible move for up to ``max_iter`` consecutive
-    non-improving steps, with a tabu list holding the inverses of the last
-    ``tabu_len`` moves (aspiration: a tabu move is allowed when it beats the
-    best score seen).  Ties between moves break on the smallest
-    (from, to, kind) triple: a move replaces the best so far only when its
-    delta is larger by more than 1e-12.  ``max_parents < 0`` means no limit.
-    Mutates ``adj``; returns the best adjacency seen and its score.
+    Hill-climbs the decomposable score from the DAG ``adj``; after reaching a
+    local optimum it keeps taking the best admissible move (``_pick_move``) for
+    up to ``max_iter`` consecutive non-improving steps, with a tabu list
+    holding the inverses of the last ``tabu_len`` moves.  ``max_parents < 0``
+    means no limit.  Returns the best adjacency seen, with ``adj``'s dtype,
+    and its score; ``adj`` itself is left as it was.
 
-    The search is incremental.  ``d_add[u, v]`` and ``d_rm[u, v]`` cache the
-    change of ``ls[v]`` when u joins or leaves v's parents, so a move only
-    re-scores the columns of the one or two nodes whose parent set changed; a
-    reversal u -> v is worth ``d_rm[u, v] + d_add[v, u]``.  Cycle checks read a
+    The search is incremental.  ``d[u, v]`` caches the change of ``ls[v]``
+    when u joins or leaves v's parents, so a move only re-scores the column of
+    the one or two nodes whose parent set changed.  Cycle checks read a
     transitive closure that an addition extends in place and a removal or
     reversal recomputes; local scores are memoised per (node, parent set).
     """
@@ -152,26 +197,24 @@ def tabu_search_kernel(cov, n, adj, tabu_len, max_iter, max_parents, ridge, metr
             memo[key] = local_score(c, n, v, parents, ridge, metric)
         return memo[key]
 
-    parents = [tuple(np.flatnonzero(adj[:, v]).tolist()) for v in range(m)]
+    present = adj != 0
+    parents = [tuple(np.flatnonzero(present[:, v]).tolist()) for v in range(m)]
     ls = np.array([score(v, parents[v]) for v in range(m)])
-    # -inf marks a move that is never taken: v has no room for a parent, or u
-    # is already a parent (add) or is not one (remove).
-    d_add = np.full((m, m), -np.inf)
-    d_rm = np.full((m, m), -np.inf)
+    # -inf marks a move that is never taken: u is v, or u is not a parent
+    # and v has no room for one.
+    d = np.full((m, m), -np.inf)
 
     def refresh(v):
         pa = parents[v]
         base = ls[v]
+        room = max_parents < 0 or len(pa) < max_parents
         col = [-np.inf] * m
-        for u in pa:
-            col[u] = score(v, tuple(w for w in pa if w != u)) - base
-        d_rm[:, v] = col
-        col = [-np.inf] * m
-        if max_parents < 0 or len(pa) < max_parents:
-            for u in range(m):
-                if u != v and u not in pa:
-                    col[u] = score(v, tuple(sorted(pa + (u,)))) - base
-        d_add[:, v] = col
+        for u in range(m):
+            if u in pa:
+                col[u] = score(v, tuple(w for w in pa if w != u)) - base
+            elif room and u != v:
+                col[u] = score(v, tuple(sorted(pa + (u,)))) - base
+        d[:, v] = col
 
     for v in range(m):
         refresh(v)
@@ -179,70 +222,32 @@ def tabu_search_kernel(cov, n, adj, tabu_len, max_iter, max_parents, ridge, metr
     current = ls.sum()
     best = current
     best_adj = adj.copy()
-    tabu = deque(maxlen=max(tabu_len, 1))
+    tabu = deque(maxlen=tabu_len)
     stall = 0
-    present = adj != 0
     reach = _reachability(present.astype(np.float64))
     while stall <= max_iter:
-        # add u -> v needs no arc between them and no path v -> u; reverse
-        # u -> v needs no u -> v path other than the arc itself
-        addable = ~(present | present.T | reach.T)
-        reversible = present & ~(np.matmul(present, reach, dtype=np.float64) > 0)
-        deltas = np.empty((m, m, 2))
-        # d_rm is -inf off the arcs and d_add on the diagonal, so cells with
-        # neither an arc nor an admissible addition get -inf
-        deltas[..., 0] = np.where(addable, d_add, d_rm)
-        deltas[..., 1] = np.where(reversible, d_rm + d_add.T, -np.inf)
-        deltas = deltas.reshape(-1)  # (from, to, kind) scan order
-        deltas[np.isnan(deltas)] = -np.inf
-        for kind, u, v in tabu:
-            slot = (u * m + v) * 2 + (kind == REVERSE)
-            if kind != REVERSE and (kind == REMOVE) != bool(present[u, v]):
-                continue  # slot 0 holds the other kind of move
-            if current + deltas[slot] <= best + 1e-9:
-                deltas[slot] = -np.inf
-        # A move can only replace the best so far if it beats every earlier
-        # delta, so scanning the running-maximum records in order picks the
-        # same move as scanning every candidate.
-        before = np.concatenate(([-np.inf], np.maximum.accumulate(deltas)[:-1]))
-        best_delta = -np.inf
-        pick = -1
-        records = np.flatnonzero(deltas > before)
-        for i, delta in zip(records.tolist(), deltas[records].tolist()):
-            if delta > best_delta + 1e-12:
-                best_delta = delta
-                pick = i
-        if pick < 0:
+        move = _pick_move(d, present, reach, tabu, current, best)
+        if move is None:
             break  # every move tabu or inadmissible
-        cell, slot = divmod(pick, 2)
-        u, v = divmod(cell, m)
-        if slot == 1:
-            inverse = (REVERSE, v, u)
-            adj[u, v] = 0
-            adj[v, u] = 1
-            changed = (v, u)
-        elif present[u, v]:
-            inverse = (ADD, u, v)
-            adj[u, v] = 0
-            changed = (v,)
+        kind, u, v = move
+        present[u, v] = kind == ADD
+        if kind == REVERSE:
+            present[v, u] = True
+            tabu.append((REVERSE, v, u))
         else:
-            inverse = (REMOVE, u, v)
-            adj[u, v] = 1
-            changed = (v,)
-        present = adj != 0
-        if inverse[0] == REMOVE:
+            tabu.append((REMOVE if kind == ADD else ADD, u, v))
+        if kind == ADD:
             _add_arc_reach(reach, u, v)
         else:
             reach = _reachability(present.astype(np.float64))
-        for w in changed:
-            parents[w] = tuple(np.flatnonzero(adj[:, w]).tolist())
+        for w in (v, u) if kind == REVERSE else (v,):
+            parents[w] = tuple(np.flatnonzero(present[:, w]).tolist())
             ls[w] = score(w, parents[w])
             refresh(w)
         current = ls.sum()  # re-sum instead of accumulating deltas
-        tabu.append(inverse)
         if current > best + 1e-9:
             best = current
-            best_adj[:, :] = adj
+            best_adj[:, :] = present
             stall = 0
         else:
             stall += 1
