@@ -202,6 +202,8 @@ def pca_project(data: FactorTable, dims: int) -> FactorTable:
     Components are sign-fixed so the largest-|loading| entry is positive;
     variance explained per retained component rides along on the result.
     """
+    if dims < 1:
+        raise ValidationError(f"dims must be >= 1, got {dims}")
     if dims > data.dims:
         raise ValidationError(f"cannot project {data.dims}-D data onto {dims} dims")
     centered = data.values - data.values.mean(axis=0, keepdims=True)
@@ -391,6 +393,12 @@ def edge_set_correlation(ours: dict, theirs: dict, mode: str = "union"):
         raise ValidationError(f"{mode} set has {len(pairs)} pairs; need at least 3")
     x = np.array([ours.get(p, 0.0) for p in pairs])
     y = np.array([theirs.get(p, 0.0) for p in pairs])
+    for side, w in (("ours", x), ("theirs", y)):
+        if w.min() == w.max():
+            raise ValidationError(
+                f"{side}: all {len(pairs)} weights on the {mode} set are equal; "
+                "the correlation is undefined"
+            )
     r = float(np.corrcoef(x, y)[0, 1])
     t, p = pearson_significance(r, len(pairs) - 2)
     return len(pairs), r, t, p

@@ -408,6 +408,8 @@ def test_compare_mwu_polarity(tmp_path, capsys):
                  "{path}: row 2: 'bad' is not a number", id="pca-non-numeric"),
     pytest.param(["compare", "pca"], "item,f1,f2\nQ01,0.5,0.1\nQ02,0.2\n",
                  "{path}: row 2: expected 3 fields, got 2", id="pca-short-row"),
+    pytest.param(["compare", "pca", "--dims", "-1"], "item,f1,f2\nQ01,0.5,0.1\nQ02,0.2,0.3\n",
+                 "dims must be >= 1, got -1", id="pca-negative-dims"),
     pytest.param(["compare", "kmeans", "-k", "2"],
                  "item,f1,f2\nQ01,0.5,0.1\nQ02,0.4,x\nQ03,0.1,0.2\n",
                  "{path}: row 2: 'x' is not a number", id="kmeans-non-numeric"),
@@ -422,6 +424,10 @@ def test_compare_mwu_polarity(tmp_path, capsys):
                  "{path}: row 1: expected 3 fields, got 2", id="edges-short-row"),
     pytest.param(["compare", "edges", "fixture"], "item_a,item_b,weight\nQ01,Q01,0.5\n",
                  "{path}: row 1: degenerate pair 'Q01', 'Q01'", id="edges-degenerate-pair"),
+    pytest.param(["compare", "edges", "--mode", "intersection", "fixture"],
+                 "item_a,item_b,weight\nQ27,Q25,0.5\nQ27,Q33,0.5\nQ27,Q01,0.5\n",
+                 "theirs: all 3 weights on the intersection set are equal; "
+                 "the correlation is undefined", id="edges-constant"),
 ])
 def test_compare_bad_input_exits_2(tmp_path, capsys, command, text, message):
     path = tmp_path / "input.csv"

@@ -141,8 +141,9 @@ def test_pca_output_columns_uncorrelated(rng):
 
 def test_pca_rejects_too_many_dims(rng):
     data = table_from(["a", "b", "c"], rng.normal(size=(3, 2)))
-    with pytest.raises(ValidationError):
-        pca_project(data, dims=3)
+    for dims in (3, 0, -1):
+        with pytest.raises(ValidationError):
+            pca_project(data, dims=dims)
 
 
 def test_factor_table_csv_round_trip(rng):
@@ -338,6 +339,14 @@ def test_edge_sets_need_three_pairs():
     edges = {frozenset(("a", "b")): 1.0}
     with pytest.raises(ValidationError):
         edge_set_correlation(edges, edges, mode="union")
+
+
+@pytest.mark.parametrize("ours, side", [((0.5, 0.5, 0.5), "ours"), ((0.1, 0.2, 0.4), "theirs")],
+                         ids=["both-constant", "theirs-constant"])
+def test_edge_sets_reject_constant_weights(ours, side):
+    pairs = [frozenset(p) for p in (("a", "b"), ("c", "d"), ("e", "f"))]
+    with pytest.raises(ValidationError, match=f"^{side}: all 3 weights on the union set are equal"):
+        edge_set_correlation(dict(zip(pairs, ours)), dict.fromkeys(pairs, 0.5), mode="union")
 
 
 def test_edge_set_union_imputes_zero():
