@@ -5,6 +5,7 @@ import pytest
 
 from attachnet.dag import Dag
 from attachnet.errors import ValidationError
+from attachnet.params import fit_mle, simulate
 from attachnet.score import graph_score, local_score, stats_from_matrix, sufficient_stats
 from conftest import make_table
 
@@ -121,6 +122,29 @@ def test_graph_score_matches_ols_refit_oracle(rng):
         ll = -n / 2 * (math.log(2 * math.pi * var) + 1)
         expected += ll - (len(parents) + 2) / 2 * math.log(n)
     assert graph_score(dag, stats) == pytest.approx(expected, rel=1e-9)
+
+
+def test_loglik_equals_joint_gaussian_logpdf_under_fitted_params(fixture_model, rng):
+    """The summed local log-likelihoods are the log density of the rows under
+    the joint Gaussian that ``fit_mle``'s parameters define: x = c + B x + e
+    gives mean (I - B)^-1 c and covariance (I - B)^-1 D (I - B)^-T."""
+    from scipy.stats import multivariate_normal
+
+    dag, model = fixture_model
+    rows = simulate(dag, model, 2000, rng)
+    table = make_table(rows, items=dag.nodes)
+    params = fit_mle(dag, table)
+    col = {v: i for i, v in enumerate(dag.nodes)}
+    m = len(dag.nodes)
+    coef = np.zeros((m, m))
+    for parent, child, value in params.arc_items():
+        coef[col[child], col[parent]] = value
+    inv = np.linalg.inv(np.eye(m) - coef)
+    mean = inv @ np.array([params.intercept[v] for v in dag.nodes])
+    noise = np.diag([params.residual_sd[v] ** 2 for v in dag.nodes])
+    want = multivariate_normal.logpdf(rows, mean=mean, cov=inv @ noise @ inv.T).sum()
+    got = graph_score(dag, sufficient_stats(table), metric="loglik")
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_likelihood_term_monotone_in_parents(rng):
