@@ -201,6 +201,7 @@ def pca_project(data: FactorTable, dims: int) -> FactorTable:
 
     Components are sign-fixed so the largest-|loading| entry is positive;
     variance explained per retained component rides along on the result.
+    ``dims`` must lie between 1 and the table's number of columns.
     """
     if dims < 1:
         raise ValidationError(f"dims must be >= 1, got {dims}")
@@ -381,7 +382,8 @@ def edge_set_correlation(ours: dict, theirs: dict, mode: str = "union"):
 
     ``union`` pairs weighted in either map (zero-imputed on the missing side);
     ``intersection`` pairs weighted in both.  Returns (n_pairs, r, t, p) with
-    df = n_pairs - 2.
+    df = n_pairs - 2.  A side whose weights on the set are all equal has no
+    correlation and raises ``ValidationError``.
     """
     if mode == "union":
         pairs = sorted(set(ours) | set(theirs), key=sorted)
