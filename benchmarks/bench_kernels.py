@@ -22,10 +22,11 @@ fails on any difference in the parsed table or the written bytes.
 
 The analysis rows time ``kmeans_best_seed(k=2)`` over seeds 1:4000 on the four
 bundled factor tables, the 1,260 ordered item-pair queries on the bundled
-model (``total_influence`` plus ``top_paths(k=2)``) and the Mann-Whitney
-exact null counts, against the seed-at-a-time sweep, the arc-scanning
-every-node queries and the recursive counts in ``tests/reference_analysis.py``;
-the script fails unless every result is identical.  The k-means sweep is
+model (``total_influence`` plus the best-first ``top_paths(k=2)``) and the
+Mann-Whitney exact null counts, against the seed-at-a-time sweep, the
+arc-scanning every-node queries that rank every path and the recursive counts
+in ``tests/reference_analysis.py``; the script fails unless every result is
+identical, product bits included.  The k-means sweep is
 timed on its first call in the process and again once warm.  The k-means
 start rows for seeds 1:4000 at 18 and 36 items are timed as one block draw
 (``_draws.choice_rows``) against one ``default_rng(seed).choice`` per seed;
@@ -306,7 +307,7 @@ def bench_analysis(repeats: int) -> None:
     if not same:
         sys.exit("error: the influence queries and their reference disagree")
     print(f"{'influence (1260 pairs)':<22} {t_new * 1e3:>10.2f}ms {t_ref * 1e3:>10.2f}ms {t_ref / t_new:>8.1f}x"
-          f"   total_influence + top_paths(k=2) (identical)")
+          f"   total_influence + best-first top_paths(k=2) (identical)")
 
     sizes = [(10, 26), (18, 18), (20, 20)]  # the polarity split and the largest square ones
 

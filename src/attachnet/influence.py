@@ -10,6 +10,8 @@ each other.
 """
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,49 +90,29 @@ def _count_between(dag: Dag, between: list[str]) -> int:
     return counts[between[-1]]
 
 
-def _walk_paths(dag: Dag, source: str, target: str, cap: int, coefficient):
-    """``(path, product)`` for every directed path source -> target,
-    depth-first in item order.
+def _onward(dag: Dag, source: str, target: str, cap: int) -> dict[str, tuple[str, ...]]:
+    """The sorted children on directed paths source -> target of each node on
+    them, keyed in topological order (source first, target last); empty when
+    the target is not a descendant.
 
-    The product is carried down the walk, multiplying ``coefficient(u, v)``
-    arc by arc from the source, the same left-to-right order as
-    ``path_product``.  Refuses (PathCountError) when the path count exceeds
-    ``cap``.
+    The prologue of every path walk: refuses an unknown node, source ==
+    target (ValidationError) and a path count above ``cap``
+    (PathCountError).
     """
     _check_nodes(dag, source, target)
     if source == target:
         raise ValidationError("source and target must differ")
     between = _path_nodes(dag, source, target)
     if not between:
-        return []
+        return {}
     total = _count_between(dag, between)
     if total > cap:
         raise PathCountError(
             f"{total} paths from {source} to {target} exceeds cap {cap}; "
             "use total_influence for the aggregate"
         )
-    # restrict the walk to the (sorted) children that can still reach the target
     on_path = set(between)
-    onward = {node: tuple(ch for ch in dag.children(node) if ch in on_path) for node in between}
-    # an explicit stack: a recursive closure is a reference cycle, which kept
-    # each query's paths in memory until the next full garbage collection
-    found: list[tuple[tuple[str, ...], float]] = []
-    path: list[str] = []
-    todo = [(0, source, 1.0)]  # (depth, node, product)
-    while todo:
-        depth, node, product = todo.pop()
-        del path[depth:]
-        path.append(node)
-        if node == target:
-            found.append((tuple(path), product))
-            continue
-        for child in reversed(onward[node]):  # the smallest child is walked first
-            todo.append((depth + 1, child, product * coefficient(node, child)))
-    return found
-
-
-def _unit(u: str, v: str) -> float:
-    return 1.0
+    return {node: tuple(ch for ch in dag.children(node) if ch in on_path) for node in between}
 
 
 def enumerate_paths(dag: Dag, source: str, target: str, cap: int = DEFAULT_PATH_CAP):
@@ -140,7 +122,24 @@ def enumerate_paths(dag: Dag, source: str, target: str, cap: int = DEFAULT_PATH_
     influence is still available through ``total_influence`` without
     enumeration.
     """
-    return [path for path, _ in _walk_paths(dag, source, target, cap, _unit)]
+    onward = _onward(dag, source, target, cap)
+    if not onward:
+        return []
+    # an explicit stack: a recursive closure is a reference cycle, which kept
+    # each query's paths in memory until the next full garbage collection
+    found: list[tuple[str, ...]] = []
+    path: list[str] = []
+    todo = [(0, source)]  # (depth, node)
+    while todo:
+        depth, node = todo.pop()
+        del path[depth:]
+        path.append(node)
+        if node == target:
+            found.append(tuple(path))
+            continue
+        for child in reversed(onward[node]):  # the smallest child is walked first
+            todo.append((depth + 1, child))
+    return found
 
 
 def path_product(path, params: GaussianBnParams) -> float:
@@ -189,12 +188,68 @@ def top_paths(
 
     Ties break lexicographically on the node sequence; fewer than k paths
     simply returns them all.
+
+    A best-first search, not a walk of every path.  One reverse sweep gives
+    ``best[v]``, the largest |product| of any v -> target path.  Partial
+    paths leave a heap in order of ``|product so far| * best[node]``, an
+    upper bound on every completion, and each product is carried from the
+    source left to right, as ``path_product`` multiplies.  The search stops
+    once k paths are found and the k-th largest found |product| exceeds the
+    popped bound times (1 + 1e-9): then no unexplored path can reach the top
+    k, even by tying.  Sorting the found paths by node sequence gives the
+    depth-first order of ``enumerate_paths``, and the stable sort by
+    ``(-|product|, path)`` then ranks them exactly as sorting every path
+    would, NaN products included.
+
+    Exactness guard.  A path has at most L = len(nodes on paths) - 1 arcs.
+    When every |coefficient| on the paths is 0 or lies in [2**-s, 2**s] with
+    s = 900 / L, every prefix product, bound and product is a product of at
+    most L such factors: within [2**-900, 2**900], so normal, or exactly
+    zero.  Each rounding is then relative and at most 2**-53, and at most
+    2L + 1 of them lie between a path's computed |product| and the bound of
+    any of its prefixes, so the product exceeds that bound by a relative
+    (2L + 1) * 2**-53 at most: under 1e-14 on 36 items, far inside the 1e-9
+    slack.  Otherwise (subnormals, overflow, inf * 0 = NaN) the same search
+    runs without stopping early and so finds every path.
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
-    paths = _walk_paths(dag, source, target, cap, params.coefficient)
-    paths.sort(key=lambda pp: (-abs(pp[1]), pp[0]))
-    return [InfluencePath(nodes=path, product=product) for path, product in paths[:k]]
+    onward = _onward(dag, source, target, cap)
+    if not onward:
+        return []
+    # every arc on the paths, with its coefficient read once
+    arcs = {node: [(child, params.coefficient(node, child)) for child in children]
+            for node, children in onward.items()}
+    best = {target: 1.0}
+    for node in reversed(onward):
+        if node != target:
+            best[node] = max(abs(c) * best[child] for child, c in arcs[node])
+    s = 900 / (len(onward) - 1)
+    lo, hi = 2.0**-s, 2.0**s
+    prune = all(c == 0 or lo <= abs(c) <= hi for out in arcs.values() for _, c in out)
+
+    found: list[tuple[tuple[str, ...], float]] = []
+    kth: list[float] = []  # min-heap of the k largest |product| found
+    tick = itertools.count()  # breaks ties between equal bounds
+    todo = [(-best[source], next(tick), (source,), 1.0)]  # (-bound, tick, path, product)
+    while todo:
+        key, _, path, product = heapq.heappop(todo)
+        if prune and len(kth) == k and kth[0] > -key * (1 + 1e-9):
+            break
+        for child, c in arcs[path[-1]]:
+            extended = product * c
+            if child == target:
+                found.append((path + (child,), extended))
+                if len(kth) < k:
+                    heapq.heappush(kth, abs(extended))
+                elif abs(extended) > kth[0]:
+                    heapq.heapreplace(kth, abs(extended))
+            else:
+                heapq.heappush(todo, (-abs(extended) * best[child], next(tick),
+                                      path + (child,), extended))
+    found.sort()  # by path alone, as paths differ: the depth-first order
+    found.sort(key=lambda pp: (-abs(pp[1]), pp[0]))
+    return [InfluencePath(nodes=path, product=product) for path, product in found[:k]]
 
 
 def influence_result(
@@ -207,6 +262,8 @@ def influence_result(
 ) -> InfluenceResult:
     """Total influence plus, when requested, the top-k path breakdown."""
     total = total_influence(dag, params, source, target)
+    if k is not None and k < 1:
+        raise ValidationError("k must be >= 1")
     paths = None
     if k is not None and source != target:
         paths = tuple(top_paths(dag, params, source, target, k, cap=cap))

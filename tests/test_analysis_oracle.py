@@ -3,6 +3,7 @@ the bottom-up Mann-Whitney counts against ``reference_analysis.py``, the
 seed-at-a-time, arc-scanning, every-node and recursive code they replace.
 Results must be identical, bit for bit, not merely close."""
 import contextlib
+import dataclasses
 import gc
 import math
 import tracemalloc
@@ -21,6 +22,7 @@ from attachnet.influence import (
     top_paths,
     total_influence,
 )
+from attachnet.params import GaussianBnParams
 from test_influence import build_model
 
 
@@ -182,8 +184,16 @@ def test_exact_u_counts_match_reference():
 COEFFICIENTS = st.sampled_from([0.5, -0.5, 0.25, -0.25, 1.0, -1.0, 2.0, -0.3, 0.7, 0.0, -0.0])
 
 
+# subnormal, tiny, huge and one-ulp-from-1 magnitudes: top_paths' exactness
+# guard turns its early stop off, and overflow makes inf and NaN products
+EXTREME_COEFFICIENTS = st.sampled_from([
+    1e-160, -1e-160, 3e-170, 5e-324, 1e154, -1e154, 1e200, 0.0, -0.0,
+    1.0000000000000002, 0.9999999999999999, 0.5, -0.5,
+])
+
+
 @st.composite
-def random_models(draw):
+def random_models(draw, coefficients=COEFFICIENTS):
     n = draw(st.integers(2, 8))
     names = [f"n{i}" for i in draw(st.permutations(range(n)))]  # the item order differs
     order = draw(st.permutations(names))                        # from the causal order
@@ -191,7 +201,7 @@ def random_models(draw):
     for i in range(n):
         for j in range(i + 1, n):
             if draw(st.booleans()):
-                arcs.append((order[i], order[j], draw(COEFFICIENTS)))
+                arcs.append((order[i], order[j], draw(coefficients)))
     return build_model(tuple(names), arcs)
 
 
@@ -218,6 +228,51 @@ def test_path_queries_match_reference(model, k):
             got = top_paths(dag, params, source, target, k)
             assert got == ref.top_paths(dag, params, source, target, k)
             assert all(same_bits(p.product, path_product(p.nodes, params)) for p in got)
+
+
+def ranked_bits(paths):
+    return [(p.nodes, p.product.hex()) for p in paths]
+
+
+@settings(max_examples=120, deadline=None, database=None, derandomize=True)
+@given(model=random_models(EXTREME_COEFFICIENTS), k=st.integers(1, 4))
+def test_path_queries_with_extreme_coefficients_match_reference(model, k):
+    """Compared on node tuples and product bits: dataclass == is false for a
+    NaN product."""
+    dag, params = model
+    for source in dag.nodes:
+        for target in dag.nodes:
+            if source != target:
+                assert (ranked_bits(top_paths(dag, params, source, target, k))
+                        == ranked_bits(ref.top_paths(dag, params, source, target, k)))
+
+
+def test_nan_and_inf_products_rank_as_the_reference():
+    """inf * 0 = NaN: where NaN products land in the sort depends on the order
+    the paths come in, which must be the reference's depth-first order."""
+    dag, params = build_model(("s", "a", "b", "c", "d", "t"), [
+        ("s", "a", 1e200), ("s", "b", -1e200), ("s", "t", 0.0), ("a", "c", 1e200),
+        ("b", "c", 1e200), ("a", "t", 0.5), ("b", "t", 0.5), ("c", "t", 0.0),
+        ("c", "d", 1.0), ("d", "t", -1.0),
+    ])
+    products = [path_product(p, params) for p in enumerate_paths(dag, "s", "t")]
+    assert sum(math.isnan(p) for p in products) == 2
+    assert sum(math.isinf(p) for p in products) == 2
+    for k in range(1, len(products) + 1):
+        assert (ranked_bits(top_paths(dag, params, "s", "t", k))
+                == ranked_bits(ref.top_paths(dag, params, "s", "t", k)))
+
+
+def test_underflowing_bound_turns_the_early_stop_off():
+    """Right to left, 3e-170 * 3e-170 underflows to 0, so the bound through
+    a is 0; left to right the path s -> a -> b -> t has product 9e-140 and
+    ranks first.  Stopping early on that bound would return s -> t."""
+    dag, params = build_model(("s", "a", "b", "t"), [
+        ("s", "a", 1e200), ("a", "b", 3e-170), ("b", "t", 3e-170), ("s", "t", 1e-160),
+    ])
+    top = top_paths(dag, params, "s", "t", 1)
+    assert top == ref.top_paths(dag, params, "s", "t", 1)
+    assert top[0].nodes == ("s", "a", "b", "t")
 
 
 @settings(max_examples=120, deadline=None, database=None, derandomize=True)
@@ -252,6 +307,41 @@ def test_path_walk_leaves_no_reference_cycle(fixture_model):
     assert len(top_paths(dag, params, "Q02", "Q36", 2)) == 2
     assert len(enumerate_paths(dag, "Q02", "Q36")) == 581
     assert gc.collect() == 0
+
+
+def test_all_tied_paths_match_reference(fixture_model):
+    """With every coefficient 1.0 all 581 Q02 -> Q36 paths tie, so the search
+    cannot stop early and the node sequence alone ranks them."""
+    dag, params = fixture_model
+    ones = dataclasses.replace(params, coefficients={
+        child: dict.fromkeys(parents, 1.0) for child, parents in params.coefficients.items()})
+    for k in (1, 2, 5):
+        assert top_paths(dag, ones, "Q02", "Q36", k) == ref.top_paths(dag, ones, "Q02", "Q36", k)
+
+
+class CountingParams(GaussianBnParams):
+    """Counts ``coefficient`` reads."""
+    reads = 0
+
+    def coefficient(self, parent, child):
+        type(self).reads += 1
+        return super().coefficient(parent, child)
+
+
+def test_top_paths_reads_few_coefficients(fixture_model):
+    """The best-first search reads each arc on the Q02 -> Q36 paths once,
+    under a quarter of the reads of a walk of all 581 paths: one per
+    distinct path prefix."""
+    dag, params = fixture_model
+    counting = CountingParams(params.nodes, params.intercept, params.residual_sd,
+                              params.coefficients)
+    paths = enumerate_paths(dag, "Q02", "Q36")
+    walked = len({path[:end] for path in paths for end in range(2, len(path) + 1)})
+    assert walked == 2075
+    CountingParams.reads = 0
+    got = top_paths(dag, counting, "Q02", "Q36", 2)
+    assert CountingParams.reads < walked / 4
+    assert got == ref.top_paths(dag, params, "Q02", "Q36", 2)
 
 
 def test_unknown_node_has_no_adjacency(fixture_model):

@@ -328,6 +328,13 @@ def test_influence_identity(capsys):
     assert "1.0000" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("target", ["Q05", "Q03"])
+def test_influence_k_below_1_exits_2(target, capsys):
+    """The same as for any other pair, even when source and target are one item."""
+    assert main(["influence", "--fixture", "--from", "Q05", "--to", target, "-k", "0"]) == 2
+    assert capsys.readouterr() == ("", "error: k must be >= 1\n")
+
+
 def test_influence_unknown_node_exits_2(capsys):
     assert main(["influence", "--fixture", "--from", "QXX", "--to", "Q03"]) == 2
 
