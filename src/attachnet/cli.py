@@ -107,8 +107,13 @@ def _load_model(args):
 
 def _checked_epochs(args, stability: bool) -> list[int]:
     """The ``--stability`` replicate counts (none unless ``stability``), once
-    they and every bootstrap and averaging flag are in range; called before
+    they and every bootstrap, averaging and ``--threads`` flag are in range
+    and no ``--strengths`` file is asked of a stability sweep; called before
     any input is read, so a bad flag fails before hours of work."""
+    if args.threads < 1:
+        raise ValidationError("--threads must be >= 1")
+    if stability and getattr(args, "strengths", None):
+        raise ValidationError("--strengths cannot be combined with --stability")
     epochs = _parse_int_list(args.stability) if stability else []
     check_bootstrap_settings(
         replicates=args.replicates,
@@ -118,6 +123,26 @@ def _checked_epochs(args, stability: bool) -> list[int]:
         epochs=epochs,
     )
     return epochs
+
+
+def _stability_csv(table, epochs, cfg, args) -> str:
+    """The stability sweep over ``epochs`` at the bootstrap flags, as CSV."""
+    return stability_curve(
+        table, epochs, repeats=args.repeats, sample_size=args.sample_size,
+        cfg=cfg, threshold=args.threshold, threads=args.threads,
+    ).to_csv()
+
+
+def _averaged_network(table, cfg, args, strengths_path) -> Dag:
+    """Bootstrap, write the strength CSV to ``strengths_path`` if one is
+    given, and average at ``--threshold``."""
+    strengths = bootstrap_strengths(
+        table, replicates=args.replicates, sample_size=args.sample_size,
+        cfg=cfg, threads=args.threads,
+    )
+    if strengths_path:
+        _write(strengths_path, strengths.to_csv())
+    return average_network(strengths, threshold=args.threshold)
 
 
 def _search_config(args) -> SearchConfig:
@@ -135,12 +160,6 @@ def _search_config(args) -> SearchConfig:
 
 
 def cmd_ingest(args) -> int:
-    schema = ColumnSchema(age=args.age_col, gender=args.gender_col, country=args.country_col)
-    codebook = read_codebook(args.codebook) if args.codebook else None
-    table = parse_responses(args.input, schema=schema, codebook=codebook)
-    if table.dropped_rows:
-        print(f"dropped {table.dropped_rows} malformed rows", file=sys.stderr)
-
     f = standard_filter() if args.filter_standard else CohortFilter()
     if args.age:
         f = replace(f, age_range=_parse_range(args.age, "age range", "18:60"))
@@ -150,6 +169,12 @@ def cmd_ingest(args) -> int:
         f = replace(f, regions=frozenset(args.regions.split(",")))
     if args.require_complete:
         f = replace(f, require_complete=True)
+
+    schema = ColumnSchema(age=args.age_col, gender=args.gender_col, country=args.country_col)
+    codebook = read_codebook(args.codebook) if args.codebook else None
+    table = parse_responses(args.input, schema=schema, codebook=codebook)
+    if table.dropped_rows:
+        print(f"dropped {table.dropped_rows} malformed rows", file=sys.stderr)
     if f != CohortFilter():
         table = filter_cohort(table, f)
 
@@ -186,16 +211,7 @@ def cmd_learn(args) -> int:
     table = filter_cohort(table, complete)
 
     if args.stability:
-        report = stability_curve(
-            table,
-            epochs,
-            repeats=args.repeats,
-            sample_size=args.sample_size,
-            cfg=cfg,
-            threshold=args.threshold,
-            threads=args.threads,
-        )
-        text = report.to_csv()
+        text = _stability_csv(table, epochs, cfg, args)
         if args.output:
             _write(args.output, text)
             print(f"wrote {args.output}")
@@ -203,17 +219,9 @@ def cmd_learn(args) -> int:
             print(text, end="")
         return 0
 
-    strengths = bootstrap_strengths(
-        table,
-        replicates=args.replicates,
-        sample_size=args.sample_size,
-        cfg=cfg,
-        threads=args.threads,
-    )
+    dag = _averaged_network(table, cfg, args, args.strengths)
     if args.strengths:
-        _write(args.strengths, strengths.to_csv())
         print(f"wrote {args.strengths}")
-    dag = average_network(strengths, threshold=args.threshold)
     print(f"averaged network: {len(dag.arcs)} arcs over {len(dag.nodes)} nodes")
     params = fit_mle(dag, table)
     out = args.output or "model.json"
@@ -242,45 +250,44 @@ def cmd_analyze(args) -> int:
     dag, params = _load_model(args)
     if not dag.arcs:
         raise ValidationError("model has no arcs; nothing to analyze")
-    outdir = Path(args.out_dir) if args.out_dir else None
-    if outdir:
-        outdir.mkdir(parents=True, exist_ok=True)
 
+    # every report is computed before the first line is printed or file
+    # written, so a bad flag (--damping, --steps) leaves no partial output
     roots, terminals = roots_and_terminals(dag)
-    print(f"roots: {', '.join(sorted(roots))}")
-    print(f"terminals: {', '.join(sorted(terminals))}")
-    print(f"median |coefficient|: {median_abs_coefficient(params):.5f}")
-
+    median = median_abs_coefficient(params)
     deg_in, deg_out = degree_centrality(dag)
     bet = betweenness(dag, params)
     pr = pagerank(dag, params, damping=args.damping)
-    print(f"max degree out: {deg_out.argmax()}; max degree in: {deg_in.argmax()}")
-    print(f"top betweenness: {', '.join(bet.top(3))}")
-    print(f"top pagerank: {', '.join(pr.top(3))}")
-
+    walked = None
     if args.clusters:
         partition = load_csv(args.clusters, Partition.from_csv)
     elif getattr(args, "fixture", False):
         partition = fixtures.load_fixture_partition()
         walked = communities_walktrap(dag, params, steps=args.steps)
-        print(f"walktrap finds {len(walked.clusters())} clusters; "
-              f"coupling below uses the reference labels")
     else:
         partition = communities_walktrap(dag, params, steps=args.steps)
+    coupling = cluster_coupling(dag, params, partition)
+    pol = fixtures.load_polarity()
+    intercepts = intercept_report(params, pol) if all(n in pol for n in dag.nodes) else None
+
+    print(f"roots: {', '.join(sorted(roots))}")
+    print(f"terminals: {', '.join(sorted(terminals))}")
+    print(f"median |coefficient|: {median:.5f}")
+    print(f"max degree out: {deg_out.argmax()}; max degree in: {deg_in.argmax()}")
+    print(f"top betweenness: {', '.join(bet.top(3))}")
+    print(f"top pagerank: {', '.join(pr.top(3))}")
+    if walked is not None:
+        print(f"walktrap finds {len(walked.clusters())} clusters; "
+              f"coupling below uses the reference labels")
     sizes = {label: len(m) for label, m in sorted(partition.clusters().items())}
     print(f"clusters: {sizes}")
-
-    coupling = cluster_coupling(dag, params, partition)
     for (a, b), value in sorted(coupling.items()):
         print(f"  coupling {a}->{b}: {value:.5f}")
 
-    pol = fixtures.load_polarity()
-    if all(n in pol for n in dag.nodes):
-        report = intercept_report(params, pol)
-        if outdir:
-            _write(outdir / "intercepts.csv", report.to_csv())
-
+    outdir = Path(args.out_dir) if args.out_dir else None
     if outdir:
+        if intercepts is not None:
+            _write(outdir / "intercepts.csv", intercepts.to_csv())
         _write(outdir / "degree_in.csv", deg_in.to_csv())
         _write(outdir / "degree_out.csv", deg_out.to_csv())
         _write(outdir / "betweenness.csv", bet.to_csv())
@@ -437,21 +444,12 @@ def cmd_full_repro(args) -> int:
 
     if not args.skip_stability:
         print("[2/5] stability curve (this is the long part)")
-        stab = stability_curve(
-            table, epochs, repeats=args.repeats, sample_size=args.sample_size,
-            cfg=cfg, threshold=args.threshold, threads=args.threads,
-        )
-        _write(outdir / "stability.csv", stab.to_csv())
+        _write(outdir / "stability.csv", _stability_csv(table, epochs, cfg, args))
     else:
         print("[2/5] stability curve skipped")
 
     print(f"[3/5] bootstrap structure learning (R={args.replicates})")
-    strengths = bootstrap_strengths(
-        table, replicates=args.replicates, sample_size=args.sample_size,
-        cfg=cfg, threads=args.threads,
-    )
-    _write(outdir / "strengths.csv", strengths.to_csv())
-    dag = average_network(strengths, threshold=args.threshold)
+    dag = _averaged_network(table, cfg, args, outdir / "strengths.csv")
     print(f"  averaged network has {len(dag.arcs)} arcs")
 
     print("[4/5] parameter fit")
@@ -471,17 +469,19 @@ def cmd_full_repro(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
-def _add_search_flags(p: argparse.ArgumentParser) -> None:
+def _add_bootstrap_flags(
+    p: argparse.ArgumentParser, replicates: int, stability: str | None
+) -> None:
+    """The bootstrap, averaging and stability flags ``learn`` and
+    ``full-repro`` share; only the defaults of ``-R`` and ``--stability``
+    differ."""
+    p.add_argument("-R", "--replicates", type=int, default=replicates)
+    p.add_argument("-m", "--sample-size", type=int, default=1000)
+    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--stability", default=stability,
+                   help="comma-separated replicate counts, e.g. 50,100,200")
+    p.add_argument("--repeats", type=int, default=5, help="repeats per stability epoch")
     p.add_argument("--seed", type=int, default=None, help="RNG seed (env ATTACHNET_SEED)")
-    p.add_argument("--tabu-len", type=int, default=10)
-    p.add_argument("--max-iter", type=int, default=100)
-    p.add_argument("--max-parents", type=int, default=None)
-    p.add_argument("--restarts", type=int, default=0)
-    p.add_argument("--metric", choices=("bic", "aic", "loglik"), default="bic")
-    _add_threads_flag(p)
-
-
-def _add_threads_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--threads", type=int, default=1,
         help="bootstrap worker threads (default 1: the search loop is Python code that "
@@ -510,14 +510,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("learn", help="bootstrap structure learning / stability curve")
     p.add_argument("input")
-    p.add_argument("-R", "--replicates", type=int, default=100)
-    p.add_argument("-m", "--sample-size", type=int, default=1000)
-    p.add_argument("--threshold", type=float, default=0.5)
+    _add_bootstrap_flags(p, replicates=100, stability=None)
     p.add_argument("-o", "--output", help="model JSON path (default model.json)")
     p.add_argument("--strengths", help="write the arc strength CSV here")
-    p.add_argument("--stability", help="comma-separated replicate counts, e.g. 50,100,200")
-    p.add_argument("--repeats", type=int, default=5, help="repeats per stability epoch")
-    _add_search_flags(p)
+    p.add_argument("--tabu-len", type=int, default=10)
+    p.add_argument("--max-iter", type=int, default=100)
+    p.add_argument("--max-parents", type=int, default=None)
+    p.add_argument("--restarts", type=int, default=0)
+    p.add_argument("--metric", choices=("bic", "aic", "loglik"), default="bic")
     p.set_defaults(func=cmd_learn)
 
     p = sub.add_parser("fit", help="fit parameters on a fixed structure")
@@ -590,14 +590,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("full-repro", help="end-to-end reproduction on a raw corpus (slow)")
     p.add_argument("input", help="raw survey export")
     p.add_argument("--out-dir", default="full-repro")
-    p.add_argument("-R", "--replicates", type=int, default=3000)
-    p.add_argument("-m", "--sample-size", type=int, default=1000)
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--stability", default="50,100,200,500,1000,1500,3000,5000")
-    p.add_argument("--repeats", type=int, default=5)
+    _add_bootstrap_flags(p, replicates=3000, stability="50,100,200,500,1000,1500,3000,5000")
     p.add_argument("--skip-stability", action="store_true")
-    p.add_argument("--seed", type=int, default=None)
-    _add_threads_flag(p)
     # stage 5 takes analyze's defaults from this parser: building a second
     # parser in every run kept about 0.3 MB more resident at the peak
     p.set_defaults(func=cmd_full_repro, analyze_parser=analyze_parser)
@@ -611,8 +605,6 @@ def main(argv=None) -> int:
     try:
         if hasattr(args, "seed") and args.seed is None:
             args.seed = _default_seed()
-        if getattr(args, "threads", 1) < 1:
-            raise ValidationError("--threads must be >= 1")
         return args.func(args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -84,13 +84,8 @@ def _random_dag_adjacency(
     return adj
 
 
-def tabu_search(stats: SufficientStats, cfg: SearchConfig | None = None) -> Dag:
-    """Best DAG found by tabu-augmented hill climbing; deterministic per seed.
-
-    The first run starts from the empty graph; each configured restart starts
-    from a seeded random DAG and the highest-scoring result wins.
-    """
-    cfg = cfg or SearchConfig()
+def _search(stats: SufficientStats, cfg: SearchConfig) -> np.ndarray:
+    """The adjacency of ``tabu_search``'s DAG; bootstrap replicates use it as is."""
     m = len(stats.items)
     best_adj, best_score = _run_kernel(stats, cfg, np.zeros((m, m), dtype=np.int8))
     for restart in range(cfg.restarts):
@@ -98,7 +93,17 @@ def tabu_search(stats: SufficientStats, cfg: SearchConfig | None = None) -> Dag:
         adj, score = _run_kernel(stats, cfg, _random_dag_adjacency(m, rng, cfg.max_parents))
         if score > best_score + 1e-9:
             best_adj, best_score = adj, score
-    return Dag.from_adjacency(stats.items, best_adj)
+    return best_adj
+
+
+def tabu_search(stats: SufficientStats, cfg: SearchConfig | None = None) -> Dag:
+    """Best DAG found by tabu-augmented hill climbing; deterministic per seed.
+
+    The first run starts from the empty graph; each configured restart starts
+    from a random DAG drawn from the seed stream ``(cfg.seed, 0x5EED,
+    restart)`` and the highest-scoring result wins.
+    """
+    return Dag.from_adjacency(stats.items, _search(stats, cfg or SearchConfig()))
 
 
 @dataclass(frozen=True)
@@ -181,7 +186,8 @@ def bootstrap_strengths(
     """Arc inclusion/direction frequencies over bootstrap replicates.
 
     Each replicate draws ``sample_size`` rows with replacement using the seed
-    stream ``(cfg.seed, replicate)``, learns a DAG and tallies its arcs.
+    stream ``(cfg.seed, replicate)``, learns a DAG as ``tabu_search`` does
+    (restarts included) and tallies its arcs.
     """
     cfg = cfg or SearchConfig()
     check_bootstrap_settings(replicates=replicates, sample_size=sample_size)
@@ -194,9 +200,7 @@ def bootstrap_strengths(
     def one(replicate: int) -> np.ndarray:
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, replicate)))
         idx = rng.integers(0, n, size=sample_size)
-        stats = stats_from_matrix(rows[idx], items)
-        adj, _ = _run_kernel(stats, cfg, np.zeros((len(items), len(items)), dtype=np.int8))
-        return adj
+        return _search(stats_from_matrix(rows[idx], items), cfg)
 
     if threads and threads > 1:
         from concurrent.futures import ThreadPoolExecutor  # not on import: most runs use 1 thread

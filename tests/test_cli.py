@@ -63,6 +63,17 @@ def test_ingest_bad_age_range_exits_2(tmp_path):
     assert main(["ingest", str(src), "--age", "60:18"]) == 2
 
 
+@pytest.mark.parametrize("age,message", [
+    pytest.param("60:18", "age range [60, 18] has lo > hi", id="lo-above-hi"),
+    pytest.param("18-60", "age range must look like 18:60, got '18-60'", id="not-lo-colon-hi"),
+])
+def test_ingest_bad_age_range_exits_2_before_parsing(tmp_path, capsys, age, message):
+    src = tmp_path / "ragged.csv"
+    src.write_text("Q1,Q2,age\n3,4,30\n2,5\n")  # the parser would drop the ragged row
+    assert main(["ingest", str(src), "--age", age]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_ingest_duplicate_item_header_exits_2(tmp_path, capsys):
     src = tmp_path / "dup.csv"
     src.write_text("Q1,Q2,Q01,age\n3,4,5,30\n")
@@ -143,6 +154,14 @@ def test_bad_bootstrap_flag_exits_2_before_reading_input(tmp_path, capsys, comma
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not out.exists()  # not even full-repro's cohort.csv
+
+
+def test_learn_strengths_with_stability_exits_2_before_reading_input(tmp_path, capsys):
+    strengths = tmp_path / "strengths.csv"
+    argv = ["learn", str(tmp_path / "absent.csv"), "--stability", "3", "--strengths", str(strengths)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: --strengths cannot be combined with --stability\n")
+    assert not strengths.exists()
 
 
 def test_full_repro_threshold_reaches_the_stability_sweep(tmp_path):
@@ -240,6 +259,17 @@ def test_analyze_fixture_summary(capsys):
     assert "roots: Q02, Q05" in out
     assert "terminals: Q16, Q34, Q36" in out
     assert "median |coefficient|: 0.17217" in out
+
+
+@pytest.mark.parametrize("flags,message", [
+    pytest.param(["--damping", "1.5"], "damping must be in (0, 1)", id="damping-above-1"),
+    pytest.param(["--steps", "0"], "steps must be >= 1", id="zero-steps"),
+])
+def test_analyze_bad_flag_exits_2_before_any_output(tmp_path, capsys, flags, message):
+    out = tmp_path / "reports"
+    assert main(["analyze", "--fixture", *flags, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
 
 
 def test_analyze_requires_model():
@@ -564,6 +594,16 @@ def test_full_repro_chain_on_synthetic_corpus(tmp_path, capsys):
     assert {p.name: p.read_bytes() for p in (outdir / "analysis").iterdir()} == reports
     assert len(reports) == 8
     assert (outdir / "network.dot").read_bytes() == dot
+
+    # stages 3 and 4 are `attachnet learn` on the cohort it wrote: same files
+    learned = tmp_path / "learn"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["learn", str(outdir / "cohort.csv"), "-R", "2", "-m", "120", "--seed", "3",
+                     "--strengths", str(learned / "strengths.csv"),
+                     "-o", str(learned / "model.json")]) == 0
+    for name in ("strengths.csv", "model.json"):
+        assert (learned / name).read_bytes() == (outdir / name).read_bytes()
 
 
 def test_export_writes_reference_files(tmp_path):

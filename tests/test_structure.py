@@ -360,3 +360,29 @@ def test_strength_table_direction_sums_to_one(rng):
     assert st.strength("a", "b") == pytest.approx(1.0)
     text = st.to_csv()
     assert "from,to,strength,direction" in text
+
+
+def test_bootstrap_replicates_run_tabu_search_with_restarts():
+    """Each replicate learns exactly ``tabu_search``'s DAG, restarts included;
+    on this corpus the restarts change replicates 1 and 2, so the sum below
+    differs from the one without them."""
+    from attachnet import fixtures
+    from attachnet.params import simulate
+
+    dag, params = fixtures.load_fixture_model()
+    keep = set(dag.topological_order()[:10])
+    cols = [i for i, node in enumerate(dag.nodes) if node in keep]
+    rows = simulate(dag, params, n=4000, rng=np.random.default_rng(80519))[:, cols]
+    table = make_table(np.clip(np.round(rows), 1, 5), items=tuple(dag.nodes[i] for i in cols))
+    cfg = SearchConfig(seed=1, restarts=2)
+    expected = np.zeros((10, 10), dtype=np.int64)
+    changed = 0
+    for replicate in range(3):
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, replicate)))
+        stats = stats_from_matrix(table.rows[rng.integers(0, 4000, size=200)], table.items)
+        adj = tabu_search(stats, cfg).adjacency_matrix()
+        changed += not np.array_equal(adj, tabu_search(stats, SearchConfig(seed=1)).adjacency_matrix())
+        expected += adj
+    assert changed >= 1
+    strengths = bootstrap_strengths(table, 3, 200, cfg)
+    assert np.array_equal(strengths.counts, expected)
