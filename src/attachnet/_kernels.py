@@ -6,13 +6,19 @@ Python float rounds as a float64 does, without the cost of a numpy scalar.
 The tabu search spends its time in them and in ``_pick_move``, which chooses
 each move from one cached matrix of score deltas with whole-matrix numpy
 operations on the adjacency and its closure, ``_reachability``; the closure
-also finds the arcs on cycles for ``structure.average_network``.
-``benchmarks/bench_kernels.py`` times both against the references kept under
-``tests/``.
+also finds the arcs on cycles for ``structure.average_network``.  The search
+reuses what it computed: a node's column of score deltas per parent set, and,
+through ``CachedScorer``, local scores and the Cholesky factor rows that
+parent sets with a common prefix share.  The solve is one routine in three
+steps (a factor row, a forward-substitution entry, the back substitution),
+which ``local_score`` runs uncached and ``CachedScorer`` runs on its shared
+rows, so the two agree bit for bit.  ``benchmarks/bench_kernels.py`` times
+the scoring and the search against the references kept under ``tests/``.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
 
 import numpy as np
@@ -29,39 +35,60 @@ LOG_2PI = 1.8378770664093453
 ADD, REMOVE, REVERSE = 0, 1, 2
 
 
-def _chol_solve(a, b):
-    """Solve the SPD system a @ x = b (a list of rows) via Cholesky, with the
-    forward substitution done row by row.  Returns (x, ok); ok is False when
-    the factorization breaks down."""
-    p = len(a)
-    low = []
-    y = []
-    for i in range(p):
-        row = []
-        for j in range(i):
-            s = a[i][j]
-            other = low[j]
-            for k in range(j):
-                s -= row[k] * other[k]
-            row.append(s / other[j])
-        s = a[i][i]
-        for k in range(i):
-            s -= row[k] * row[k]
-        if s <= 0.0:
-            return [0.0] * p, False
-        row.append(math.sqrt(s))
-        low.append(row)
-        s = b[i]
-        for k in range(i):
-            s -= row[k] * y[k]
-        y.append(s / row[i])
+def _factor_row(a_i, low):
+    """Row i of the Cholesky factor of an SPD matrix, from the first i + 1
+    entries of the matrix's row i and the factor rows 0..i-1 in ``low``;
+    None when the factorization breaks down."""
+    row = []
+    for j, other in enumerate(low):
+        s = a_i[j]
+        for k in range(j):
+            s -= row[k] * other[k]
+        row.append(s / other[j])
+    i = len(low)
+    s = a_i[i]
+    for k in range(i):
+        s -= row[k] * row[k]
+    if s <= 0.0:
+        return None
+    row.append(math.sqrt(s))
+    return row
+
+
+def _forward(row, b_i, y):
+    """Entry i of the forward substitution L y = b, from factor row i, b[i]
+    and the entries 0..i-1 in ``y``."""
+    s = b_i
+    for k in range(len(y)):
+        s -= row[k] * y[k]
+    return s / row[-1]
+
+
+def _back_substitute(low, y):
+    """Solve L^T x = y for the factor rows ``low``."""
+    p = len(low)
     x = [0.0] * p
     for i in range(p - 1, -1, -1):
         s = y[i]
         for k in range(i + 1, p):
             s -= low[k][i] * x[k]
         x[i] = s / low[i][i]
-    return x, True
+    return x
+
+
+def _chol_solve(a, b):
+    """Solve the SPD system a @ x = b (a list of rows) via Cholesky, with the
+    forward substitution done row by row.  Returns (x, ok); ok is False when
+    the factorization breaks down."""
+    low = []
+    y = []
+    for a_i, b_i in zip(a, b):
+        row = _factor_row(a_i, low)
+        if row is None:
+            return [0.0] * len(a), False
+        low.append(row)
+        y.append(_forward(row, b_i, y))
+    return _back_substitute(low, y), True
 
 
 def residual_variance(c, v, parents, ridge):
@@ -83,6 +110,24 @@ def residual_variance(c, v, parents, ridge):
     return var, True
 
 
+def _log_likelihood(n, var):
+    """Maximized Gaussian log-likelihood of n rows with residual variance
+    var, floored at 1e-12."""
+    if var < 1e-12:
+        var = 1e-12
+    # np.log, not math.log: the two differ in the last bit on some inputs
+    return -0.5 * n * (LOG_2PI + float(np.log(var)) + 1.0)
+
+
+def _penalty(n, k, metric):
+    """The metric's penalty for k free parameters: k/2 * ln n, k or none."""
+    if metric == 0:
+        return 0.5 * k * np.log(n)
+    if metric == 1:
+        return k
+    return 0
+
+
 def local_score(c, n, v, parents, ridge, metric):
     """Decomposable Gaussian score term for one node.
 
@@ -93,16 +138,82 @@ def local_score(c, n, v, parents, ridge, metric):
     var, ok = residual_variance(c, v, parents, ridge)
     if not ok:
         return -np.inf
-    if var < 1e-12:
-        var = 1e-12
-    # np.log, not math.log: the two differ in the last bit on some inputs
-    ll = -0.5 * n * (LOG_2PI + np.log(var) + 1.0)
-    k = len(parents) + 2
-    if metric == 0:
-        return ll - 0.5 * k * np.log(n)
-    if metric == 1:
-        return ll - k
-    return ll
+    return _log_likelihood(n, var) - _penalty(n, len(parents) + 2, metric)
+
+
+class CachedScorer:
+    """``local_score`` for one search: memoised per (node, parent set), with
+    the Cholesky work shared between parent sets.
+
+    For a sorted parent tuple p, factor row i reads only ``c[p_i][p_j]`` for
+    j <= i, so it depends on the prefix p[:i + 1] alone, and forward
+    substitution entry i on that prefix and v.  A trie keyed by parent index
+    holds one node per prefix: its factor row (None when the factorization
+    breaks down there), its forward entries by v and its children.  Only the
+    back substitution and the variance sum run per parent set.  A parent set
+    with a failing prefix takes ``local_score``'s uncached path, ridge retry
+    included.  Every value is bit-identical to ``local_score``.
+    """
+
+    def __init__(self, c, n, ridge, metric):
+        self.c = c
+        self.n = n
+        self.ridge = ridge
+        self.metric = metric
+        self.penalty = [_penalty(n, p + 2, metric) for p in range(len(c))]
+        self.memo = {}
+        self.trie = {}  # parent index -> (factor row, forward entries by v, children)
+
+    def score(self, v, parents):
+        """``local_score(c, n, v, parents, ridge, metric)`` for a sorted
+        parent tuple."""
+        key = (v, parents)
+        s = self.memo.get(key)
+        if s is None:
+            var = self._variance(v, parents)
+            if var is None:  # a failing prefix: the uncached path retries with the ridge
+                s = local_score(self.c, self.n, v, parents, self.ridge, self.metric)
+            else:
+                s = _log_likelihood(self.n, var) - self.penalty[len(parents)]
+            self.memo[key] = s
+        return s
+
+    def _variance(self, v, parents):
+        """``residual_variance`` from the shared factor rows, or None when a
+        prefix of the parents does not factorize."""
+        c = self.c
+        low = []
+        y = []
+        level = self.trie
+        for i, p in enumerate(parents):
+            node = level.get(p)
+            if node is None:
+                cp = c[p]
+                row = _factor_row([cp[w] for w in parents[: i + 1]], low)
+                node = level[p] = (row, {}, {})
+            row, ys, level = node
+            if row is None:
+                return None
+            y_i = ys.get(v)
+            if y_i is None:
+                y_i = ys[v] = _forward(row, c[p][v], y)
+            low.append(row)
+            y.append(y_i)
+        var = c[v][v]
+        for p, x_i in zip(parents, _back_substitute(low, y)):
+            var -= c[p][v] * x_i
+        return var
+
+
+def _with(parents, u):
+    """The sorted parent tuple with u inserted."""
+    i = bisect_left(parents, u)
+    return parents[:i] + (u,) + parents[i:]
+
+
+def _without(parents, u):
+    """The sorted parent tuple with u removed."""
+    return tuple(w for w in parents if w != u)
 
 
 def _reachability(a):
@@ -183,37 +294,38 @@ def tabu_search_kernel(cov, n, adj, tabu_len, max_iter, max_parents, ridge, metr
 
     The search is incremental.  ``d[u, v]`` caches the change of ``ls[v]``
     when u joins or leaves v's parents, so a move only re-scores the column of
-    the one or two nodes whose parent set changed.  Cycle checks read a
-    transitive closure that an addition extends in place and a removal or
-    reversal recomputes; local scores are memoised per (node, parent set).
+    the one or two nodes whose parent set changed.  A column depends only on
+    v's parent tuple, which each move updates in place, so columns are kept
+    per (node, parent set) and reused when the search returns to a parent set,
+    as its stall phase of reversals does.  Local scores come from a
+    ``CachedScorer``, which memoises them and shares Cholesky factor rows
+    between parent sets with a common prefix.  Cycle checks read a transitive
+    closure that an addition extends in place and a removal or reversal
+    recomputes.
     """
     m = cov.shape[0]
-    c = cov.tolist()
-    memo = {}
-
-    def score(v, parents):
-        key = (v, parents)
-        if key not in memo:
-            memo[key] = local_score(c, n, v, parents, ridge, metric)
-        return memo[key]
-
+    score = CachedScorer(cov.tolist(), n, ridge, metric).score
     present = adj != 0
     parents = [tuple(np.flatnonzero(present[:, v]).tolist()) for v in range(m)]
     ls = np.array([score(v, parents[v]) for v in range(m)])
     # -inf marks a move that is never taken: u is v, or u is not a parent
     # and v has no room for one.
     d = np.full((m, m), -np.inf)
+    columns = {}
 
     def refresh(v):
         pa = parents[v]
-        base = ls[v]
-        room = max_parents < 0 or len(pa) < max_parents
-        col = [-np.inf] * m
-        for u in range(m):
-            if u in pa:
-                col[u] = score(v, tuple(w for w in pa if w != u)) - base
-            elif room and u != v:
-                col[u] = score(v, tuple(sorted(pa + (u,)))) - base
+        col = columns.get((v, pa))
+        if col is None:
+            base = ls[v]
+            room = max_parents < 0 or len(pa) < max_parents
+            col = [-np.inf] * m
+            for u in range(m):
+                if u in pa:
+                    col[u] = score(v, _without(pa, u)) - base
+                elif room and u != v:
+                    col[u] = score(v, _with(pa, u)) - base
+            col = columns[v, pa] = np.array(col)
         d[:, v] = col
 
     for v in range(m):
@@ -231,17 +343,20 @@ def tabu_search_kernel(cov, n, adj, tabu_len, max_iter, max_parents, ridge, metr
             break  # every move tabu or inadmissible
         kind, u, v = move
         present[u, v] = kind == ADD
-        if kind == REVERSE:
-            present[v, u] = True
-            tabu.append((REVERSE, v, u))
-        else:
-            tabu.append((REMOVE if kind == ADD else ADD, u, v))
         if kind == ADD:
+            parents[v] = _with(parents[v], u)
+            tabu.append((REMOVE, u, v))
             _add_arc_reach(reach, u, v)
         else:
+            parents[v] = _without(parents[v], u)
+            if kind == REVERSE:
+                present[v, u] = True
+                parents[u] = _with(parents[u], v)
+                tabu.append((REVERSE, v, u))
+            else:
+                tabu.append((ADD, u, v))
             reach = _reachability(present.astype(np.float64))
         for w in (v, u) if kind == REVERSE else (v,):
-            parents[w] = tuple(np.flatnonzero(present[:, w]).tolist())
             ls[w] = score(w, parents[w])
             refresh(w)
         current = ls.sum()  # re-sum instead of accumulating deltas

@@ -56,15 +56,14 @@ def fit_mle(dag: Dag, table, unbiased: bool = False, ridge: float = 1e-8) -> Gau
             f"need more than {max_parents + 1} rows to fit {max_parents} parents"
         )
 
+    columns = rows.T.copy()  # contiguous columns: the regressions read them, not rows
     intercept = {}
     residual_sd = {}
     coefficients = {}
     for node in dag.nodes:
         parents = dag.parents(node)
-        y = rows[:, col[node]]
-        design = np.column_stack(
-            [np.ones(n)] + [rows[:, col[p]] for p in parents]
-        )
+        y = columns[col[node]]
+        design = np.column_stack([np.ones(n)] + [columns[col[p]] for p in parents])
         beta, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
         if rank < design.shape[1]:
             warnings.warn(f"rank-deficient design for {node}; using ridge fallback")

@@ -1,10 +1,11 @@
 """Score-based DAG search, bootstrap arc strengths and model averaging.
 
 ``tabu_search`` runs the add/remove/reverse local search
-(``_kernels.tabu_search_kernel``: one cached matrix of score deltas, a
-reachability matrix for cycle checks, a per-search memo of local scores, and
-``_kernels._pick_move``, which alone applies the admissibility, tabu,
-aspiration and tie rules).
+(``_kernels.tabu_search_kernel``: one cached matrix of score deltas whose
+columns are kept per parent set, a reachability matrix for cycle checks, a
+per-search ``CachedScorer`` that memoises local scores and shares Cholesky
+factor rows between parent sets, and ``_kernels._pick_move``, which alone
+applies the admissibility, tabu, aspiration and tie rules).
 ``bootstrap_strengths`` repeats the search on resampled data and tallies how
 often each connection appears and in which direction; ``average_network``
 thresholds the tally into a consensus DAG.  Replicates use independent seed

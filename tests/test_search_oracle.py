@@ -5,9 +5,12 @@ in ``reference_kernels.py``.
 The local score and the search must return identical values (``==``, not
 approximately) and the identical adjacency as the ndarray references, on clean
 data and on data whose covariance is singular, so that the ridge retry and the
-``-inf`` score of a failed factorization both take part.
+``-inf`` score of a failed factorization both take part.  The search's
+``CachedScorer``, which shares Cholesky factor rows between parent sets, is
+held to the same reference on its own.
 """
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -161,3 +164,88 @@ def test_matmul_covariance_matches_loop(degeneracy):
         assert np.abs(stats.mean - ref_mean).max() <= 1e-12 * max(1.0, np.abs(ref_mean).max())
         assert np.abs(stats.cov - ref_cov).max() <= 1e-12 * scale
         assert np.array_equal(stats.cov, stats.cov.T)
+
+
+def _parent_sets(m, v, largest):
+    others = [u for u in range(m) if u != v]
+    return itertools.chain.from_iterable(
+        itertools.combinations(others, size) for size in range(largest + 1)
+    )
+
+
+def _check_cached_scorer(cov, n, m, largest, order_seed):
+    """Every (node, parent set) of up to ``largest`` parents, in a shuffled
+    order, scored by one ``CachedScorer`` per metric and by the frozen
+    reference; the two must be identical.  Returns the scorers."""
+    sets = [(v, parents) for v in range(m) for parents in _parent_sets(m, v, largest)]
+    np.random.default_rng(order_seed).shuffle(sets)
+    scorers = []
+    for metric in METRICS.values():
+        scorer = _kernels.CachedScorer(cov.tolist(), n, DEFAULT_RIDGE, metric)
+        for v, parents in sets:
+            got = scorer.score(v, parents)
+            idx = np.array(parents, dtype=np.int64)
+            want = reference_kernels.local_score(cov, n, v, idx, DEFAULT_RIDGE, metric)
+            assert got == want or (np.isnan(got) and np.isnan(want)), (v, parents, metric)
+        scorers.append(scorer)
+    return scorers
+
+
+def _trie_nodes(level):
+    return sum(1 + _trie_nodes(children) for _, _, children in level.values())
+
+
+def _failed_prefixes(level, prefix=()):
+    for p, (row, _, children) in level.items():
+        if row is None:
+            yield prefix + (p,)
+        yield from _failed_prefixes(children, prefix + (p,))
+
+
+@pytest.mark.parametrize("degeneracy", DEGENERACIES)
+def test_cached_scorer_matches_frozen_reference(degeneracy):
+    """Shared factor rows: most prefixes of a set were factored while scoring
+    other sets, often of other nodes, before the set itself comes up."""
+    rng = np.random.default_rng(100 + DEGENERACIES.index(degeneracy))
+    m = 10
+    rows = simulated_rows(rng, m, int(rng.integers(30, 400)), degeneracy)
+    _, cov = covariance_kernel(rows)
+    scorer = _check_cached_scorer(cov, float(rows.shape[0]), m, 4, order_seed=1)[0]
+    if not any(_failed_prefixes(scorer.trie)):
+        # one factor row per sorted tuple of 1 to 4 columns, shared by every node
+        assert _trie_nodes(scorer.trie) == sum(math.comb(m, k) for k in range(1, 5))
+
+
+def test_cached_scorer_reads_each_covariance_operand_as_the_reference():
+    """c[u][v] and c[v][u] differ by one ulp, so reading the transposed
+    entry anywhere (factor rows, right-hand side, variance) changes bits."""
+    rng = np.random.default_rng(11)
+    m = 7
+    rows = simulated_rows(rng, m, 200, "none")
+    _, cov = covariance_kernel(rows)
+    upper = np.triu_indices(m, 1)
+    cov[upper] = np.nextafter(cov[upper], np.inf)
+    assert (cov != cov.T).sum() == m * (m - 1)
+    _check_cached_scorer(cov, 200.0, m, 4, order_seed=2)
+
+
+@pytest.mark.parametrize("degeneracy", ("constant", "scaled duplicate"))
+def test_cached_scorer_failing_prefix_takes_the_ridge_path(degeneracy):
+    """A prefix that does not factorize is cached as a failure; every set
+    that starts with it takes the uncached path, ridge retry and -inf score
+    included, with the ridge on the whole parent block."""
+    rng = np.random.default_rng(5)
+    m = 6
+    rows = simulated_rows(rng, m, 100, degeneracy)
+    _, cov = covariance_kernel(rows)
+    scorer = _check_cached_scorer(cov, 100.0, m, 3, order_seed=3)[0]
+    failed = list(_failed_prefixes(scorer.trie))
+    if degeneracy == "constant":
+        # column 0 is constant, so its 1x1 block is singular; the ridge solves
+        # every set that starts with it
+        assert failed == [(0,)]
+        assert all(np.isfinite(s) for (v, parents), s in scorer.memo.items() if parents[:1] == (0,))
+    else:
+        # columns 0 and 1 are proportional, and not even the ridge solves them
+        assert (0, 1) in failed
+        assert scorer.score(2, (0, 1)) == -np.inf
