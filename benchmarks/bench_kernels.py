@@ -27,7 +27,9 @@ Mann-Whitney exact null counts, against the seed-at-a-time sweep, the
 arc-scanning every-node queries that rank every path and the recursive counts
 in ``tests/reference_analysis.py``; the script fails unless every result is
 identical, product bits included.  The k-means sweep is
-timed on its first call in the process and again once warm.  The k-means
+timed on its first call in the process and again once warm; its rows count
+the distinct starts, each of which begins a Lloyd run (runs that meet merge,
+so fewer run to the end).  The k-means
 start rows for seeds 1:4000 at 18 and 36 items are timed as one block draw
 (``_draws.choice_rows``) against one ``default_rng(seed).choice`` per seed;
 the script fails unless every row is identical.
@@ -261,15 +263,14 @@ def bench_analysis(repeats: int) -> None:
     t_ref, ref_results = time_fn(sweep, reference_analysis, repeats=ref_repeats)
     if not (same_clusters(first, ref_results) and same_clusters(results, ref_results)):
         sys.exit("error: kmeans_best_seed and its reference disagree")
-    # one run per distinct start, and one more for the winner's labels
+    # the sweep starts one Lloyd run per distinct start, and merges runs as they meet
     seeds = range(1, 4001)
-    runs = sum(
-        len(np.unique(_draws.choice_rows(seeds, len(table.items), 2), axis=0)) + 1
-        for table in tables
+    starts = sum(
+        len(np.unique(_draws.choice_rows(seeds, len(table.items), 2), axis=0)) for table in tables
     )
     for label, t in (("k-means first call", t_first), ("k-means warm", t_new)):
         print(f"{label:<22} {t * 1e3:>10.2f}ms {t_ref * 1e3:>10.2f}ms {t_ref / t:>8.1f}x"
-              f"   4 tables x 4000 seeds, {runs} Lloyd runs (identical)")
+              f"   4 tables x 4000 seeds, {starts} distinct starts (identical)")
 
     def per_seed(n):
         return np.array([np.random.default_rng(seed).choice(n, size=2, replace=False)

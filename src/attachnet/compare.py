@@ -4,6 +4,12 @@ Covers seed-swept k-means over factor loadings, PCA projection, concentration
 ellipses, the Pearson-r significance transform, the Mann-Whitney U test and
 edge-set correlation between two weighted networks.
 
+The k-means sweep runs each distinct Lloyd trajectory once, with every bit
+of a seed-at-a-time sweep: seeds that draw one start share its run, the
+first assignment of every run reads a table of the start points' distances,
+and runs that reach one assignment in the same iteration, with no cluster
+empty, merge from there on (``_lloyd_sweep``).
+
 scipy is imported where a p value or quantile is computed (the ellipse's F
 quantile, the Pearson t-test p and the Mann-Whitney normal approximation),
 not with the module: it costs more start-up than the rest of the package, and
@@ -40,7 +46,14 @@ class FactorTable:
         if not rows:
             raise ValidationError("empty factor table")
         factor_cols = [k for k in rows[0] if k.lower().startswith("f")]
-        items = tuple(r["item"] for r in rows)
+        if not factor_cols:
+            raise ValidationError("no factor column (no column name starts with f)")
+        seen: dict[str, int] = {}
+        for row, r in enumerate(rows, start=1):
+            first = seen.setdefault(r["item"], row)
+            if first != row:
+                raise ValidationError(f"row {row}: item {r['item']!r} repeats row {first}")
+        items = tuple(seen)
         values = [[number(r[c], row) for c in factor_cols] for row, r in enumerate(rows, start=1)]
         return cls(items=items, values=np.array(values, dtype=np.float64))
 
@@ -68,59 +81,137 @@ class KMeansResult:
         return frozenset(self.clusters().values())
 
 
-# Start rows per batched Lloyd block, chosen by measuring the analysis
-# battery's peak RSS: 512 added about 0.8 MB for a few percent less time, and
-# 128 was slower for no less memory.
-_SEED_BLOCK = 256
+# Runs per chunk of the Lloyd sweep's work buffers, ``(chunk, n, d)`` and
+# ``(chunk, k, n)`` floats: 256 took about 6% less k-means time on the bundled
+# tables, but left the analysis battery's peak RSS about 0.3 MB higher.
+_SEED_BLOCK = 128
 # Seeds whose starts ``kmeans_best_seed`` draws and runs as one block: the
 # default 1:4000 is one block, and a wider range runs again in each block the
 # starts an earlier block ran, so a call's memory does not grow with it.
 _DRAW_BLOCK = 4096
+# Seeds per ``choice_rows`` call within a block: its temporaries take about
+# 280 bytes a seed, and that transient sets the analysis battery's peak RSS;
+# drawing the 4,096 seeds in one call left it about 0.3 MB higher for 3% less
+# k-means time.
+_DRAW_CHUNK = 2048
 
 
 def _lloyd_sweep(points: np.ndarray, starts: np.ndarray, max_iter: int = 300):
     """One Lloyd clustering per row of the ``(S, k)`` index array ``starts``;
-    yields ``(labels, centers, ss)`` in row order.
+    yields ``(labels, centers, ss)`` for each ``_SEED_BLOCK`` rows in turn, as
+    ``(rows, n)``, ``(rows, k, d)`` and ``(rows,)`` arrays.
 
-    The rows run ``_SEED_BLOCK`` at a time as ``(rows, k, d)`` centre
-    arrays.  Each starts from the points its row names and stops at the first
+    Each run starts from the points its row names and stops at the first
     iteration whose assignment repeats the previous one, or after
     ``max_iter`` updates.  Every float operation is the one a start-at-a-time
     run makes: distances per centre as ``(x - c) ** 2`` summed over the last
     axis, first-minimum assignment, centres as the row-order sum of their
     points divided by the count (an empty cluster's centre stays put), and
     ``ss`` as a sum over the flattened residuals.
+
+    The runs iterate in lockstep, ``_SEED_BLOCK`` at a time through the
+    work buffers; between iterations a run keeps only its centres and its
+    labels, in the smallest integer type that holds k.  Two shortcuts keep
+    every bit.  The first assignment reads distances from a table of the
+    start points' rows, since every start centre is a data point.  And runs
+    that move to the same assignment in the same iteration, with no cluster
+    empty, merge: their centres are then the means of their clusters, a
+    function of the labels alone, so every later step of the two is
+    identical, and the first of them runs on for all.  A run with an empty
+    cluster never merges, as its stale centre may differ; runs that reach
+    one assignment in different iterations never merge, as they have
+    different shares of ``max_iter`` left.
     """
     n, d = points.shape
-    k = starts.shape[1]
-    block = min(_SEED_BLOCK, len(starts))
-    diff = np.empty((block, n, d))  # work buffers shared by every block
+    size, k = starts.shape
+    block = min(_SEED_BLOCK, size)
+    diff = np.empty((block, n, d))  # work buffers, one chunk of runs at a time
     dists = np.empty((block, k, n))
-    for first in range(0, len(starts), block):
-        centers = points[starts[first : first + block]]
-        size = len(centers)
-        labels = np.full((size, n), -1, dtype=np.intp)
-        active = np.arange(size)
-        for _ in range(max_iter):
-            m = len(active)
-            for c in range(k):
-                np.subtract(points, centers[active, c, None, :], out=diff[:m])
-                np.square(diff[:m], out=diff[:m])
-                diff[:m].sum(axis=2, out=dists[:m, c])
+    centers = points[starts]
+    labels = np.full((size, n), k, dtype=np.min_scalar_type(k))  # k: no assignment yet
+    owner = np.arange(size)  # the run whose result each row reads
+    active = owner
+    for step in range(max_iter):
+        lead: dict = {}  # assignment -> the first run this iteration moved to it, no cluster empty
+        moved, followers, leaders = [], [], []
+        for first in range(0, len(active), block):
+            runs = active[first : first + block]
+            m = len(runs)
+            if step:
+                for c in range(k):
+                    _sq_dists(points, centers[runs, c], diff, dists[:m, c])
+            else:
+                _start_dists(points, starts[runs], diff, dists[:m])
             new_labels = dists[:m].argmin(axis=1)
-            moved = (new_labels != labels[active]).any(axis=1)
-            active, new_labels = active[moved], new_labels[moved]
-            if not len(active):
-                break
-            labels[active] = new_labels
-            centers[active] = _cluster_means(points, new_labels, centers[active])
-        residuals = diff[:size]  # points - centers[labels], one cluster at a time
+            went = (new_labels != labels[runs]).any(axis=1)
+            full = np.flatnonzero(went & _all_filled(new_labels, k))
+            for i, run, key in zip(full.tolist(), runs[full].tolist(),
+                                   _row_keys(new_labels, k)[full].tolist()):
+                if lead.setdefault(key, run) != run:
+                    went[i] = False
+                    followers.append(run)
+                    leaders.append(lead[key])
+            runs, new_labels = runs[went], new_labels[went]
+            labels[runs] = new_labels
+            centers[runs] = _cluster_means(points, new_labels, centers[runs])
+            moved.append(runs)
+        if followers:
+            remap = np.arange(size)
+            remap[followers] = leaders
+            owner = remap[owner]
+        active = np.concatenate(moved)
+        if not len(active):
+            break
+    ss = np.empty(size)
+    finished = np.flatnonzero(owner == np.arange(size))
+    for first in range(0, len(finished), block):
+        runs = finished[first : first + block]
+        residuals = diff[: len(runs)]  # points - centers[labels], one cluster at a time
         for c in range(k):
-            np.subtract(points, centers[:, c, None, :], out=residuals,
-                        where=(labels == c)[:, :, None])
+            np.subtract(points, centers[runs, c, None, :], out=residuals,
+                        where=(labels[runs] == c)[:, :, None])
         np.square(residuals, out=residuals)
-        ss = residuals.reshape(size, n * d).sum(axis=1)
-        yield from zip(labels, centers, ss.tolist())
+        ss[runs] = residuals.reshape(len(runs), n * d).sum(axis=1)
+    for first in range(0, size, block):
+        rows = owner[first : first + block]
+        yield labels[rows].astype(np.intp), centers[rows], ss[rows]
+
+
+def _start_dists(points: np.ndarray, starts: np.ndarray, diff: np.ndarray, out: np.ndarray):
+    """``out[i, c, x] = ((points[x] - points[starts[i, c]]) ** 2).sum()``, with
+    one row of distances computed per distinct start point."""
+    n = len(points)
+    used = np.flatnonzero(np.bincount(starts.ravel(), minlength=n))
+    row_of = np.empty(n, dtype=np.intp)
+    row_of[used] = np.arange(len(used))
+    table = np.empty((len(used), n))
+    for i in range(0, len(used), len(diff)):
+        _sq_dists(points, points[used[i : i + len(diff)]], diff, table[i : i + len(diff)])
+    table.take(row_of[starts], axis=0, out=out)
+
+
+def _sq_dists(points: np.ndarray, centers: np.ndarray, diff: np.ndarray, out: np.ndarray):
+    """``out[i, x] = ((points[x] - centers[i]) ** 2).sum()`` through the
+    ``diff`` buffer, which holds at least ``len(centers)`` rows."""
+    m = len(centers)
+    np.subtract(points, centers[:, None, :], out=diff[:m])
+    np.square(diff[:m], out=diff[:m])
+    diff[:m].sum(axis=2, out=out)
+
+
+def _all_filled(labels: np.ndarray, k: int) -> np.ndarray:
+    """Per row of ``labels``, whether each of the k clusters has a point."""
+    return np.logical_and.reduce([(labels == c).any(axis=1) for c in range(k)])
+
+
+def _row_keys(rows: np.ndarray, base: int) -> np.ndarray:
+    """One key per row of a 2-D integer array with entries in ``[0, base)``,
+    equal exactly where the rows are: the row read as a base-``base`` integer
+    when that fits in an int64, and its bytes otherwise."""
+    cols = rows.shape[1]
+    if base**cols <= 2**63:
+        return rows @ (base ** np.arange(cols - 1, -1, -1, dtype=np.int64))
+    return np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * cols))).ravel()
 
 
 def _cluster_means(points: np.ndarray, labels: np.ndarray, centers: np.ndarray):
@@ -155,16 +246,26 @@ def kmeans_best_seed(data: FactorTable, k: int, seed_range=(1, 4000)) -> KMeansR
     A seed's start, ``default_rng(seed).choice(n, k, replace=False)``,
     depends on ``(n, k, seed)`` only, so seeds that draw the same start share
     one Lloyd run: seeds 1:4000 draw 306 distinct ordered pairs of 18 items
-    and 1,205 of 36.  The seeds are drawn ``_DRAW_BLOCK`` at a time by
-    ``_draws.choice_rows``, which computes numpy's seeding and choice for the
-    whole block in array arithmetic; a seed takes the per-seed
-    ``default_rng`` draw only if numpy would reject one of its bounded draws,
-    if it is 2**64 or more, or if the table has over 10,000 items, and a
-    whole block does if its first row disagrees with ``default_rng``.  Each
-    distinct start of a block is swept once, and the block's seeds are
-    replayed in order on their start's ``ss``, a seed taking over only when
-    it beats the best so far by more than 1e-12.  The winning start is run
-    once more for its labels and centres.
+    and 1,205 of 36.  The seeds are drawn ``_DRAW_BLOCK`` at a time, in calls
+    of ``_DRAW_CHUNK`` to ``_draws.choice_rows``, which computes numpy's
+    seeding and choice for a whole call in array arithmetic; a seed takes the
+    per-seed ``default_rng`` draw only if numpy would reject one of its
+    bounded draws, if it is 2**64 or more, or if the table has over 10,000
+    items, and a whole call does if its first row disagrees with
+    ``default_rng``.  The
+    distinct starts of a block are found by integer keys (the start read as
+    a base-n number, or its bytes when that overflows an int64), and
+    ``_lloyd_sweep`` runs them together: its first assignments come from
+    one distance table, and runs that reach one assignment in the same
+    iteration with no cluster empty merge: on lo2009 at k=2 the 1,205
+    starts run on as 650, 271, 138 and 82 runs after the first four
+    assignments.
+
+    The block's seeds are replayed in order on their start's ``ss``, a seed
+    taking over only when it beats the best so far by more than 1e-12.
+    Such a seed is below every earlier seed's ``ss``, so the replay visits
+    only the first seed and the strict running-minimum records.  The
+    winning start is run once more for its labels and centres.
     """
     n = len(data.items)
     if k > n:
@@ -178,20 +279,21 @@ def kmeans_best_seed(data: FactorTable, k: int, seed_range=(1, 4000)) -> KMeansR
     best_seed = best_start = best_ss = None
     for first in range(lo, hi + 1, _DRAW_BLOCK):
         seeds = range(first, min(first + _DRAW_BLOCK, hi + 1))
-        draws = list(map(tuple, choice_rows(seeds, n, k).tolist()))
-        distinct = list(dict.fromkeys(draws))
-        block_ss = {
-            start: ss for start, (_, _, ss) in zip(distinct, _lloyd_sweep(points, np.array(distinct)))
-        }
-        for seed, start in zip(seeds, draws):
-            ss = block_ss[start]
-            if best_seed is None or ss < best_ss - 1e-12:
-                best_seed, best_start, best_ss = seed, start, ss
-    labels, centers, ss = next(_lloyd_sweep(points, np.array([best_start])))
+        draws = np.concatenate([choice_rows(seeds[i : i + _DRAW_CHUNK], n, k)
+                                for i in range(0, len(seeds), _DRAW_CHUNK)])
+        _, lead, start_of = np.unique(_row_keys(draws, n), return_index=True, return_inverse=True)
+        ss = np.concatenate([ss for _, _, ss in _lloyd_sweep(points, draws[lead])])[start_of]
+        # a seed that takes over is below every earlier seed's ss, so only
+        # the first seed and those strict running-minimum records can
+        records = np.flatnonzero(np.r_[True, ss[1:] < np.fmin.accumulate(ss)[:-1]])
+        for i, seed_ss in zip(records.tolist(), ss[records].tolist()):
+            if best_seed is None or seed_ss < best_ss - 1e-12:
+                best_seed, best_start, best_ss = seeds[i], draws[i], seed_ss
+    (labels,), (centers,), (ss,) = next(_lloyd_sweep(points, best_start[None]))
     return KMeansResult(
         assignment={item: int(c) for item, c in zip(data.items, labels)},
         centers=centers,
-        total_within_ss=ss,
+        total_within_ss=float(ss),
         best_seed=best_seed,
     )
 

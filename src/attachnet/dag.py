@@ -21,6 +21,8 @@ class Dag:
     _parents: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
     _children: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
     _descendants: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
+    _ancestors: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
+    _position: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __init__(self, nodes, arcs):
         object.__setattr__(self, "nodes", tuple(nodes))
@@ -50,6 +52,15 @@ class Dag:
                 below |= descendants[ch]
             descendants[n] = frozenset(below)
         object.__setattr__(self, "_descendants", descendants)
+        # parents before children, likewise
+        ancestors: dict[str, frozenset[str]] = {}
+        for n in self._order:
+            above = set(self._parents[n])
+            for p in self._parents[n]:
+                above |= ancestors[p]
+            ancestors[n] = frozenset(above)
+        object.__setattr__(self, "_ancestors", ancestors)
+        object.__setattr__(self, "_position", {n: i for i, n in enumerate(self._order)})
 
     def _toposort(self) -> tuple[str, ...]:
         indeg = {n: len(p) for n, p in self._parents.items()}
@@ -87,6 +98,15 @@ class Dag:
         """Nodes reachable from ``node`` by a directed path, ``node`` itself
         excluded (empty for a node not in the graph)."""
         return self._descendants.get(node, frozenset())
+
+    def ancestors(self, node: str) -> frozenset[str]:
+        """Nodes with a directed path to ``node``, ``node`` itself excluded
+        (empty for a node not in the graph)."""
+        return self._ancestors.get(node, frozenset())
+
+    def topological_index(self, node: str) -> int:
+        """The position of ``node`` in ``topological_order()``."""
+        return self._position[node]
 
     def in_degree(self, node: str) -> int:
         return len(self.parents(node))

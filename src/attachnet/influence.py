@@ -65,11 +65,7 @@ def _path_nodes(dag: Dag, source: str, target: str) -> list[str]:
     below = dag.descendants(source)
     if target not in below:
         return []
-    return [
-        node
-        for node in dag.topological_order()
-        if node == source or node == target or (node in below and target in dag.descendants(node))
-    ]
+    return sorted((below & dag.ancestors(target)) | {source, target}, key=dag.topological_index)
 
 
 def count_paths(dag: Dag, source: str, target: str) -> int:
@@ -90,27 +86,32 @@ def _count_between(dag: Dag, between: list[str]) -> int:
     return counts[between[-1]]
 
 
-def _onward(dag: Dag, source: str, target: str, cap: int) -> dict[str, tuple[str, ...]]:
-    """The sorted children on directed paths source -> target of each node on
-    them, keyed in topological order (source first, target last); empty when
-    the target is not a descendant.
-
-    The prologue of every path walk: refuses an unknown node, source ==
-    target (ValidationError) and a path count above ``cap``
-    (PathCountError).
-    """
+def _between(dag: Dag, source: str, target: str) -> list[str]:
+    """``_path_nodes`` after the checks every path walk makes first: an
+    unknown node and source == target raise ValidationError."""
     _check_nodes(dag, source, target)
     if source == target:
         raise ValidationError("source and target must differ")
-    between = _path_nodes(dag, source, target)
+    return _path_nodes(dag, source, target)
+
+
+def _onward(dag: Dag, between: list[str], cap: int) -> dict[str, tuple[str, ...]]:
+    """The sorted children on directed paths of each node of ``_path_nodes``'
+    list ``between``, keyed in its order; empty when it is.
+
+    Refuses a path count above ``cap`` (PathCountError).  A path visits its
+    nodes in topological order, so its interior nodes fix it: with at most
+    ``2 ** (len(between) - 2)`` paths, a ``cap`` at least that needs no count.
+    """
     if not between:
         return {}
-    total = _count_between(dag, between)
-    if total > cap:
-        raise PathCountError(
-            f"{total} paths from {source} to {target} exceeds cap {cap}; "
-            "use total_influence for the aggregate"
-        )
+    if 2 ** (len(between) - 2) > cap:
+        total = _count_between(dag, between)
+        if total > cap:
+            raise PathCountError(
+                f"{total} paths from {between[0]} to {between[-1]} exceeds cap {cap}; "
+                "use total_influence for the aggregate"
+            )
     on_path = set(between)
     return {node: tuple(ch for ch in dag.children(node) if ch in on_path) for node in between}
 
@@ -122,7 +123,7 @@ def enumerate_paths(dag: Dag, source: str, target: str, cap: int = DEFAULT_PATH_
     influence is still available through ``total_influence`` without
     enumeration.
     """
-    onward = _onward(dag, source, target, cap)
+    onward = _onward(dag, _between(dag, source, target), cap)
     if not onward:
         return []
     # an explicit stack: a recursive closure is a reference cycle, which kept
@@ -167,13 +168,20 @@ def total_influence(dag: Dag, params: GaussianBnParams, source: str, target: str
     _check_nodes(dag, source, target)
     if source == target:
         return 1.0
-    influence = {source: 1.0}
-    for node in _path_nodes(dag, source, target)[1:]:
+    return _influence_over(dag, params, _path_nodes(dag, source, target))
+
+
+def _influence_over(dag: Dag, params: GaussianBnParams, between: list[str]) -> float:
+    """``total_influence`` over ``_path_nodes``' list ``between``."""
+    if not between:
+        return 0.0
+    influence = {between[0]: 1.0}
+    for node in between[1:]:
         influence[node] = sum(
             (params.coefficient(p, node) * influence.get(p, 0.0) for p in dag.parents(node)),
             0.0,
         )
-    return influence.get(target, 0.0)
+    return influence[between[-1]]
 
 
 def top_paths(
@@ -214,9 +222,14 @@ def top_paths(
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
-    onward = _onward(dag, source, target, cap)
+    return _top_over(params, _onward(dag, _between(dag, source, target), cap), k)
+
+
+def _top_over(params: GaussianBnParams, onward: dict, k: int) -> list[InfluencePath]:
+    """``top_paths`` over ``_onward``'s map of on-path children."""
     if not onward:
         return []
+    source, target = next(iter(onward)), next(reversed(onward))
     # every arc on the paths, with its coefficient read once
     arcs = {node: [(child, params.coefficient(node, child)) for child in children]
             for node, children in onward.items()}
@@ -260,13 +273,18 @@ def influence_result(
     k: int | None = None,
     cap: int = DEFAULT_PATH_CAP,
 ) -> InfluenceResult:
-    """Total influence plus, when requested, the top-k path breakdown."""
-    total = total_influence(dag, params, source, target)
+    """Total influence plus, when requested, the top-k path breakdown.
+
+    The two share one list of the nodes on the paths.
+    """
+    _check_nodes(dag, source, target)
     if k is not None and k < 1:
         raise ValidationError("k must be >= 1")
-    paths = None
-    if k is not None and source != target:
-        paths = tuple(top_paths(dag, params, source, target, k, cap=cap))
+    if source == target:
+        return InfluenceResult(source=source, target=target, total=1.0)
+    between = _path_nodes(dag, source, target)
+    total = _influence_over(dag, params, between)
+    paths = None if k is None else tuple(_top_over(params, _onward(dag, between, cap), k))
     return InfluenceResult(source=source, target=target, total=total, paths=paths)
 
 

@@ -99,13 +99,65 @@ def test_lloyd_sweep_matches_each_seed(problem):
     starts = np.array([np.random.default_rng(seed).choice(len(values), size=k, replace=False)
                        for seed in seeds])
     with blocks(seed=7):
-        runs = list(compare._lloyd_sweep(values, starts))
+        runs = [run for block in compare._lloyd_sweep(values, starts) for run in zip(*block)]
     assert len(runs) == len(seeds)
     for seed, (labels, centers, ss) in zip(seeds, runs):
         ref_labels, ref_centers, ref_ss = ref._lloyd(values, k, seed)
         assert same_bits(labels, ref_labels), seed
         assert same_bits(centers, ref_centers), seed
         assert same_bits(ss, ref_ss), seed
+
+
+def assert_each_start_matches_reference(values, k, seeds, max_iter=300, block=None):
+    """Every start's labels, centres and ss from ``_lloyd_sweep``, merged runs
+    included, against one ``ref._lloyd`` per seed."""
+    values = np.asarray(values, dtype=np.float64)
+    starts = np.array([np.random.default_rng(seed).choice(len(values), size=k, replace=False)
+                       for seed in seeds])
+    with blocks(seed=block):
+        runs = [run for block in compare._lloyd_sweep(values, starts, max_iter)
+                for run in zip(*block)]
+    assert len(runs) == len(seeds)
+    for seed, (labels, centers, ss) in zip(seeds, runs):
+        ref_labels, ref_centers, ref_ss = ref._lloyd(values, k, seed, max_iter)
+        assert same_bits(labels, ref_labels), seed
+        assert same_bits(centers, ref_centers), seed
+        assert same_bits(ss, ref_ss), seed
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 3])
+@pytest.mark.parametrize("name", ["wei2007_anxiety", "lo2009"])
+def test_lloyd_sweep_merges_only_runs_of_one_iteration(name, max_iter):
+    """Runs that reach one partition in different iterations have spent
+    different shares of ``max_iter``, so they must not merge."""
+    data = fixtures.load_factor_table(name)
+    for k in (2, 3):
+        assert_each_start_matches_reference(data.values, k, range(1, 151), max_iter)
+
+
+# two points each at a and b, one at c: with k = 4 two clusters start empty,
+# on stale centres at a and b in either order, behind the same labels
+DUPLICATES = [[0.0, 0.0], [0.0, 0.0], [4.0, 0.0], [4.0, 0.0], [1.0, 0.0]]
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 3, 300])
+def test_lloyd_sweep_never_merges_a_run_with_an_empty_cluster(max_iter):
+    for k in (3, 4):
+        assert_each_start_matches_reference(DUPLICATES, k, range(0, 300), max_iter, block=64)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_lloyd_sweep_one_column_merges_match_reference(k):
+    values = [[float(i % 7) * 0.5 - 1.0] for i in range(20)]  # duplicates, numpy's own mean
+    for max_iter in (2, 300):
+        assert_each_start_matches_reference(values, k, range(0, 200), max_iter)
+
+
+@pytest.mark.parametrize("name", ["lo2009", "guzman2019"])
+def test_lloyd_sweep_bundled_36_item_tables_match_reference(name):
+    data = fixtures.load_factor_table(name)
+    for k in (2, 3, 4, 5):
+        assert_each_start_matches_reference(data.values, k, range(1, 121))
 
 
 @pytest.mark.parametrize("values,k", [
@@ -128,6 +180,15 @@ def test_kmeans_bundled_tables_match_reference(name):
         seed_range = (1, 600)
         assert_same_result(kmeans_best_seed(data, k, seed_range),
                            ref.kmeans_best_seed(data, k, seed_range))
+
+
+def test_kmeans_start_keys_past_int64_match_reference():
+    """20 ** 15 > 2 ** 63, so the starts are told apart by their bytes."""
+    data = FactorTable(items=tuple(f"i{j}" for j in range(20)),
+                       values=np.random.default_rng(3).normal(size=(20, 2)))
+    with blocks(draw=16):
+        assert_same_result(kmeans_best_seed(data, 15, (1, 40)),
+                           ref.kmeans_best_seed(data, 15, (1, 40)))
 
 
 @pytest.mark.parametrize("order", [("wei2007_avoidance", "wei2007_anxiety"),
@@ -216,6 +277,9 @@ def test_path_queries_match_reference(model, k):
         assert dag.out_degree(node) == ref.out_degree(dag, node)
         assert dag.descendants(node) == {t for t in dag.nodes
                                          if t != node and ref.count_paths(dag, node, t)}
+        assert dag.ancestors(node) == {s for s in dag.nodes
+                                       if s != node and ref.count_paths(dag, s, node)}
+        assert dag.topological_order()[dag.topological_index(node)] == node
     for source in dag.nodes:
         for target in dag.nodes:
             # the reference returns the int 0 when the target has no parents
@@ -348,4 +412,4 @@ def test_unknown_node_has_no_adjacency(fixture_model):
     dag, _ = fixture_model
     assert dag.parents("QXX") == dag.children("QXX") == ()
     assert dag.in_degree("QXX") == dag.out_degree("QXX") == 0
-    assert dag.descendants("QXX") == frozenset()
+    assert dag.descendants("QXX") == dag.ancestors("QXX") == frozenset()

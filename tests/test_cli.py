@@ -453,6 +453,11 @@ def test_compare_mwu_polarity(tmp_path, capsys):
     pytest.param(["compare", "kmeans", "-k", "2"],
                  "item,f1,f2\nQ01,0.5,0.1\nQ02,0.4,NaN\nQ03,0.1,0.2\n",
                  "{path}: row 2: 'NaN' is not a finite number", id="kmeans-nan"),
+    pytest.param(["compare", "kmeans", "-k", "2"], "item,x\na,1\nb,5\nc,2\n",
+                 "{path}: no factor column (no column name starts with f)",
+                 id="kmeans-no-factor-column"),
+    pytest.param(["compare", "kmeans", "-k", "2"], "item,f1\na,1\nb,3\na,5\n",
+                 "{path}: row 3: item 'a' repeats row 1", id="kmeans-repeated-item"),
     pytest.param(["compare", "edges", "fixture"], "item_a,item_b,weight\nQ01,Q02,abc\n",
                  "{path}: row 1: 'abc' is not a number", id="edges-non-numeric"),
     pytest.param(["compare", "edges", "fixture"], "item_a,item_b,weight\nQ01,Q02,inf\n",

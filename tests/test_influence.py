@@ -4,6 +4,7 @@ from attachnet.analytics import Partition
 from attachnet.dag import Dag
 from attachnet.errors import PathCountError, ValidationError
 from attachnet.influence import (
+    InfluencePath,
     cluster_coupling,
     count_paths,
     enumerate_paths,
@@ -228,6 +229,54 @@ def test_enumeration_cap_enforced():
         enumerate_paths(dag, "top", "end", cap=100)
     # the aggregate stays available
     assert total_influence(dag, params, "top", "end") == pytest.approx(0.5 ** 11 * 2 ** 10)
+
+
+def ladder(layers):
+    """top -> {a0, b0} -> ... -> {a<layers-1>, b<layers-1>} -> end: 2**layers
+    paths over 2 * layers + 2 nodes, all on paths."""
+    a, b = [f"a{i}" for i in range(layers)], [f"b{i}" for i in range(layers)]
+    arcs = [("top", a[0], 0.5), ("top", b[0], -0.25), (a[-1], "end", 0.5), (b[-1], "end", 2.0)]
+    for i in range(layers - 1):
+        arcs += [(a[i], a[i + 1], 0.5), (a[i], b[i + 1], 1.0), (b[i], a[i + 1], -0.5),
+                 (b[i], b[i + 1], 0.25)]
+    return build_model(("top", *a, *b, "end"), arcs)
+
+
+@pytest.mark.parametrize("cap", [0, 2**10 - 1])
+def test_cap_below_the_path_count_is_refused(cap):
+    dag, params = ladder(10)
+    message = f"1024 paths from top to end exceeds cap {cap}"
+    with pytest.raises(PathCountError, match=message):
+        enumerate_paths(dag, "top", "end", cap=cap)
+    with pytest.raises(PathCountError, match=message):
+        top_paths(dag, params, "top", "end", k=2, cap=cap)
+    with pytest.raises(PathCountError, match=message):
+        influence_result(dag, params, "top", "end", k=2, cap=cap)
+
+
+def test_complete_dag_reaches_the_subset_bound():
+    """With every forward arc, each subset of the 4 interior nodes is a path:
+    16 = 2**(6 - 2), so a cap of 15 must count and refuse, and 16 may skip."""
+    nodes = tuple(f"n{i}" for i in range(6))
+    dag, params = build_model(nodes, [(u, v, 0.5) for i, u in enumerate(nodes)
+                                      for v in nodes[i + 1:]])
+    with pytest.raises(PathCountError, match="16 paths from n0 to n5 exceeds cap 15"):
+        top_paths(dag, params, "n0", "n5", k=1, cap=15)
+    assert len(enumerate_paths(dag, "n0", "n5", cap=16)) == 16
+
+
+@pytest.mark.parametrize("layers,cap", [(10, 2**10), (10, 2**19), (3, 2**6)])
+def test_cap_at_or_above_the_path_count_passes(layers, cap):
+    """A path visits its nodes in topological order, so at most 2**(L - 2)
+    paths run over L nodes: (3, 2**6) meets that bound exactly and skips the
+    count, the others stay below it, 2**20, and count the 1,024 paths."""
+    dag, params = ladder(layers)
+    paths = enumerate_paths(dag, "top", "end", cap=cap)
+    assert len(paths) == count_paths(dag, "top", "end") == 2**layers
+    top = top_paths(dag, params, "top", "end", k=2, cap=cap)
+    assert top == sorted((InfluencePath(p, path_product(p, params)) for p in paths),
+                         key=lambda ip: (-abs(ip.product), ip.nodes))[:2]
+    assert influence_result(dag, params, "top", "end", k=2, cap=cap).paths == tuple(top)
 
 
 def test_unknown_nodes_rejected(fixture_model):
