@@ -21,24 +21,30 @@ def csv_text(header, rows) -> str:
     return out.getvalue()
 
 
-def read_rows(buf, columns=()) -> list[dict]:
+def read_rows(buf, columns=(), key=None) -> list[dict]:
     """The rows of a CSV file as dicts, blank lines skipped; ValidationError
-    names the first of ``columns`` missing from the header, or the first row
-    whose cell count differs from the header's."""
+    names the first of ``columns`` missing from the header, the first row
+    whose cell count differs from the header's, or, given ``key`` (one of
+    ``columns``), the first row whose ``key`` cell repeats an earlier row's."""
     reader = csv.reader(buf)
     header = next(reader, [])
     for column in columns:
         if column not in header:
             raise ValidationError(f"no {column} column")
     rows = []
+    first_row: dict[str, int] = {}  # key cell -> the row it first appears in
     for cells in reader:
         if not cells:
             continue
+        row = len(rows) + 1
         if len(cells) != len(header):
-            raise ValidationError(
-                f"row {len(rows) + 1}: expected {len(header)} fields, got {len(cells)}"
-            )
-        rows.append(dict(zip(header, cells)))
+            raise ValidationError(f"row {row}: expected {len(header)} fields, got {len(cells)}")
+        record = dict(zip(header, cells))
+        if key is not None:
+            first = first_row.setdefault(record[key], row)
+            if first != row:
+                raise ValidationError(f"row {row}: {key} {record[key]!r} repeats row {first}")
+        rows.append(record)
     return rows
 
 

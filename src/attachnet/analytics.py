@@ -44,7 +44,7 @@ class Partition:
 
     @classmethod
     def from_csv(cls, buf) -> "Partition":
-        rows = read_rows(buf, ("node", "cluster"))
+        rows = read_rows(buf, ("node", "cluster"), key="node")
         return cls(assignment={r["node"]: r["cluster"] for r in rows})
 
 

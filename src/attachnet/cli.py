@@ -344,9 +344,10 @@ def cmd_compare_edges(args) -> int:
     return 0
 
 
-def _data_rows(buf, columns=()) -> list[dict]:
-    """The rows of a CSV file with at least two columns and one data row."""
-    rows = read_rows(buf, columns)
+def _data_rows(buf, columns=(), key=None) -> list[dict]:
+    """The rows of a CSV file with at least two columns and one data row
+    (``read_rows`` reads ``columns`` and ``key``)."""
+    rows = read_rows(buf, columns, key)
     if not rows:
         raise ValidationError("no data rows")
     if len(rows[0]) < 2:
@@ -357,7 +358,7 @@ def _data_rows(buf, columns=()) -> list[dict]:
 def _item_values(buf, groups) -> dict[str, float]:
     """Item -> the number in the first column other than ``item``; every item
     must be in ``groups``."""
-    rows = _data_rows(buf, ("item",))
+    rows = _data_rows(buf, ("item",), "item")
     value_col = [c for c in rows[0] if c != "item"][0]
     values = {}
     for row, r in enumerate(rows, start=1):
@@ -371,7 +372,7 @@ def cmd_compare_mwu(args) -> int:
     if args.groups == "polarity":
         groups = fixtures.load_polarity()
     else:
-        group_rows = load_csv(args.groups, read_rows, ("item", "group"))
+        group_rows = load_csv(args.groups, read_rows, ("item", "group"), "item")
         groups = {r["item"]: r["group"] for r in group_rows}
     values = load_csv(args.values, _item_values, groups)
     names = sorted({groups[i] for i in values})

@@ -42,20 +42,14 @@ class FactorTable:
 
     @classmethod
     def from_csv(cls, buf) -> "FactorTable":
-        rows = read_rows(buf, ("item",))
+        rows = read_rows(buf, ("item",), key="item")
         if not rows:
             raise ValidationError("empty factor table")
         factor_cols = [k for k in rows[0] if k.lower().startswith("f")]
         if not factor_cols:
             raise ValidationError("no factor column (no column name starts with f)")
-        seen: dict[str, int] = {}
-        for row, r in enumerate(rows, start=1):
-            first = seen.setdefault(r["item"], row)
-            if first != row:
-                raise ValidationError(f"row {row}: item {r['item']!r} repeats row {first}")
-        items = tuple(seen)
         values = [[number(r[c], row) for c in factor_cols] for row, r in enumerate(rows, start=1)]
-        return cls(items=items, values=np.array(values, dtype=np.float64))
+        return cls(items=tuple(r["item"] for r in rows), values=np.array(values, dtype=np.float64))
 
     def to_csv(self) -> str:
         return csv_text(
@@ -81,25 +75,26 @@ class KMeansResult:
         return frozenset(self.clusters().values())
 
 
-# Runs per chunk of the Lloyd sweep's work buffers, ``(chunk, n, d)`` and
-# ``(chunk, k, n)`` floats: 256 took about 6% less k-means time on the bundled
-# tables, but left the analysis battery's peak RSS about 0.3 MB higher.
-_SEED_BLOCK = 128
-# Seeds whose starts ``kmeans_best_seed`` draws and runs as one block: the
-# default 1:4000 is one block, and a wider range runs again in each block the
-# starts an earlier block ran, so a call's memory does not grow with it.
-_DRAW_BLOCK = 4096
-# Seeds per ``choice_rows`` call within a block: its temporaries take about
-# 280 bytes a seed, and that transient sets the analysis battery's peak RSS;
-# drawing the 4,096 seeds in one call left it about 0.3 MB higher for 3% less
-# k-means time.
-_DRAW_CHUNK = 2048
+# Bytes of work arrays a ``kmeans_best_seed`` block may hold: seeds 1:4000 on
+# every bundled table at k=2 are one block.
+_BLOCK_BYTES = 2**25
+
+
+def _seed_bytes(n: int, d: int, k: int) -> int:
+    """A bound on the work-array bytes a seed adds to a block on ``n`` items
+    of ``d`` factors when it draws a start of its own.  ``(k + 1) * (d + 2)``
+    floats per item cover the most its Lloyd run holds at once: its start
+    points' rows of the distance table with their differences,
+    ``k * (d + 1)``, or its distances, their ``argmin`` copy and its
+    differences from one centre, ``2 * k + d``, each with its labels.
+    ``choice_rows`` takes about ``2 * k + 40`` words per seed."""
+    return 8 * (n * (k + 1) * (d + 2) + 2 * k + 40)
 
 
 def _lloyd_sweep(points: np.ndarray, starts: np.ndarray, max_iter: int = 300):
     """One Lloyd clustering per row of the ``(S, k)`` index array ``starts``;
-    yields ``(labels, centers, ss)`` for each ``_SEED_BLOCK`` rows in turn, as
-    ``(rows, n)``, ``(rows, k, d)`` and ``(rows,)`` arrays.
+    returns their ``(labels, centers, ss)`` as ``(S, n)``, ``(S, k, d)`` and
+    ``(S,)`` arrays.
 
     Each run starts from the points its row names and stops at the first
     iteration whose assignment repeats the previous one, or after
@@ -109,94 +104,80 @@ def _lloyd_sweep(points: np.ndarray, starts: np.ndarray, max_iter: int = 300):
     points divided by the count (an empty cluster's centre stays put), and
     ``ss`` as a sum over the flattened residuals.
 
-    The runs iterate in lockstep, ``_SEED_BLOCK`` at a time through the
-    work buffers; between iterations a run keeps only its centres and its
-    labels, in the smallest integer type that holds k.  Two shortcuts keep
-    every bit.  The first assignment reads distances from a table of the
-    start points' rows, since every start centre is a data point.  And runs
-    that move to the same assignment in the same iteration, with no cluster
-    empty, merge: their centres are then the means of their clusters, a
-    function of the labels alone, so every later step of the two is
-    identical, and the first of them runs on for all.  A run with an empty
-    cluster never merges, as its stale centre may differ; runs that reach
-    one assignment in different iterations never merge, as they have
-    different shares of ``max_iter`` left.
+    The runs iterate in lockstep, one array pass per iteration; between
+    iterations a run keeps only its centres and its labels, in the smallest
+    integer type that holds k.  Two shortcuts keep every bit.  The first
+    assignment reads distances from a table of the start points' rows, since
+    every start centre is a data point.  And runs that move to the same
+    assignment in the same iteration, with no cluster empty, merge: their
+    centres are then the means of their clusters, a function of the labels
+    alone, so every later step of the two is identical, and the first of
+    them runs on for all.  A run with an empty cluster never merges, as its
+    stale centre may differ; runs that reach one assignment in different
+    iterations never merge, as they have different shares of ``max_iter``
+    left.
     """
     n, d = points.shape
     size, k = starts.shape
-    block = min(_SEED_BLOCK, size)
-    diff = np.empty((block, n, d))  # work buffers, one chunk of runs at a time
-    dists = np.empty((block, k, n))
     centers = points[starts]
     labels = np.full((size, n), k, dtype=np.min_scalar_type(k))  # k: no assignment yet
     owner = np.arange(size)  # the run whose result each row reads
     active = owner
     for step in range(max_iter):
-        lead: dict = {}  # assignment -> the first run this iteration moved to it, no cluster empty
-        moved, followers, leaders = [], [], []
-        for first in range(0, len(active), block):
-            runs = active[first : first + block]
-            m = len(runs)
-            if step:
-                for c in range(k):
-                    _sq_dists(points, centers[runs, c], diff, dists[:m, c])
-            else:
-                _start_dists(points, starts[runs], diff, dists[:m])
-            new_labels = dists[:m].argmin(axis=1)
-            went = (new_labels != labels[runs]).any(axis=1)
-            full = np.flatnonzero(went & _all_filled(new_labels, k))
-            for i, run, key in zip(full.tolist(), runs[full].tolist(),
-                                   _row_keys(new_labels, k)[full].tolist()):
-                if lead.setdefault(key, run) != run:
-                    went[i] = False
-                    followers.append(run)
-                    leaders.append(lead[key])
-            runs, new_labels = runs[went], new_labels[went]
-            labels[runs] = new_labels
-            centers[runs] = _cluster_means(points, new_labels, centers[runs])
-            moved.append(runs)
+        if step:
+            dists = np.empty((len(active), k, n))
+            for c in range(k):
+                _sq_dists(points, centers[active, c], dists[:, c])
+        else:
+            dists = _start_dists(points, starts)
+        new_labels = dists.argmin(axis=1)
+        went = (new_labels != labels[active]).any(axis=1)
+        full = np.flatnonzero(went & _all_filled(new_labels, k))
+        lead: dict = {}  # assignment -> the first run that moved to it, no cluster empty
+        followers, leaders = [], []
+        for i, run, key in zip(full.tolist(), active[full].tolist(),
+                               _row_keys(new_labels[full], k).tolist()):
+            if lead.setdefault(key, run) != run:
+                went[i] = False
+                followers.append(run)
+                leaders.append(lead[key])
         if followers:
             remap = np.arange(size)
             remap[followers] = leaders
             owner = remap[owner]
-        active = np.concatenate(moved)
+        active, new_labels = active[went], new_labels[went]
         if not len(active):
             break
-    ss = np.empty(size)
+        labels[active] = new_labels
+        centers[active] = _cluster_means(points, new_labels, centers[active])
     finished = np.flatnonzero(owner == np.arange(size))
-    for first in range(0, len(finished), block):
-        runs = finished[first : first + block]
-        residuals = diff[: len(runs)]  # points - centers[labels], one cluster at a time
-        for c in range(k):
-            np.subtract(points, centers[runs, c, None, :], out=residuals,
-                        where=(labels[runs] == c)[:, :, None])
-        np.square(residuals, out=residuals)
-        ss[runs] = residuals.reshape(len(runs), n * d).sum(axis=1)
-    for first in range(0, size, block):
-        rows = owner[first : first + block]
-        yield labels[rows].astype(np.intp), centers[rows], ss[rows]
+    residuals = np.empty((len(finished), n, d))  # points - centers[labels], one cluster at a time
+    for c in range(k):
+        np.subtract(points, centers[finished, c, None, :], out=residuals,
+                    where=(labels[finished] == c)[:, :, None])
+    np.square(residuals, out=residuals)
+    ss = np.empty(size)
+    ss[finished] = residuals.reshape(len(finished), n * d).sum(axis=1)
+    return labels[owner].astype(np.intp), centers[owner], ss[owner]
 
 
-def _start_dists(points: np.ndarray, starts: np.ndarray, diff: np.ndarray, out: np.ndarray):
-    """``out[i, c, x] = ((points[x] - points[starts[i, c]]) ** 2).sum()``, with
-    one row of distances computed per distinct start point."""
+def _start_dists(points: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The ``(S, k, n)`` distances ``((points[x] - points[starts[i, c]]) ** 2).sum()``,
+    with one row of them computed per distinct start point."""
     n = len(points)
     used = np.flatnonzero(np.bincount(starts.ravel(), minlength=n))
     row_of = np.empty(n, dtype=np.intp)
     row_of[used] = np.arange(len(used))
     table = np.empty((len(used), n))
-    for i in range(0, len(used), len(diff)):
-        _sq_dists(points, points[used[i : i + len(diff)]], diff, table[i : i + len(diff)])
-    table.take(row_of[starts], axis=0, out=out)
+    _sq_dists(points, points[used], table)
+    return table[row_of[starts]]
 
 
-def _sq_dists(points: np.ndarray, centers: np.ndarray, diff: np.ndarray, out: np.ndarray):
-    """``out[i, x] = ((points[x] - centers[i]) ** 2).sum()`` through the
-    ``diff`` buffer, which holds at least ``len(centers)`` rows."""
-    m = len(centers)
-    np.subtract(points, centers[:, None, :], out=diff[:m])
-    np.square(diff[:m], out=diff[:m])
-    diff[:m].sum(axis=2, out=out)
+def _sq_dists(points: np.ndarray, centers: np.ndarray, out: np.ndarray):
+    """``out[i, x] = ((points[x] - centers[i]) ** 2).sum()``."""
+    diff = points - centers[:, None, :]
+    np.square(diff, out=diff)
+    diff.sum(axis=2, out=out)
 
 
 def _all_filled(labels: np.ndarray, k: int) -> np.ndarray:
@@ -246,20 +227,22 @@ def kmeans_best_seed(data: FactorTable, k: int, seed_range=(1, 4000)) -> KMeansR
     A seed's start, ``default_rng(seed).choice(n, k, replace=False)``,
     depends on ``(n, k, seed)`` only, so seeds that draw the same start share
     one Lloyd run: seeds 1:4000 draw 306 distinct ordered pairs of 18 items
-    and 1,205 of 36.  The seeds are drawn ``_DRAW_BLOCK`` at a time, in calls
-    of ``_DRAW_CHUNK`` to ``_draws.choice_rows``, which computes numpy's
-    seeding and choice for a whole call in array arithmetic; a seed takes the
+    and 1,205 of 36.  The seeds are drawn in blocks sized to the table, so
+    that a block's work arrays stay within ``_BLOCK_BYTES`` (the default
+    1:4000 is one block on every bundled table at k=2; a wider range runs
+    again in each block the starts an earlier block ran).
+    ``_draws.choice_rows`` draws a block in one call, computing
+    numpy's seeding and choice in array arithmetic; a seed takes the
     per-seed ``default_rng`` draw only if numpy would reject one of its
     bounded draws, if it is 2**64 or more, or if the table has over 10,000
-    items, and a whole call does if its first row disagrees with
-    ``default_rng``.  The
-    distinct starts of a block are found by integer keys (the start read as
-    a base-n number, or its bytes when that overflows an int64), and
-    ``_lloyd_sweep`` runs them together: its first assignments come from
-    one distance table, and runs that reach one assignment in the same
-    iteration with no cluster empty merge: on lo2009 at k=2 the 1,205
-    starts run on as 650, 271, 138 and 82 runs after the first four
-    assignments.
+    items, and the whole block does if its first row disagrees with
+    ``default_rng``.  The distinct starts of a block are found by integer
+    keys (the start read as a base-n number, or its bytes when that
+    overflows an int64), and ``_lloyd_sweep`` runs them together: its first
+    assignments come from one distance table, and runs that reach one
+    assignment in the same iteration with no cluster empty merge: on lo2009
+    at k=2 the 1,205 starts run on as 650, 271, 138 and 82 runs after the
+    first four assignments.
 
     The block's seeds are replayed in order on their start's ``ss``, a seed
     taking over only when it beats the best so far by more than 1e-12.
@@ -277,19 +260,20 @@ def kmeans_best_seed(data: FactorTable, k: int, seed_range=(1, 4000)) -> KMeansR
         raise ValidationError(f"seed range must satisfy 0 <= lo <= hi, got {lo}:{hi}")
     points = np.asarray(data.values, dtype=np.float64)
     best_seed = best_start = best_ss = None
-    for first in range(lo, hi + 1, _DRAW_BLOCK):
-        seeds = range(first, min(first + _DRAW_BLOCK, hi + 1))
-        draws = np.concatenate([choice_rows(seeds[i : i + _DRAW_CHUNK], n, k)
-                                for i in range(0, len(seeds), _DRAW_CHUNK)])
+    block = max(1, _BLOCK_BYTES // _seed_bytes(n, points.shape[1], k))
+    for first in range(lo, hi + 1, block):
+        seeds = range(first, min(first + block, hi + 1))
+        draws = choice_rows(seeds, n, k)
         _, lead, start_of = np.unique(_row_keys(draws, n), return_index=True, return_inverse=True)
-        ss = np.concatenate([ss for _, _, ss in _lloyd_sweep(points, draws[lead])])[start_of]
+        _, _, start_ss = _lloyd_sweep(points, draws[lead])
+        ss = start_ss[start_of]
         # a seed that takes over is below every earlier seed's ss, so only
         # the first seed and those strict running-minimum records can
         records = np.flatnonzero(np.r_[True, ss[1:] < np.fmin.accumulate(ss)[:-1]])
         for i, seed_ss in zip(records.tolist(), ss[records].tolist()):
             if best_seed is None or seed_ss < best_ss - 1e-12:
                 best_seed, best_start, best_ss = seeds[i], draws[i], seed_ss
-    (labels,), (centers,), (ss,) = next(_lloyd_sweep(points, best_start[None]))
+    (labels,), (centers,), (ss,) = _lloyd_sweep(points, best_start[None])
     return KMeansResult(
         assignment={item: int(c) for item, c in zip(data.items, labels)},
         centers=centers,

@@ -129,10 +129,18 @@ def load_edge_weights(name_or_path) -> dict:
 
 
 def _edge_weights(buf) -> dict:
+    """Each unordered pair's weight; a pair listed twice, in either order,
+    raises ValidationError naming both rows."""
     out: dict[frozenset, float] = {}
+    first_row: dict[frozenset, int] = {}
     for row, r in enumerate(read_rows(buf, ("item_a", "item_b", "weight")), start=1):
         pair = frozenset((r["item_a"], r["item_b"]))
         if len(pair) != 2:
             raise ValidationError(f"row {row}: degenerate pair {r['item_a']!r}, {r['item_b']!r}")
+        first = first_row.setdefault(pair, row)
+        if first != row:
+            raise ValidationError(
+                f"row {row}: pair {r['item_a']!r}, {r['item_b']!r} repeats row {first}"
+            )
         out[pair] = number(r["weight"], row)
     return out

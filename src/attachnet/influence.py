@@ -86,23 +86,20 @@ def _count_between(dag: Dag, between: list[str]) -> int:
     return counts[between[-1]]
 
 
-def _between(dag: Dag, source: str, target: str) -> list[str]:
-    """``_path_nodes`` after the checks every path walk makes first: an
-    unknown node and source == target raise ValidationError."""
+def _onward(dag: Dag, source: str, target: str, cap: int) -> dict[str, tuple[str, ...]]:
+    """The sorted children on directed paths source -> target of each node
+    of ``_path_nodes``, keyed in its order; empty when there is no path.
+
+    Checks first what every path walk checks: an unknown node and source ==
+    target raise ValidationError.  Refuses a path count above ``cap``
+    (PathCountError).  A path visits its nodes in topological order, so its
+    interior nodes fix it: with at most ``2 ** (len(between) - 2)`` paths, a
+    ``cap`` at least that needs no count.
+    """
     _check_nodes(dag, source, target)
     if source == target:
         raise ValidationError("source and target must differ")
-    return _path_nodes(dag, source, target)
-
-
-def _onward(dag: Dag, between: list[str], cap: int) -> dict[str, tuple[str, ...]]:
-    """The sorted children on directed paths of each node of ``_path_nodes``'
-    list ``between``, keyed in its order; empty when it is.
-
-    Refuses a path count above ``cap`` (PathCountError).  A path visits its
-    nodes in topological order, so its interior nodes fix it: with at most
-    ``2 ** (len(between) - 2)`` paths, a ``cap`` at least that needs no count.
-    """
+    between = _path_nodes(dag, source, target)
     if not between:
         return {}
     if 2 ** (len(between) - 2) > cap:
@@ -123,7 +120,7 @@ def enumerate_paths(dag: Dag, source: str, target: str, cap: int = DEFAULT_PATH_
     influence is still available through ``total_influence`` without
     enumeration.
     """
-    onward = _onward(dag, _between(dag, source, target), cap)
+    onward = _onward(dag, source, target, cap)
     if not onward:
         return []
     # an explicit stack: a recursive closure is a reference cycle, which kept
@@ -168,11 +165,7 @@ def total_influence(dag: Dag, params: GaussianBnParams, source: str, target: str
     _check_nodes(dag, source, target)
     if source == target:
         return 1.0
-    return _influence_over(dag, params, _path_nodes(dag, source, target))
-
-
-def _influence_over(dag: Dag, params: GaussianBnParams, between: list[str]) -> float:
-    """``total_influence`` over ``_path_nodes``' list ``between``."""
+    between = _path_nodes(dag, source, target)
     if not between:
         return 0.0
     influence = {between[0]: 1.0}
@@ -222,14 +215,9 @@ def top_paths(
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
-    return _top_over(params, _onward(dag, _between(dag, source, target), cap), k)
-
-
-def _top_over(params: GaussianBnParams, onward: dict, k: int) -> list[InfluencePath]:
-    """``top_paths`` over ``_onward``'s map of on-path children."""
+    onward = _onward(dag, source, target, cap)
     if not onward:
         return []
-    source, target = next(iter(onward)), next(reversed(onward))
     # every arc on the paths, with its coefficient read once
     arcs = {node: [(child, params.coefficient(node, child)) for child in children]
             for node, children in onward.items()}
@@ -273,18 +261,14 @@ def influence_result(
     k: int | None = None,
     cap: int = DEFAULT_PATH_CAP,
 ) -> InfluenceResult:
-    """Total influence plus, when requested, the top-k path breakdown.
-
-    The two share one list of the nodes on the paths.
-    """
-    _check_nodes(dag, source, target)
+    """Total influence plus, when requested, the top-k path breakdown; none
+    when source == target.  An unknown node is refused before ``k``."""
+    total = total_influence(dag, params, source, target)
     if k is not None and k < 1:
         raise ValidationError("k must be >= 1")
-    if source == target:
-        return InfluenceResult(source=source, target=target, total=1.0)
-    between = _path_nodes(dag, source, target)
-    total = _influence_over(dag, params, between)
-    paths = None if k is None else tuple(_top_over(params, _onward(dag, between, cap), k))
+    paths = None
+    if k is not None and source != target:
+        paths = tuple(top_paths(dag, params, source, target, k, cap))
     return InfluenceResult(source=source, target=target, total=total, paths=paths)
 
 

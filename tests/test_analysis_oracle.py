@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_analysis as ref
 from attachnet import compare, fixtures
+from attachnet._draws import choice_rows
 from attachnet.compare import FactorTable, kmeans_best_seed
 from attachnet.influence import (
     count_paths,
@@ -43,18 +44,15 @@ def assert_same_result(got, expected):
 
 
 @contextlib.contextmanager
-def blocks(seed=None, draw=None):
-    """Run with smaller Lloyd blocks or draw blocks."""
-    names = {"_SEED_BLOCK": seed, "_DRAW_BLOCK": draw}
-    old = {name: getattr(compare, name) for name in names}
+def draw_block(seeds, values, k):
+    """Run with the byte budget that draws ``seeds`` seeds of a ``values``
+    table per block."""
+    old = compare._BLOCK_BYTES
+    compare._BLOCK_BYTES = seeds * compare._seed_bytes(*np.shape(values), k)
     try:
-        for name, value in names.items():
-            if value is not None:
-                setattr(compare, name, value)
         yield
     finally:
-        for name, value in old.items():
-            setattr(compare, name, value)
+        compare._BLOCK_BYTES = old
 
 
 # small grids give duplicate points, equidistant centres (argmin ties) and,
@@ -79,14 +77,13 @@ def factor_problems(draw):
 
 
 @settings(max_examples=150, deadline=None, database=None, derandomize=True)
-@given(problem=factor_problems(), block=st.sampled_from([1, 2, 3, 7, compare._SEED_BLOCK]),
-       draw=st.sampled_from([1, 4, 9, compare._DRAW_BLOCK]))
-def test_kmeans_matches_reference(problem, block, draw):
+@given(problem=factor_problems(), draw=st.sampled_from([1, 2, 4, 9, None]))
+def test_kmeans_matches_reference(problem, draw):
     values, k, seed_range = problem
     data = FactorTable(items=tuple(f"i{j}" for j in range(len(values))), values=values)
-    # small blocks put block edges inside the seed range, and later draw
-    # blocks run again starts an earlier block ran
-    with blocks(seed=block, draw=draw):
+    # small blocks put block edges inside the seed range, and later blocks
+    # run again starts an earlier block ran
+    with draw_block(draw, values, k) if draw else contextlib.nullcontext():
         got = kmeans_best_seed(data, k, seed_range)
     assert_same_result(got, ref.kmeans_best_seed(data, k, seed_range))
 
@@ -98,8 +95,7 @@ def test_lloyd_sweep_matches_each_seed(problem):
     seeds = range(lo, hi + 1)
     starts = np.array([np.random.default_rng(seed).choice(len(values), size=k, replace=False)
                        for seed in seeds])
-    with blocks(seed=7):
-        runs = [run for block in compare._lloyd_sweep(values, starts) for run in zip(*block)]
+    runs = list(zip(*compare._lloyd_sweep(values, starts)))
     assert len(runs) == len(seeds)
     for seed, (labels, centers, ss) in zip(seeds, runs):
         ref_labels, ref_centers, ref_ss = ref._lloyd(values, k, seed)
@@ -108,15 +104,13 @@ def test_lloyd_sweep_matches_each_seed(problem):
         assert same_bits(ss, ref_ss), seed
 
 
-def assert_each_start_matches_reference(values, k, seeds, max_iter=300, block=None):
+def assert_each_start_matches_reference(values, k, seeds, max_iter=300):
     """Every start's labels, centres and ss from ``_lloyd_sweep``, merged runs
     included, against one ``ref._lloyd`` per seed."""
     values = np.asarray(values, dtype=np.float64)
     starts = np.array([np.random.default_rng(seed).choice(len(values), size=k, replace=False)
                        for seed in seeds])
-    with blocks(seed=block):
-        runs = [run for block in compare._lloyd_sweep(values, starts, max_iter)
-                for run in zip(*block)]
+    runs = list(zip(*compare._lloyd_sweep(values, starts, max_iter)))
     assert len(runs) == len(seeds)
     for seed, (labels, centers, ss) in zip(seeds, runs):
         ref_labels, ref_centers, ref_ss = ref._lloyd(values, k, seed, max_iter)
@@ -143,7 +137,7 @@ DUPLICATES = [[0.0, 0.0], [0.0, 0.0], [4.0, 0.0], [4.0, 0.0], [1.0, 0.0]]
 @pytest.mark.parametrize("max_iter", [1, 2, 3, 300])
 def test_lloyd_sweep_never_merges_a_run_with_an_empty_cluster(max_iter):
     for k in (3, 4):
-        assert_each_start_matches_reference(DUPLICATES, k, range(0, 300), max_iter, block=64)
+        assert_each_start_matches_reference(DUPLICATES, k, range(0, 300), max_iter)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -186,7 +180,7 @@ def test_kmeans_start_keys_past_int64_match_reference():
     """20 ** 15 > 2 ** 63, so the starts are told apart by their bytes."""
     data = FactorTable(items=tuple(f"i{j}" for j in range(20)),
                        values=np.random.default_rng(3).normal(size=(20, 2)))
-    with blocks(draw=16):
+    with draw_block(16, data.values, 15):
         assert_same_result(kmeans_best_seed(data, 15, (1, 40)),
                            ref.kmeans_best_seed(data, 15, (1, 40)))
 
@@ -218,11 +212,42 @@ def test_kmeans_memory_does_not_grow_with_the_seed_range():
         finally:
             tracemalloc.stop()
 
-    with blocks(draw=256):
+    with draw_block(256, data.values, 4):
         small, _ = peak(1024)
         large, result = peak(8192)
     assert large < 1.25 * small, (small, large)
     assert_same_result(result, kmeans_best_seed(data, 4, (1, 8192)))
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.FACTOR_TABLES))
+def test_kmeans_bundled_tables_draw_seeds_1_to_4000_in_one_block(name, monkeypatch):
+    blocks = []
+
+    def recorded(seeds, n, k):
+        blocks.append(seeds)
+        return choice_rows(seeds, n, k)
+
+    monkeypatch.setattr(compare, "choice_rows", recorded)
+    kmeans_best_seed(fixtures.load_factor_table(name), 2)
+    assert blocks == [range(1, 4001)]
+
+
+def test_kmeans_large_table_peak_allocation_stays_within_the_budget():
+    """On 400 items of 10 factors a block holds a few hundred seeds, each
+    with its own start, and a call over four blocks allocates at most the
+    budget at any time (in one block, it would take about 1.6 times that)."""
+    n, d, k = 400, 10, 2
+    data = FactorTable(items=tuple(f"i{j}" for j in range(n)),
+                       values=np.random.default_rng(5).normal(size=(n, d)))
+    block = compare._BLOCK_BYTES // compare._seed_bytes(n, d, k)
+    assert 100 < block < 1000
+    tracemalloc.start()
+    try:
+        kmeans_best_seed(data, k, (1, 4 * block))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < compare._BLOCK_BYTES, peak
 
 
 # -- Mann-Whitney exact counts ------------------------------------------------------

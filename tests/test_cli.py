@@ -431,6 +431,8 @@ def test_compare_mwu_polarity(tmp_path, capsys):
                  "{path}: row 1: expected 2 fields, got 3", id="mwu-long-row"),
     pytest.param(["compare", "mwu"], "item,value\nQ01,1.5\nQ02,nan\n",
                  "{path}: row 2: 'nan' is not a finite number", id="mwu-nan"),
+    pytest.param(["compare", "mwu"], "item,value\nQ01,1.5\nQ02,2.5\nQ01,3.5\n",
+                 "{path}: row 3: item 'Q01' repeats row 1", id="mwu-repeated-item"),
     pytest.param(["compare", "ellipse"], "x,y\n", "{path}: no data rows",
                  id="ellipse-header-only"),
     pytest.param(["compare", "ellipse"], "x,y\n1,2\n3,oops\n4,5\n",
@@ -466,6 +468,8 @@ def test_compare_mwu_polarity(tmp_path, capsys):
                  "{path}: row 1: expected 3 fields, got 2", id="edges-short-row"),
     pytest.param(["compare", "edges", "fixture"], "item_a,item_b,weight\nQ01,Q01,0.5\n",
                  "{path}: row 1: degenerate pair 'Q01', 'Q01'", id="edges-degenerate-pair"),
+    pytest.param(["compare", "edges", "fixture"], "item_a,item_b,weight\nQ01,Q02,0.5\nQ02,Q01,0.7\n",
+                 "{path}: row 2: pair 'Q02', 'Q01' repeats row 1", id="edges-repeated-pair"),
     pytest.param(["compare", "edges", "--mode", "intersection", "fixture"],
                  "item_a,item_b,weight\nQ27,Q25,0.5\nQ27,Q33,0.5\nQ27,Q01,0.5\n",
                  "theirs: all 3 weights on the intersection set are equal; "
@@ -485,6 +489,9 @@ def test_compare_bad_input_exits_2(tmp_path, capsys, command, text, message):
                  "no cluster column", id="partition"),
     pytest.param(["analyze", "--fixture", "--clusters", "{path}"], "node,cluster\nQ01,C1\nQ02\n",
                  "row 2: expected 2 fields, got 1", id="partition-short-row"),
+    pytest.param(["analyze", "--fixture", "--clusters", "{path}"],
+                 "node,cluster\nQ01,C1\nQ02,C1\nQ01,C2\n", "row 3: node 'Q01' repeats row 1",
+                 id="partition-repeated-node"),
     pytest.param(["fit", "{survey}", "--dag", "{path}"], "source,to\nQ01,Q02\n", "no from column",
                  id="arc-list"),
     pytest.param(["fit", "{survey}", "--dag", "{path}"], "from,to\nQ01,Q02\nQ03\n",
@@ -493,6 +500,8 @@ def test_compare_bad_input_exits_2(tmp_path, capsys, command, text, message):
                  "no group column", id="mwu-groups"),
     pytest.param(["compare", "mwu", "{values}", "--groups", "{path}"], "item,group\nQ01\n",
                  "row 1: expected 2 fields, got 1", id="mwu-groups-short-row"),
+    pytest.param(["compare", "mwu", "{values}", "--groups", "{path}"], "item,group\nQ01,a\nQ01,b\n",
+                 "row 2: item 'Q01' repeats row 1", id="mwu-groups-repeated-item"),
     pytest.param(["compare", "edges", "{path}", "external"], "a,b,weight\nQ01,Q02,0.5\n",
                  "no item_a column", id="edge-weights"),
 ])

@@ -75,6 +75,6 @@ def test_wrong_block_draw_falls_back(monkeypatch):
     seeds = range(1, 700)
     assert np.array_equal(_draws.choice_rows(seeds, 18, 2), per_seed(seeds, 18, 2))
     data = fixtures.load_factor_table("wei2007_avoidance")
-    monkeypatch.setattr(compare, "_DRAW_BLOCK", 256)
+    monkeypatch.setattr(compare, "_BLOCK_BYTES", 256 * compare._seed_bytes(18, 2, 2))
     assert_same_result(kmeans_best_seed(data, 2, (1, 700)),
                        ref.kmeans_best_seed(data, 2, (1, 700)))

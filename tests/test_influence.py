@@ -90,6 +90,18 @@ def test_self_influence_is_unit(fixture_model):
     assert total_influence(dag, params, "Q05", "Q05") == 1.0
 
 
+def test_influence_result_checks_in_order(fixture_model):
+    """An unknown node is refused before ``k``, and ``k`` before source ==
+    target, which has a total of 1 and lists no paths."""
+    dag, params = fixture_model
+    with pytest.raises(ValidationError, match="unknown node 'QXX'"):
+        influence_result(dag, params, "QXX", "Q05", k=0)
+    with pytest.raises(ValidationError, match="k must be >= 1"):
+        influence_result(dag, params, "Q05", "Q05", k=0)
+    result = influence_result(dag, params, "Q05", "Q05", k=2)
+    assert (result.total, result.paths) == (1.0, None)
+
+
 def test_non_descendant_influence_is_zero(fixture_model):
     dag, params = fixture_model
     # Q02 and Q05 are both roots, so neither can influence the other
