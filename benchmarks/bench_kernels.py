@@ -18,7 +18,9 @@ averaged graph or in the warnings, in order.
 The ingest rows time ``parse_responses`` and ``serialize_responses`` on a
 generated 40,000-row export of 36 items (the size of the public ECR export)
 against the per-cell versions in ``tests/reference_ingest.py``; the script
-fails on any difference in the parsed table or the written bytes.
+fails on any difference in the parsed table or the written bytes.  The export
+is parsed twice: as written, which the block tokenizer reads, and with its
+country cells quoted, which hands the body to the csv module's reader.
 
 The analysis rows time ``kmeans_best_seed(k=2)`` over seeds 1:4000 on the four
 bundled factor tables, the 1,260 ordered item-pair queries on the bundled
@@ -81,9 +83,10 @@ def synthetic_problem(nodes: int, rows: int, seed: int = 7):
     return data
 
 
-def synthetic_export(rows: int, items: int, seed: int) -> bytes:
+def synthetic_export(rows: int, items: int, seed: int, quoted: bool = False) -> bytes:
     """A raw export: unpadded headers, Likert codes with 2% blank and 1%
-    out-of-range cells, codebook genders, countries, and 1% ragged rows."""
+    out-of-range cells, codebook genders, countries (in double quotes when
+    ``quoted``), and 1% ragged rows."""
     rng = np.random.default_rng(seed)
     cells = rng.integers(1, 6, size=(rows, items)).astype(str).astype(object)
     cells[rng.random((rows, items)) < 0.02] = ""
@@ -91,6 +94,8 @@ def synthetic_export(rows: int, items: int, seed: int) -> bytes:
     age = rng.integers(14, 80, size=rows).astype(str)
     gender = rng.choice(["0", "1", "2", "3"], size=rows)
     country = rng.choice(["US", "GB", "CA", "AU", "IN", "DE", "XX", ""], size=rows)
+    if quoted:
+        country = np.char.add(np.char.add('"', country), '"')
     ragged = rng.random(rows) < 0.01
     lines = [",".join([f"Q{i + 1}" for i in range(items)] + ["age", "gender", "country"])]
     for i, row in enumerate(cells.tolist()):
@@ -218,21 +223,23 @@ def bench_repair(seed: int, repeats: int) -> None:
 
 
 def bench_ingest(seed: int, repeats: int) -> None:
-    raw = synthetic_export(EXPORT_ROWS, EXPORT_ITEMS, seed)
     ref_repeats = max(1, repeats // 3)
-    t_new, table = time_fn(ingest.parse_responses, raw, repeats=repeats)
-    t_ref, ref_table = time_fn(reference_ingest.parse_responses, raw, repeats=ref_repeats)
-    same = (
-        table == ref_table
-        and np.array_equal(table.rows.view(np.uint64), ref_table.rows.view(np.uint64))
-        and (table.demographics.region, table.row_errors)
-        == (ref_table.demographics.region, ref_table.row_errors)
-    )
-    if not same:
-        sys.exit("error: parse_responses and its reference disagree on the parsed table")
-    print(f"{'parse (40k x 36)':<22} {t_new * 1e3:>10.2f}ms {t_ref * 1e3:>10.2f}ms {t_ref / t_new:>8.1f}x"
-          f"   {len(raw) / 1e6:.1f} MB, {table.n} rows (identical)")
+    for label, quoted in (("parse (40k x 36)", False), ("parse, quoted (csv)", True)):
+        raw = synthetic_export(EXPORT_ROWS, EXPORT_ITEMS, seed, quoted)
+        t_new, table = time_fn(ingest.parse_responses, raw, repeats=repeats)
+        t_ref, ref_table = time_fn(reference_ingest.parse_responses, raw, repeats=ref_repeats)
+        same = (
+            table == ref_table
+            and np.array_equal(table.rows.view(np.uint64), ref_table.rows.view(np.uint64))
+            and (table.demographics.region, table.row_errors)
+            == (ref_table.demographics.region, ref_table.row_errors)
+        )
+        if not same:
+            sys.exit(f"error: parse_responses and its reference disagree on the parsed table ({label})")
+        print(f"{label:<22} {t_new * 1e3:>10.2f}ms {t_ref * 1e3:>10.2f}ms {t_ref / t_new:>8.1f}x"
+              f"   {len(raw) / 1e6:.1f} MB, {table.n} rows (identical)")
 
+    # both exports hold the same cells, so either parsed table serializes the same
     t_new, text = time_fn(ingest.serialize_responses, table, repeats=repeats)
     t_ref, ref_text = time_fn(reference_ingest.serialize_responses, table, repeats=ref_repeats)
     if text != ref_text:

@@ -13,6 +13,17 @@ repeats a handful of Likert codes and demographic labels, so each distinct
 cell text is converted once per parse and each distinct value formatted once
 per written block of rows.
 
+The body of an export is tokenized with array operations, in blocks of
+``_PARSE_BLOCK`` characters completed to a whole line: field ends are the
+delimiters and line feeds of the block, a one-character item cell that is an
+ASCII digit is that digit and an empty one NaN, and every other cell goes
+through the converters above.  The csv module's quoting and line-ending rules
+cannot apply to a body with no double quote, carriage return or NUL; as soon
+as a block holds one of those, or when the stream cannot seek back to the end
+of the header, the whole body is read by ``csv.reader`` instead.  Both give
+the same table, the same dropped-row messages and the same ParseError for a
+field over ``csv.field_size_limit()``.
+
 Typical flow::
 
     table = parse_responses("data.csv")
@@ -29,6 +40,7 @@ import re
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -53,6 +65,8 @@ _ITEM_RE = re.compile(r"^[Qq]0*([1-9][0-9]*)$")
 
 _AGE_MIN, _AGE_MAX = np.iinfo(np.int16).min, np.iinfo(np.int16).max
 _SERIALIZE_BLOCK = 512  # rows formatted at a time; bounds the transient cell strings
+_PARSE_BLOCK = 1 << 15  # body characters read at a time, completed to a whole line; bounds
+# the transient arrays of one block (about 1 MB)
 
 _region_table: dict[str, str] | None = None
 
@@ -132,12 +146,14 @@ class Demographics:
         return len(self.gender)
 
     def take(self, mask) -> "Demographics":
-        idx = np.flatnonzero(mask)
+        """The rows where ``mask`` is true (nonzero)."""
+        mask = np.asarray(mask, dtype=bool)
+        keep = mask.tolist()
         return Demographics(
-            age=self.age[idx],
-            gender=tuple(self.gender[i] for i in idx),
-            country=tuple(self.country[i] for i in idx),
-            region=tuple(self.region[i] for i in idx),
+            age=self.age[mask],
+            gender=tuple(compress(self.gender, keep)),
+            country=tuple(compress(self.country, keep)),
+            region=tuple(compress(self.region, keep)),
         )
 
 
@@ -268,9 +284,12 @@ def parse_responses(stream, schema: ColumnSchema | None = None, codebook=None) -
     is converted once per call: item cells by ``float(cell.strip())`` (NaN if
     that fails), ages by truncation to whole years (-1 if not a finite number
     in the int16 range), genders and countries through the codebook, whose
-    gender labels must be ``GENDERS`` in any case (else ValidationError).  A file
-    opened from a path is closed again; a caller's stream is left open.
-    Bytes that are not UTF-8 raise ParseError naming the file.
+    gender labels must be ``GENDERS`` in any case (else ValidationError).  A body
+    with no double quote, carriage return or NUL is tokenized in blocks of
+    whole lines; any other, or one in a stream that cannot seek, is read by
+    ``csv.reader``, with the same result.  A file opened from a path is
+    closed again; a caller's stream is left open.  Bytes that are not UTF-8
+    raise ParseError naming the file.
     """
     try:
         fh = _open_text(stream)
@@ -320,18 +339,11 @@ def _parse_text(fh, schema: ColumnSchema, codebook) -> ResponseTable:
         raise ParseError("header contains no item columns (Q1... or Q01...)", line=1)
     numbers = sorted(item_cols)
     items = tuple(f"Q{num:02d}" for num in numbers)
-    columns = [item_cols[num] for num in numbers]
-    # itemgetter of one index returns the cell itself, not a 1-tuple
-    item_cells = itemgetter(*columns) if len(columns) > 1 else lambda cells: (cells[columns[0]],)
 
     lower = [h.lower() for h in header]
 
     def find_col(name: str) -> int | None:
         return lower.index(name.lower()) if name.lower() in lower else None
-
-    age_col = find_col(schema.age)
-    gender_col = find_col(schema.gender)
-    country_col = find_col(schema.country)
 
     def gender_of(cell: str) -> str:
         raw = cell.strip()
@@ -343,45 +355,164 @@ def _parse_text(fh, schema: ColumnSchema, codebook) -> ResponseTable:
         country = cell.strip()
         return country_map.get(country, country).upper()
 
-    item_value = _Memo(_item_value).__getitem__
-    age_value = _Memo(_age_value).__getitem__
-    gender_value = _Memo(gender_of).__getitem__
-    country_value = _Memo(country_of).__getitem__
-
-    values = array("d")  # item cells, row-major
-    ages: list[int] = []
-    genders: list[str] = []
-    countries: list[str] = []
-    errors: list[str] = []
-
-    reader = csv.reader(fh, delimiter=delimiter)
+    rows = _Rows(
+        len(header),
+        [item_cols[num] for num in numbers],
+        find_col(schema.age),
+        find_col(schema.gender),
+        find_col(schema.country),
+        gender_of,
+        country_of,
+    )
     try:
-        for lineno, cells in enumerate(reader, start=2):
-            if not cells:
-                continue
-            if len(cells) != len(header):
-                errors.append(f"line {lineno}: expected {len(header)} fields, got {len(cells)}")
-                continue
-            values.extend(map(item_value, item_cells(cells)))
-            ages.append(-1 if age_col is None else age_value(cells[age_col]))
-            genders.append("unknown" if gender_col is None else gender_value(cells[gender_col]))
-            countries.append("" if country_col is None else country_value(cells[country_col]))
-    except csv.Error as exc:  # an over-long field, or a bare "\r" in an unquoted one
-        raise ParseError(str(exc), line=reader.line_num + 1) from None
+        body = fh.tell() if fh.seekable() else None
+    except (AttributeError, OSError):  # no tell(), or a text stream the caller iterated
+        body = None
+    if body is None or not rows.read_blocks(fh, delimiter):
+        if body is not None:
+            rows.clear()
+            fh.seek(body)
+        rows.read_csv(fh, delimiter)
 
     demo = Demographics(
-        age=np.array(ages, dtype=np.int16),
-        gender=tuple(genders),
-        country=tuple(countries),
-        region=tuple(map(_Memo(map_region).__getitem__, countries)),
+        age=np.array(rows.ages, dtype=np.int16),
+        gender=tuple(rows.genders),
+        country=tuple(rows.countries),
+        region=tuple(map(_Memo(map_region).__getitem__, rows.countries)),
     )
     return ResponseTable(
         items=items,
-        rows=np.frombuffer(values, dtype=np.float64).reshape(len(ages), len(items)),
+        rows=np.frombuffer(rows.values, dtype=np.float64).reshape(len(rows.ages), len(items)),
         demographics=demo,
-        dropped_rows=len(errors),
-        row_errors=tuple(errors),
+        dropped_rows=len(rows.errors),
+        row_errors=tuple(rows.errors),
     )
+
+
+class _Rows:
+    """The data rows of one parse: where the wanted cells sit in a row of
+    ``width`` fields, their per-call converters, and the columns read so far.
+
+    Two tokenizers fill it.  ``read_blocks`` handles bodies in which no csv
+    quoting or line-ending rule can apply; ``read_csv`` is the csv module's
+    reader and handles any body.
+    """
+
+    def __init__(self, width, item_cols, age_col, gender_col, country_col, gender_of, country_of):
+        self.width = width
+        self.item_cols = item_cols
+        self.age_col, self.gender_col, self.country_col = age_col, gender_col, country_col
+        self.item_value = _Memo(_item_value).__getitem__
+        self.age_value = _Memo(_age_value).__getitem__
+        self.gender_value = _Memo(gender_of).__getitem__
+        self.country_value = _Memo(country_of).__getitem__
+        self.clear()
+
+    def clear(self) -> None:
+        self.values = array("d")  # item cells, row-major
+        self.ages: list[int] = []
+        self.genders: list[str] = []
+        self.countries: list[str] = []
+        self.errors: list[str] = []
+
+    def read_csv(self, fh, delimiter: str) -> None:
+        columns = self.item_cols
+        # itemgetter of one index returns the cell itself, not a 1-tuple
+        item_cells = itemgetter(*columns) if len(columns) > 1 else lambda cells: (cells[columns[0]],)
+        age_col, gender_col, country_col = self.age_col, self.gender_col, self.country_col
+        item_value, age_value = self.item_value, self.age_value
+        gender_value, country_value = self.gender_value, self.country_value
+        values, ages, genders, countries, errors = (
+            self.values, self.ages, self.genders, self.countries, self.errors
+        )
+        width = self.width
+
+        reader = csv.reader(fh, delimiter=delimiter)
+        try:
+            for lineno, cells in enumerate(reader, start=2):
+                if not cells:
+                    continue
+                if len(cells) != width:
+                    errors.append(f"line {lineno}: expected {width} fields, got {len(cells)}")
+                    continue
+                values.extend(map(item_value, item_cells(cells)))
+                ages.append(-1 if age_col is None else age_value(cells[age_col]))
+                genders.append("unknown" if gender_col is None else gender_value(cells[gender_col]))
+                countries.append("" if country_col is None else country_value(cells[country_col]))
+        except csv.Error as exc:  # an over-long field, a bare "\r" in an unquoted one, or a NUL
+            raise ParseError(str(exc), line=reader.line_num + 1) from None
+
+    def read_blocks(self, fh, delimiter: str) -> bool:
+        """Tokenize the body in blocks of whole lines with array operations.
+
+        Returns False, having kept nothing, as soon as a block holds a quote,
+        a carriage return or a NUL: only the csv module's reader parses those.
+        """
+        limit = csv.field_size_limit()  # read per call, as the csv module does
+        lineno = 2
+        while block := fh.read(_PARSE_BLOCK):
+            if block[-1] != "\n":
+                block += fh.readline()
+                if block[-1] != "\n":  # the last line has no line end
+                    block += "\n"
+            if '"' in block or "\r" in block or "\0" in block:
+                return False
+            lineno = self._read_block(block, ord(delimiter), limit, lineno)
+        return True
+
+    def _read_block(self, block: str, delimiter: int, limit: int, lineno: int) -> int:
+        """Append the rows of ``block``, whose first line is ``lineno``, and
+        return the number of the line after it."""
+        # one element per character, so that offsets index ``block`` itself
+        if block.isascii():
+            text = np.frombuffer(block.encode("ascii"), dtype=np.uint8)
+        else:
+            text = np.frombuffer(block.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+        ends = np.flatnonzero((text == delimiter) | (text == 10))  # the character after each field
+        starts = np.empty_like(ends)
+        starts[0] = 0
+        starts[1:] = ends[:-1] + 1
+        lengths = ends - starts
+        last = np.flatnonzero(text[ends] == 10)  # each line's last field
+        fields = np.diff(last, prepend=-1)
+
+        over = np.flatnonzero(lengths > max(limit, 0))  # a negative limit still passes empty fields
+        if over.size:
+            line = lineno + int(np.searchsorted(last, over[0]))
+            raise ParseError(f"field larger than field limit ({limit})", line=line)
+
+        blank = (fields == 1) & (lengths[last] == 0)
+        full = fields == self.width
+        for k in np.flatnonzero(~full & ~blank).tolist():
+            self.errors.append(f"line {lineno + k}: expected {self.width} fields, got {fields[k]}")
+        first = last[full & ~blank] - (self.width - 1)  # first field of each kept row
+
+        cells = first[:, None] + np.array(self.item_cols)
+        cell_starts, cell_lengths = starts[cells], lengths[cells]
+        lead = text[cell_starts]  # a cell's first character, or the delimiter after an empty one
+        digit = (cell_lengths == 1) & (lead >= 48) & (lead <= 57)
+        values = np.where(cell_lengths == 0, np.nan, lead - 48.0)
+        slow = np.flatnonzero(~digit & (cell_lengths != 0))
+        if slow.size:
+            flat = values.reshape(-1)
+            item_value = self.item_value
+            for k, a, n in zip(
+                slow.tolist(), cell_starts.flat[slow].tolist(), cell_lengths.flat[slow].tolist()
+            ):
+                flat[k] = item_value(block[a : a + n])
+        self.values.frombytes(values.tobytes())
+
+        def column(col, convert, missing, out):
+            if col is None:
+                out.extend(repeat(missing, first.size))
+            else:
+                spans = zip(starts[first + col].tolist(), ends[first + col].tolist())
+                out.extend(map(convert, [block[a:b] for a, b in spans]))
+
+        column(self.age_col, self.age_value, -1, self.ages)
+        column(self.gender_col, self.gender_value, "unknown", self.genders)
+        column(self.country_col, self.country_value, "", self.countries)
+        return lineno + last.size
 
 
 def _format_bits(bits: np.ndarray) -> np.ndarray:
@@ -434,9 +565,9 @@ def filter_cohort(table: ResponseTable, f: CohortFilter) -> ResponseTable:
         lo, hi = f.age_range
         mask &= (demo.age >= lo) & (demo.age <= hi)
     if f.genders is not None:
-        mask &= np.array([g in f.genders for g in demo.gender])
+        mask &= np.fromiter(map(f.genders.__contains__, demo.gender), bool, count=table.n)
     if f.regions is not None:
-        mask &= np.array([r in f.regions for r in demo.region])
+        mask &= np.fromiter(map(f.regions.__contains__, demo.region), bool, count=table.n)
     if f.require_complete:
         in_range = np.isfinite(table.rows) & (table.rows >= 1) & (table.rows <= 5)
         mask &= in_range.all(axis=1)

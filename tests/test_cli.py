@@ -544,6 +544,19 @@ def test_empty_cohort_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == "error: cohort filter removed every row\n"
 
 
+@pytest.mark.parametrize("body,flags,err", [
+    ("", ["--filter-standard"], "error: cohort filter removed every row; no answer in 1-5 for Q01, Q02\n"),
+    ("1,2\n3\n", ["--genders", "female"],
+     "dropped 2 malformed rows\nerror: cohort filter removed every row\n"),
+    ("", ["--regions", "Europe"], "error: cohort filter removed every row\n"),
+], ids=["header-only-standard", "all-ragged-genders", "header-only-regions"])
+def test_empty_table_through_a_filter_exits_2(tmp_path, capsys, body, flags, err):
+    src = tmp_path / "survey.csv"
+    src.write_text("Q1,Q2,age,gender,country\n" + body)
+    assert main(["ingest", str(src), *flags]) == 2
+    assert capsys.readouterr().err == err
+
+
 def test_influence_over_path_cap_exits_2(capsys):
     assert main(["influence", "--fixture", "--from", "Q05", "--to", "Q03", "-k", "2",
                  "--cap", "1"]) == 2

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import gc
 import io
+import re
 from unittest import mock
 
 import numpy as np
@@ -112,6 +113,8 @@ def test_caller_streams_stay_open():
 
 @pytest.mark.parametrize("raw,line,message", [
     (b"Q1,Q2,country\n1,2,US\n3,4," + b"x" * 200_000 + b"\n", 3, "field larger than field limit"),
+    (b'Q1,Q2,country\n1,2,"US"\n3,4,' + b"x" * 200_000 + b"\n", 3, "field larger than field limit"),
+    ("Q1\tQ2\n1\t2\n3\t".encode() + "é".encode() * 140_000, 3, "field larger than field limit"),
     (b"Q1,Q2\n1,2\n3,4\r5\n6,7\n", 3, "new-line character seen in unquoted field"),
     (b"Q1\rQ3,Q2\n1,2\n", 1, "new-line character seen in unquoted field"),
 ])
@@ -120,6 +123,57 @@ def test_lines_the_csv_module_refuses_are_parse_errors(raw, line, message):
         parse_responses(raw)
     assert err.value.line == line
     assert message in str(err.value)
+
+
+@pytest.mark.parametrize("body,line", [
+    ("1,male\n2,female\n3,females\n", 4),
+    ('1,"male"\n2,female\n3,females\n', 4),
+    ("1,éééééé\n2,ééééééé\n", 3),
+], ids=["blocks", "csv-reader", "characters-not-bytes"])
+def test_a_lowered_field_size_limit_is_honoured(body, line):
+    default = csv.field_size_limit(6)
+    try:
+        with pytest.raises(ParseError) as err:
+            parse_responses(f"Q1,gender\n{body}".encode())
+    finally:
+        csv.field_size_limit(default)
+    assert err.value.line == line
+    assert "field larger than field limit (6)" in str(err.value)
+
+
+class _NoSeek:
+    def seekable(self):
+        return False
+
+    def seek(self, *args):
+        raise io.UnsupportedOperation("seek")
+
+
+class _UnseekableBytes(_NoSeek, io.BytesIO):
+    pass
+
+
+class _UnseekableText(_NoSeek, io.StringIO):
+    pass
+
+
+def test_streams_that_cannot_seek_back_parse_identically():
+    raw = b'Q1,Q2,country\n1,2,US\n3,x\n4,5,"FR"\n'
+    expected = parse_responses(raw)
+    assert parse_responses(_UnseekableBytes(raw)) == expected
+    assert parse_responses(_UnseekableText(raw.decode())) == expected
+    with io.TextIOWrapper(io.BytesIO(b"preamble\n" + raw), encoding="utf-8") as iterated:
+        next(iterated)  # a text stream refuses tell() once iterated
+        assert parse_responses(iterated) == expected
+
+
+def test_a_nul_cell_parses_as_the_reference_does():
+    assert_parses_as_reference(b"Q1,Q2\n1,2\x00\n")  # a ParseError before Python 3.11, else NaN
+
+
+def test_a_lone_surrogate_in_a_caller_text_stream_parses_as_the_reference_does():
+    text = "Q1,country\n1,\ud800fr\n"
+    assert parse_responses(io.StringIO(text)) == reference_ingest.parse_responses(io.StringIO(text))
 
 
 @pytest.mark.parametrize("age", ["inf", "-inf", "1e400", "40000", "-32769", "nan"])
@@ -334,7 +388,10 @@ COUNTRY_CELL = st.one_of(st.sampled_from(["US", "gb", " fr ", "ZZ", "", "BR"]), 
 
 
 @st.composite
-def raw_exports(draw):
+def raw_exports(draw, plain=False):
+    """A raw export written by ``csv.writer``; with ``plain``, one with no
+    quote, carriage return or NUL, whose cells never hold the delimiter and
+    whose last line may lack its line end."""
     numbers = draw(st.lists(st.integers(1, 40), min_size=1, max_size=6, unique=True))
     names = [draw(st.sampled_from(["Q{}", "Q{:02d}", "q{}", " Q{} "])).format(k) for k in numbers]
     kinds = ["item"] * len(names)
@@ -360,6 +417,10 @@ def raw_exports(draw):
             row.append(draw(ITEM_CELL))
         lines.append(row)
     delimiter = draw(st.sampled_from([",", "\t"]))
+    if plain:
+        cut = str.maketrans("", "", '"\r\n\x00' + delimiter)
+        text = "".join(delimiter.join(cell.translate(cut) for cell in row) + "\n" for row in [names] + lines)
+        return (text[:-1] if draw(st.booleans()) else text).encode("utf-8")
     out = io.StringIO()
     writer = csv.writer(out, delimiter=delimiter, lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
     writer.writerow(names)
@@ -367,22 +428,48 @@ def raw_exports(draw):
     return out.getvalue().encode("utf-8")
 
 
-@settings(max_examples=200, deadline=None, database=None, derandomize=True)
-@given(raw=raw_exports())
-def test_parse_matches_reference(raw):
+def assert_parses_as_reference(raw, source=None):
     try:
         expected = reference_ingest.parse_responses(raw)
-    except csv.Error:  # e.g. a bare "\r" the writer left unquoted: both must refuse it
-        with pytest.raises(ParseError):
-            parse_responses(raw)
+    except csv.Error as exc:  # e.g. a bare "\r" the writer left unquoted: both must refuse it
+        with pytest.raises(ParseError, match=re.escape(str(exc))):
+            parse_responses(raw if source is None else source)
         return
-    table = parse_responses(raw)
+    table = parse_responses(raw if source is None else source)
     assert table == expected
     assert table.rows.dtype == np.float64
     assert np.array_equal(table.rows.view(np.uint64), expected.rows.view(np.uint64))
     assert table.demographics.age.dtype == np.int16
     assert table.demographics.region == expected.demographics.region
     assert (table.dropped_rows, table.row_errors) == (expected.dropped_rows, expected.row_errors)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(raw=st.one_of(raw_exports(), raw_exports(plain=True)), block=st.sampled_from([1, 2, 3, 7, None]))
+def test_parse_matches_reference(raw, block):
+    block = block or ingest_module._PARSE_BLOCK  # characters read, then completed to a whole line
+    with mock.patch.object(ingest_module, "_PARSE_BLOCK", block):
+        assert_parses_as_reference(raw)
+
+
+@pytest.mark.parametrize("source", ["bytes", "byte-stream", "path"])
+def test_a_quote_in_a_late_block_hands_the_body_to_the_csv_reader(tmp_path, source):
+    rows = [f"{i % 5 + 1},{i % 7},{20 + i},{i % 4},GB" for i in range(20)]
+    rows += ['3,4,30,1,"Côte d\'Ivoire, CI"', "5,,41,2,JP", "1,2,3", "2,3,50,2,US"]
+    raw = ("Q1,Q2,age,gender,country\n" + "\n".join(rows) + "\n").encode()
+    path = tmp_path / "survey.csv"
+    path.write_bytes(raw)
+    blocks = []
+    read_block = ingest_module._Rows._read_block
+
+    def spy(rows, block, *args):
+        blocks.append(block)
+        return read_block(rows, block, *args)
+
+    with mock.patch.object(ingest_module, "_PARSE_BLOCK", 7), \
+            mock.patch.object(ingest_module._Rows, "_read_block", spy):
+        assert_parses_as_reference(raw, {"bytes": raw, "byte-stream": io.BytesIO(raw), "path": path}[source])
+    assert blocks == [row + "\n" for row in rows[:20]]  # each of the first 20 lines, one block each
 
 
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
