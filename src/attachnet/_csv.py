@@ -21,6 +21,16 @@ def csv_text(header, rows) -> str:
     return out.getvalue()
 
 
+def write_text(dest, text: str) -> None:
+    """``text`` to ``dest``: a path (``str`` or ``os.PathLike``), or else a
+    text stream, which stays open."""
+    if isinstance(dest, (str, os.PathLike)):
+        with open(dest, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        dest.write(text)
+
+
 def read_rows(buf, columns=(), key=None) -> list[dict]:
     """The rows of a CSV file as dicts, blank lines skipped; ValidationError
     names the first of ``columns`` missing from the header, the first row

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fixtures
-from ._csv import csv_text, load_csv, number, read_rows
+from ._csv import csv_text, load_csv, number, read_rows, write_text
 from .analytics import (
     Partition,
     betweenness,
@@ -94,7 +94,7 @@ def _parse_int_list(text: str) -> list[int]:
 
 def _write(path, text: str) -> None:
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text(text, encoding="utf-8")
+    write_text(path, text)
 
 
 def _load_model(args):
@@ -129,7 +129,7 @@ def _stability_csv(table, epochs, cfg, args) -> str:
     """The stability sweep over ``epochs`` at the bootstrap flags, as CSV."""
     return stability_curve(
         table, epochs, repeats=args.repeats, sample_size=args.sample_size,
-        cfg=cfg, threshold=args.threshold, threads=args.threads,
+        cfg=cfg, threshold=args.threshold,
     ).to_csv()
 
 
@@ -137,8 +137,7 @@ def _averaged_network(table, cfg, args, strengths_path) -> Dag:
     """Bootstrap, write the strength CSV to ``strengths_path`` if one is
     given, and average at ``--threshold``."""
     strengths = bootstrap_strengths(
-        table, replicates=args.replicates, sample_size=args.sample_size,
-        cfg=cfg, threads=args.threads,
+        table, replicates=args.replicates, sample_size=args.sample_size, cfg=cfg
     )
     if strengths_path:
         _write(strengths_path, strengths.to_csv())
@@ -485,8 +484,7 @@ def _add_bootstrap_flags(
     p.add_argument("--seed", type=int, default=None, help="RNG seed (env ATTACHNET_SEED)")
     p.add_argument(
         "--threads", type=int, default=1,
-        help="bootstrap worker threads (default 1: the search loop is Python code that "
-             "holds the interpreter lock, so on the numpy backend 2 threads run slower than 1)",
+        help="accepted and checked to be >= 1; replicates run one at a time (default 1)",
     )
 
 

@@ -45,7 +45,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from ._csv import csv_text, load_csv, not_utf8, read_rows
+from ._csv import csv_text, load_csv, not_utf8, read_rows, write_text
 from .errors import EmptyCohortError, ParseError, ValidationError
 
 GENDERS = ("female", "male", "other", "unknown")
@@ -524,7 +524,8 @@ def _format_bits(bits: np.ndarray) -> np.ndarray:
 
 
 def serialize_responses(table: ResponseTable, buf=None) -> str:
-    """Canonical CSV form: zero-padded item columns, then age,gender,country.
+    """Canonical CSV form: zero-padded item columns, then age,gender,country,
+    also written to ``buf`` (a path or a text stream) if one is given.
 
     Works block by block of ``_SERIALIZE_BLOCK`` rows: every distinct item
     value of a block is formatted once (keyed on its bit pattern) and
@@ -549,11 +550,7 @@ def serialize_responses(table: ResponseTable, buf=None) -> str:
 
     text = csv_text(list(table.items) + ["age", "gender", "country"], rows())
     if buf is not None:
-        if isinstance(buf, str):
-            with open(buf, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            buf.write(text)
+        write_text(buf, text)
     return text
 
 

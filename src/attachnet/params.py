@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csv import csv_text, not_utf8
+from ._csv import csv_text, not_utf8, write_text
 from .dag import Dag
 from .errors import ValidationError
 
@@ -124,7 +124,8 @@ def intercept_report(params: GaussianBnParams, polarity: dict[str, str]) -> Inte
 
 
 def write_model(dag: Dag, params: GaussianBnParams, buf=None) -> str:
-    """Canonical model JSON used by the analyze/influence stages."""
+    """Canonical model JSON used by the analyze/influence stages, also
+    written to ``buf`` (a path or a text stream) if one is given."""
     payload = {
         "nodes": [
             {
@@ -141,11 +142,7 @@ def write_model(dag: Dag, params: GaussianBnParams, buf=None) -> str:
     }
     text = json.dumps(payload, indent=2) + "\n"
     if buf is not None:
-        if isinstance(buf, (str,)):
-            with open(buf, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            buf.write(text)
+        write_text(buf, text)
     return text
 
 

@@ -8,11 +8,8 @@ factor rows between parent sets, and ``_kernels._pick_move``, which alone
 applies the admissibility, tabu, aspiration and tie rules).
 ``bootstrap_strengths`` repeats the search on resampled data and tallies how
 often each connection appears and in which direction; ``average_network``
-thresholds the tally into a consensus DAG.  Replicates use independent seed
-streams derived from ``(seed, replicate)``, so results are bit-identical for a
-given configuration regardless of how many worker threads run them.  The
-search runs as Python/numpy and holds the interpreter lock, so on the numpy
-backend extra threads do not shorten a bootstrap.
+thresholds the tally into a consensus DAG.  Replicates run one after another
+on independent seed streams derived from ``(seed, replicate)``.
 """
 from __future__ import annotations
 
@@ -115,14 +112,20 @@ class ArcStrengthTable:
     counts: np.ndarray
     replicates: int
 
+    def _index(self, item: str) -> int:
+        try:
+            return self.items.index(item)
+        except ValueError:
+            raise ValidationError(f"unknown item {item!r}") from None
+
     def strength(self, u: str, v: str) -> float:
         """Fraction of replicates containing u-v in either direction."""
-        i, j = self.items.index(u), self.items.index(v)
+        i, j = self._index(u), self._index(v)
         return (self.counts[i, j] + self.counts[j, i]) / self.replicates
 
     def direction(self, u: str, v: str) -> float:
         """Of the replicates containing u-v, the fraction oriented u -> v."""
-        i, j = self.items.index(u), self.items.index(v)
+        i, j = self._index(u), self._index(v)
         both = self.counts[i, j] + self.counts[j, i]
         if both == 0:
             return 0.0
@@ -188,7 +191,8 @@ def bootstrap_strengths(
 
     Each replicate draws ``sample_size`` rows with replacement using the seed
     stream ``(cfg.seed, replicate)``, learns a DAG as ``tabu_search`` does
-    (restarts included) and tallies its arcs.
+    (restarts included) and tallies its arcs.  Replicates run in order, one
+    at a time; ``threads`` is accepted and has no effect.
     """
     cfg = cfg or SearchConfig()
     check_bootstrap_settings(replicates=replicates, sample_size=sample_size)
@@ -198,22 +202,11 @@ def bootstrap_strengths(
     items = tuple(table.items)
     n = rows.shape[0]
 
-    def one(replicate: int) -> np.ndarray:
+    counts = np.zeros((len(items), len(items)), dtype=np.int64)
+    for replicate in range(replicates):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, replicate)))
         idx = rng.integers(0, n, size=sample_size)
-        return _search(stats_from_matrix(rows[idx], items), cfg)
-
-    if threads and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor  # not on import: most runs use 1 thread
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            adjs = list(pool.map(one, range(replicates)))
-    else:
-        adjs = [one(r) for r in range(replicates)]
-
-    counts = np.zeros((len(items), len(items)), dtype=np.int64)
-    for adj in adjs:
-        counts += adj
+        counts += _search(stats_from_matrix(rows[idx], items), cfg)
     return ArcStrengthTable(items=items, counts=counts, replicates=replicates)
 
 
@@ -306,7 +299,6 @@ def stability_curve(
     sample_size: int = 1000,
     cfg: SearchConfig | None = None,
     threshold: float = 0.5,
-    threads: int | None = None,
 ) -> StabilityReport:
     """Averaged-network arc counts across bootstrap budgets.
 
@@ -325,9 +317,7 @@ def stability_curve(
         undirected = []
         for rep in range(repeats):
             run_cfg = replace(cfg, seed=_derived_seed(cfg.seed, epoch_no, rep))
-            strengths = bootstrap_strengths(
-                table, big_r, sample_size=sample_size, cfg=run_cfg, threads=threads
-            )
+            strengths = bootstrap_strengths(table, big_r, sample_size=sample_size, cfg=run_cfg)
             arcs, und = _thresholded_arcs(strengths, threshold)
             dag = _repair_cycles(strengths.items, arcs)
             directed.append(len(dag.arcs))

@@ -185,6 +185,35 @@ def test_full_repro_zero_threads_exits_2(tmp_path):
     assert main([*args, "--threads", "0"]) == 2
 
 
+def test_no_thread_is_started(tmp_path, monkeypatch):
+    """Bootstrap replicates run one at a time whatever ``threads`` or
+    ``--threads`` asks for, and tally what the default call tallies."""
+    import threading
+
+    from attachnet.ingest import parse_responses
+    from attachnet.structure import SearchConfig, bootstrap_strengths, stability_curve
+
+    src = survey_csv(tmp_path, n=120)
+    table = parse_responses(str(src))
+    cfg = SearchConfig(seed=4)
+    counts = bootstrap_strengths(table, 6, sample_size=80, cfg=cfg).counts
+    curve = stability_curve(table, [2, 3], repeats=2, sample_size=80, cfg=cfg)
+    learn = ["learn", str(src), "-R", "6", "-m", "80", "--seed", "4"]
+    assert main([*learn, "--strengths", str(tmp_path / "one.csv"), "-o", str(tmp_path / "one.json")]) == 0
+
+    def refuse(thread):
+        raise AssertionError(f"thread {thread.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    threaded = bootstrap_strengths(table, 6, sample_size=80, cfg=cfg, threads=4)
+    assert np.array_equal(threaded.counts, counts)
+    assert stability_curve(table, [2, 3], repeats=2, sample_size=80, cfg=cfg) == curve
+    assert main([*learn, "--threads", "2", "--strengths", str(tmp_path / "two.csv"),
+                 "-o", str(tmp_path / "two.json")]) == 0
+    for name in ("csv", "json"):
+        assert (tmp_path / f"two.{name}").read_bytes() == (tmp_path / f"one.{name}").read_bytes()
+
+
 def test_seed_env_fallback(tmp_path, monkeypatch):
     src = survey_csv(tmp_path, n=120)
     monkeypatch.setenv("ATTACHNET_SEED", "42")
@@ -631,6 +660,22 @@ def test_full_repro_chain_on_synthetic_corpus(tmp_path, capsys):
                      "-o", str(learned / "model.json")]) == 0
     for name in ("strengths.csv", "model.json"):
         assert (learned / name).read_bytes() == (outdir / name).read_bytes()
+
+
+def test_full_repro_threads_change_no_output(tmp_path, capsys):
+    """``--threads 2`` writes the same bytes and prints the same lines, but
+    for the output directory's name, as ``--threads 1``."""
+    src = survey_csv(tmp_path, n=150)
+    runs = {}
+    for threads in ("1", "2"):
+        outdir = tmp_path / threads
+        with pytest.warns(UserWarning):  # tiny R: 50/50 direction ties
+            assert main(["full-repro", str(src), "--out-dir", str(outdir), "-R", "3", "-m", "100",
+                         "--skip-stability", "--seed", "6", "--threads", threads]) == 0
+        files = {p.relative_to(outdir): p.read_bytes() for p in outdir.rglob("*") if p.is_file()}
+        runs[threads] = files, capsys.readouterr().out.replace(str(outdir), "OUT")
+    assert runs["2"] == runs["1"]
+    assert len(runs["1"][0]) == 12
 
 
 def test_export_writes_reference_files(tmp_path):

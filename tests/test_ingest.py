@@ -371,6 +371,14 @@ def test_serialize_matches_reference(table, block):
         assert serialize_responses(table) == reference_ingest.serialize_responses(table)
 
 
+def test_serialize_responses_accepts_a_path(tmp_path):
+    table = make_table([[1.0, 5.0], [np.nan, 3.0]], age=[30, -1], gender=["1", "2"], country=["US", "GB"])
+    path = tmp_path / "c.csv"
+    text = serialize_responses(table, path)
+    assert path.read_text(encoding="utf-8") == text
+    assert text == reference_ingest.serialize_responses(table)
+
+
 ITEM_CELL = st.one_of(
     st.sampled_from(["1", "2", "3", "4", "5", "", " 3 ", "\t4", "3.5", "-0", "0", "6", "nan",
                      "NaN", "inf", "-inf", "1e3", "1e400", "0x3", "abc", "  ", "+2", "1_0"]),

@@ -160,6 +160,14 @@ def test_model_json_round_trip(fixture_model):
     assert params2.coefficients == params.coefficients
 
 
+def test_write_model_accepts_a_path(fixture_model, tmp_path):
+    dag, params = fixture_model
+    path = tmp_path / "m.json"
+    text = write_model(dag, params, path)
+    assert path.read_text(encoding="utf-8") == text
+    assert read_model(path)[0] == dag
+
+
 def test_model_json_schema_shape(fixture_model):
     import json
 

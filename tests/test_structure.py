@@ -362,6 +362,13 @@ def test_strength_table_direction_sums_to_one(rng):
     assert "from,to,strength,direction" in text
 
 
+@pytest.mark.parametrize("method", ["strength", "direction"])
+def test_strength_table_unknown_item_raises_validation_error(method):
+    st = _strength_table(("a", "b"), [("a", "b", 7)])
+    with pytest.raises(ValidationError, match="^unknown item 'zz'$"):
+        getattr(st, method)("a", "zz")
+
+
 def test_bootstrap_replicates_run_tabu_search_with_restarts():
     """Each replicate learns exactly ``tabu_search``'s DAG, restarts included;
     on this corpus the restarts change replicates 1 and 2, so the sum below
