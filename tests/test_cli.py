@@ -194,7 +194,7 @@ def test_no_thread_is_started(tmp_path, monkeypatch):
     from attachnet.structure import SearchConfig, bootstrap_strengths, stability_curve
 
     src = survey_csv(tmp_path, n=120)
-    table = parse_responses(str(src))
+    table = parse_responses(src)
     cfg = SearchConfig(seed=4)
     counts = bootstrap_strengths(table, 6, sample_size=80, cfg=cfg).counts
     curve = stability_curve(table, [2, 3], repeats=2, sample_size=80, cfg=cfg)
@@ -669,9 +669,8 @@ def test_full_repro_threads_change_no_output(tmp_path, capsys):
     runs = {}
     for threads in ("1", "2"):
         outdir = tmp_path / threads
-        with pytest.warns(UserWarning):  # tiny R: 50/50 direction ties
-            assert main(["full-repro", str(src), "--out-dir", str(outdir), "-R", "3", "-m", "100",
-                         "--skip-stability", "--seed", "6", "--threads", threads]) == 0
+        assert main(["full-repro", str(src), "--out-dir", str(outdir), "-R", "3", "-m", "100",
+                     "--skip-stability", "--seed", "6", "--threads", threads]) == 0
         files = {p.relative_to(outdir): p.read_bytes() for p in outdir.rglob("*") if p.is_file()}
         runs[threads] = files, capsys.readouterr().out.replace(str(outdir), "OUT")
     assert runs["2"] == runs["1"]
