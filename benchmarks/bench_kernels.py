@@ -20,7 +20,11 @@ generated 40,000-row export of 36 items (the size of the public ECR export)
 against the per-cell versions in ``tests/reference_ingest.py``; the script
 fails on any difference in the parsed table or the written bytes.  The export
 is parsed twice: as written, which the block tokenizer reads, and with its
-country cells quoted, which hands the body to the csv module's reader.
+country cells quoted, which hands the body to the csv module's reader.  The
+parsed table is written, and so is a 40,000-row table whose gender and country
+cells need quoting (a comma, a double quote, a line feed) or are non-ASCII and
+whose items include 2.5, -0.0 and 1e300, values the writer cannot look up by
+digit.
 
 The analysis rows time ``kmeans_best_seed(k=2)`` over seeds 1:4000 on the four
 bundled factor tables, the 1,260 ordered item-pair queries on the bundled
@@ -102,6 +106,24 @@ def synthetic_export(rows: int, items: int, seed: int, quoted: bool = False) -> 
         tail = [age[i], gender[i]] if ragged[i] else [age[i], gender[i], country[i]]
         lines.append(",".join(row + tail))
     return ("\n".join(lines) + "\n").encode()
+
+
+def quoted_table(rows: int, items: int, seed: int) -> ingest.ResponseTable:
+    """Likert rows with 1% of cells 2.5, -0.0, 1e300 or NaN, and gender and
+    country labels that csv.writer quotes or that are not ASCII."""
+    rng = np.random.default_rng(seed)
+    values = rng.integers(1, 6, size=(rows, items)).astype(np.float64)
+    odd = rng.random((rows, items)) < 0.01
+    values[odd] = rng.choice([2.5, -0.0, 1e300, np.nan], size=int(odd.sum()))
+    gender = rng.choice(["female", "male", 'say "x"', "a,b", "x\ny", "männlich"], size=rows).tolist()
+    country = rng.choice(["US", "GB", "Côte d'Ivoire", "Korea, South", "東京", ""], size=rows).tolist()
+    demo = ingest.Demographics(
+        age=rng.integers(-1, 80, size=rows).astype(np.int16),
+        gender=tuple(gender),
+        country=tuple(country),
+        region=tuple(map(ingest.map_region, country)),
+    )
+    return ingest.ResponseTable(tuple(f"Q{k + 1:02d}" for k in range(items)), values, demo)
 
 
 def time_fn(fn, *args, repeats: int):
@@ -240,12 +262,14 @@ def bench_ingest(seed: int, repeats: int) -> None:
               f"   {len(raw) / 1e6:.1f} MB, {table.n} rows (identical)")
 
     # both exports hold the same cells, so either parsed table serializes the same
-    t_new, text = time_fn(ingest.serialize_responses, table, repeats=repeats)
-    t_ref, ref_text = time_fn(reference_ingest.serialize_responses, table, repeats=ref_repeats)
-    if text != ref_text:
-        sys.exit("error: serialize_responses and its reference write different bytes")
-    print(f"{'serialize (40k x 36)':<22} {t_new * 1e3:>10.2f}ms {t_ref * 1e3:>10.2f}ms {t_ref / t_new:>8.1f}x"
-          f"   {len(text.encode()) / 1e6:.1f} MB (byte-identical)")
+    quoted = quoted_table(EXPORT_ROWS, EXPORT_ITEMS, seed)
+    for label, written in (("serialize (40k x 36)", table), ("serialize, quoted", quoted)):
+        t_new, text = time_fn(ingest.serialize_responses, written, repeats=repeats)
+        t_ref, ref_text = time_fn(reference_ingest.serialize_responses, written, repeats=ref_repeats)
+        if text != ref_text:
+            sys.exit(f"error: serialize_responses and its reference write different bytes ({label})")
+        print(f"{label:<22} {t_new * 1e3:>10.2f}ms {t_ref * 1e3:>10.2f}ms {t_ref / t_new:>8.1f}x"
+              f"   {len(text.encode()) / 1e6:.1f} MB, {written.n} rows (byte-identical)")
 
 
 

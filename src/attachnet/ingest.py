@@ -11,7 +11,8 @@ via a bundled ISO-3166 table, demographic codes via a key=value codebook.
 Parsing and writing work per distinct value, not per cell: a survey export
 repeats a handful of Likert codes and demographic labels, so each distinct
 cell text is converted once per parse and each distinct value formatted once
-per written block of rows.
+per written table, whose rows are then assembled from those fields' bytes
+with array operations.
 
 The body of an export is tokenized with array operations, in blocks of
 ``_PARSE_BLOCK`` characters completed to a whole line: field ends are the
@@ -64,7 +65,8 @@ AGE_BANDS = ((18, 20), (21, 30), (31, 40), (41, 60))
 _ITEM_RE = re.compile(r"^[Qq]0*([1-9][0-9]*)$")
 
 _AGE_MIN, _AGE_MAX = np.iinfo(np.int16).min, np.iinfo(np.int16).max
-_SERIALIZE_BLOCK = 512  # rows formatted at a time; bounds the transient cell strings
+_SERIALIZE_BLOCK = 512  # rows written at a time; bounds the transient cell numbers and
+# byte index (about 1.5 MB at 36 items)
 _PARSE_BLOCK = 1 << 15  # body characters read at a time, completed to a whole line; bounds
 # the transient arrays of one block (about 1 MB)
 
@@ -192,14 +194,23 @@ class CohortFilter:
     require_complete: bool = False
 
     def __post_init__(self):
+        """Raises ValidationError on an inverted age range, or on a gender or
+        region label that is not one of ``GENDERS`` or ``REGIONS``."""
         if self.age_range is not None:
             lo, hi = self.age_range
             if lo > hi:
                 raise ValidationError(f"age range [{lo}, {hi}] has lo > hi")
-        if self.genders is not None:
-            object.__setattr__(self, "genders", frozenset(self.genders))
-        if self.regions is not None:
-            object.__setattr__(self, "regions", frozenset(self.regions))
+        for name, known in (("genders", GENDERS), ("regions", REGIONS)):
+            labels = getattr(self, name)
+            if labels is not None:
+                labels = frozenset(labels)
+                unknown = sorted(map(repr, labels.difference(known)))
+                if unknown:
+                    raise ValidationError(
+                        f"unknown {name[:-1]} label{'s' if len(unknown) > 1 else ''} "
+                        f"{', '.join(unknown)}; expected one of {', '.join(known)}"
+                    )
+                object.__setattr__(self, name, labels)
 
 
 def standard_filter() -> CohortFilter:
@@ -515,43 +526,119 @@ class _Rows:
         return lineno + last.size
 
 
-def _format_bits(bits: np.ndarray) -> np.ndarray:
-    """``f"{value:g}"`` per float64 bit pattern; "" for NaN, "-0" for -0.0."""
-    return np.array(
-        ["" if np.isnan(value) else f"{value:g}" for value in bits.view(np.float64).tolist()],
-        dtype=object,
-    )
+def _csv_fields(values) -> list[str]:
+    """Each value's text as a field of a ``csv.writer`` row (not the only
+    field of its row, which the csv module would quote when empty)."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    fields = []
+    for value in values:
+        writer.writerow((value, ""))
+        fields.append(out.getvalue()[:-2])  # less the "," and "\n" of the empty second field
+        out.seek(0)
+        out.truncate()
+    return fields
+
+
+def _numbered(values) -> tuple[list, np.ndarray]:
+    """The distinct ``values`` in first-seen order, and each value's number
+    (its position in that list)."""
+    distinct = list(dict.fromkeys(values))
+    number = dict(zip(distinct, range(len(distinct))))
+    return distinct, np.fromiter(map(number.__getitem__, values), np.intp, count=len(values))
+
+
+_NAN_CODE = 10  # item codes 0-9 are the whole numbers 0-9, 10 every NaN; other values follow
 
 
 def serialize_responses(table: ResponseTable, buf=None) -> str:
     """Canonical CSV form: zero-padded item columns, then age,gender,country,
     also written to ``buf`` (a path or a text stream) if one is given.
 
-    Works block by block of ``_SERIALIZE_BLOCK`` rows: every distinct item
-    value of a block is formatted once (keyed on its bit pattern) and
-    gathered into place, so only one block's cell strings exist at a time.
+    Each distinct cell value is formatted once per call, into the field text
+    ``csv.writer`` gives it: item values by bit pattern (a whole number 0-9
+    by its digit, every NaN as one empty field), ages, genders and countries
+    by value.  The UTF-8 bytes of those fields, each with its separator, form
+    one pool.  Each block of ``_SERIALIZE_BLOCK`` rows numbers its cells,
+    gathers their bytes from the pool in one array pass and decodes them, so
+    only one block's cell numbers and bytes exist at a time.
     """
-    demo = table.demographics
-    m = len(table.items)
-    ages, age_index = np.unique(demo.age, return_inverse=True)
-    age_text = np.array(["" if a < 0 else str(a) for a in ages.tolist()], dtype=object)[age_index]
-
-    def rows():
-        for start in range(0, table.n, _SERIALIZE_BLOCK):
-            stop = min(start + _SERIALIZE_BLOCK, table.n)
-            bits = np.ascontiguousarray(table.rows[start:stop], dtype=np.float64).view(np.uint64)
-            distinct, index = np.unique(bits.ravel(), return_inverse=True)
-            cells = np.empty((stop - start, m + 3), dtype=object)
-            cells[:, :m] = _format_bits(distinct)[index.reshape(stop - start, m)]
-            cells[:, m] = age_text[start:stop]
-            cells[:, m + 1] = demo.gender[start:stop]
-            cells[:, m + 2] = demo.country[start:stop]
-            yield from cells.tolist()
-
-    text = csv_text(list(table.items) + ["age", "gender", "country"], rows())
+    header = csv_text(list(table.items) + ["age", "gender", "country"], ())
+    text = "".join([header, *_serialized_rows(table)])
     if buf is not None:
         write_text(buf, text)
     return text
+
+
+class _Pool:
+    """Field bytes, each field's length and its first byte in ``data``."""
+
+    def __init__(self, fields: list[bytes]):
+        self.data = np.frombuffer(b"".join(fields), dtype=np.uint8)
+        self.lengths = np.fromiter(map(len, fields), np.intp, count=len(fields))
+        self.firsts = np.cumsum(self.lengths) - self.lengths
+
+    def gather(self, cells: np.ndarray) -> np.ndarray:
+        """The bytes of ``cells`` (field numbers), one after the other."""
+        lengths = self.lengths[cells]
+        ends = np.cumsum(lengths)
+        # byte k of the result is pool byte k + (the cell's first pool byte - its first byte here)
+        shift = self.firsts[cells]
+        shift -= ends
+        shift += lengths
+        index = np.repeat(shift, lengths)
+        index += np.arange(index.size)
+        return self.data[index]
+
+
+def _serialized_rows(table: ResponseTable):
+    """The CSV lines of ``table``'s rows, one string per block of rows."""
+    demo = table.demographics
+    m = len(table.items)
+    ages, age_number = np.unique(demo.age, return_inverse=True)
+    genders, gender_number = _numbered(demo.gender)
+    countries, country_number = _numbered(demo.country)
+
+    # item fields 0-9 and NaN, then every age, gender and country field; the
+    # ``{value:g}`` text of a number never needs quoting
+    texts = [f"{k}," for k in range(10)] + [","]
+    age_code = len(texts) + age_number
+    texts += [f + "," for f in _csv_fields("" if a < 0 else str(a) for a in ages.tolist())]
+    gender_code = len(texts) + gender_number
+    texts += [f + "," for f in _csv_fields(genders)]
+    country_code = len(texts) + country_number
+    texts += [f + "\n" for f in _csv_fields(countries)]
+    fields = [t.encode("utf-8", "surrogatepass") for t in texts]  # a lone surrogate survives
+    pool = _Pool(fields)
+    rare: dict[int, bytes] = {}  # the item field of any other value, by bit pattern
+
+    for start in range(0, table.n, _SERIALIZE_BLOCK):
+        stop = min(start + _SERIALIZE_BLOCK, table.n)
+        values = np.ascontiguousarray(table.rows[start:stop], dtype=np.float64)
+        bits = values.view(np.uint64)
+        with np.errstate(invalid="ignore"):  # NaN, infinities and out-of-range values cast to junk
+            digit = values.astype(np.uint8)
+        cells = np.empty((stop - start, m + 3), dtype=np.intp)
+        items = cells[:, :m]
+        items[...] = digit
+        # a value is the whole number 0-9 of its cast exactly when their bits agree (so not
+        # -0.0, NaN, 0.5 or 256.0, which casts to 0) and the cast is at most 9
+        other = (digit.astype(np.float64).view(np.uint64) != bits) | (digit > 9)
+        block_pool = pool
+        if other.any():
+            nan = np.isnan(values)
+            items[nan] = _NAN_CODE
+            other &= ~nan
+            keys, inverse = np.unique(bits[other], return_inverse=True)
+            items[other] = len(fields) + inverse
+            for key, value in zip(keys.tolist(), keys.view(np.float64).tolist()):
+                if key not in rare:
+                    rare[key] = f"{value:g},".encode()
+            block_pool = _Pool(fields + [rare[key] for key in keys.tolist()])
+        cells[:, m] = age_code[start:stop]
+        cells[:, m + 1] = gender_code[start:stop]
+        cells[:, m + 2] = country_code[start:stop]
+        yield str(block_pool.gather(cells.reshape(-1)).data, "utf-8", "surrogatepass")
 
 
 def filter_cohort(table: ResponseTable, f: CohortFilter) -> ResponseTable:

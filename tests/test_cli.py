@@ -586,6 +586,26 @@ def test_empty_table_through_a_filter_exits_2(tmp_path, capsys, body, flags, err
     assert capsys.readouterr().err == err
 
 
+@pytest.mark.parametrize("flags,err", [
+    (["--regions", "europe,Asia"], "error: unknown region label 'europe'; expected one of "
+     "Africa, NorthAmerica, SouthAmerica, Asia, Europe, Oceania, Unknown\n"),
+    (["--genders", "Female"],
+     "error: unknown gender label 'Female'; expected one of female, male, other, unknown\n"),
+], ids=["regions", "genders"])
+def test_unknown_filter_label_exits_2_before_reading(tmp_path, capsys, flags, err):
+    absent = tmp_path / "absent.csv"  # reading it would exit 1
+    assert main(["ingest", str(absent), *flags]) == 2
+    assert capsys.readouterr().err == err
+
+
+def test_known_region_labels_keep_their_rows(tmp_path, capsys):
+    src = survey_csv(tmp_path)  # countries US, GB and BR
+    kept = sum(not line.endswith(",US") for line in src.read_text().splitlines()[1:])
+    assert main(["ingest", str(src), "--regions", "Europe,SouthAmerica"]) == 0
+    assert f"rows: {kept}\n" in capsys.readouterr().out
+    assert 0 < kept < 80
+
+
 def test_influence_over_path_cap_exits_2(capsys):
     assert main(["influence", "--fixture", "--from", "Q05", "--to", "Q03", "-k", "2",
                  "--cap", "1"]) == 2

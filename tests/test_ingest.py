@@ -3,6 +3,7 @@ import csv
 import gc
 import io
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -14,6 +15,7 @@ import reference_ingest
 from attachnet.errors import EmptyCohortError, ParseError, ValidationError
 from attachnet.ingest import (
     GENDERS,
+    REGIONS,
     CohortFilter,
     demographic_summary,
     filter_cohort,
@@ -202,6 +204,22 @@ def test_filter_rejects_inverted_age_range():
         CohortFilter(age_range=(99, 98))
 
 
+def test_filter_rejects_unknown_labels():
+    with pytest.raises(ValidationError) as err:
+        CohortFilter(genders={"Female", "M", "male"})
+    assert str(err.value) == (
+        "unknown gender labels 'Female', 'M'; expected one of female, male, other, unknown"
+    )
+    with pytest.raises(ValidationError) as err:
+        CohortFilter(regions=["europe", "Asia"])
+    assert str(err.value) == (
+        "unknown region label 'europe'; expected one of "
+        "Africa, NorthAmerica, SouthAmerica, Asia, Europe, Oceania, Unknown"
+    )
+    f = CohortFilter(genders=list(GENDERS), regions=REGIONS)
+    assert (f.genders, f.regions) == (frozenset(GENDERS), frozenset(REGIONS))
+
+
 def test_filter_age_and_gender():
     table = make_table(
         [[3, 3], [4, 4], [5, 5], [2, 2], [1, 1]],
@@ -334,8 +352,12 @@ def test_standard_filter_matches_reference_recipe():
 SPECIAL_VALUES = (
     np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -2.5e-310, 2.2250738585072014e-308,
     1e300, -1e300, 1e16, 0.1, 123456789.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 9.0,
+    # either side of the whole numbers 0-9, which the writer looks up by digit
+    -1.0, 0.5, 9.5, 10.0, 1e-320,
 )
-NAN_PAYLOAD = np.array([0x7FF8000000000001, 0xFFF0000000000002], dtype=np.uint64).view(np.float64)
+NAN_PAYLOAD = np.array(
+    [0x7FF8000000000001, 0xFFF0000000000002, 0xFFF8000000000007], dtype=np.uint64
+).view(np.float64)
 FREE_TEXT = st.text(
     st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=8
 )
@@ -369,6 +391,48 @@ def test_serialize_matches_reference(table, block):
     block = block or ingest_module._SERIALIZE_BLOCK
     with mock.patch.object(ingest_module, "_SERIALIZE_BLOCK", block):
         assert serialize_responses(table) == reference_ingest.serialize_responses(table)
+
+
+def test_values_first_seen_in_the_last_block_are_written_as_the_reference_does():
+    rows = np.tile([1.0, 5.0, 3.0], (11, 1))
+    rows[9, 1], rows[10, 2] = 2.5, -0.0
+    table = make_table(rows, age=range(20, 31), gender=["female"] * 10 + ["x\ny"],
+                       country=["GB"] * 9 + ["a,b", 'say "hi"'])
+    with mock.patch.object(ingest_module, "_SERIALIZE_BLOCK", 4):  # the last block is rows 8-10
+        text = serialize_responses(table)
+    assert text == reference_ingest.serialize_responses(table)
+    assert text.endswith('\n1,2.5,3,29,female,"a,b"\n1,5,-0,30,"x\ny","say ""hi"""\n')
+
+
+def test_a_lone_surrogate_label_is_written_as_the_reference_does():
+    table = make_table([[1.0, 2.0]], gender=["\ud800x"], country=["a\udfff,b"])
+    assert serialize_responses(table) == reference_ingest.serialize_responses(table)
+
+
+def test_an_empty_table_writes_the_header_line():
+    assert serialize_responses(make_table(np.empty((0, 3)))) == "Q01,Q02,Q03,age,gender,country\n"
+
+
+def test_serialize_peak_allocation_stays_within_a_multiple_of_the_text():
+    """On 36,000 Likert rows of 36 items the writer holds one block's cell
+    numbers, every block's lines and the joined text: at most 2.5 times the
+    text (one csv.writer row per respondent took 2.9 times)."""
+    rng = np.random.default_rng(36)
+    n = 36_000
+    table = make_table(
+        rng.integers(1, 6, size=(n, 36)).astype(np.float64),
+        age=rng.integers(18, 61, size=n),
+        gender=rng.choice(["female", "male"], size=n).tolist(),
+        country=rng.choice(["US", "GB", "CA", "AU", "IN", "DE", ""], size=n).tolist(),
+    )
+    tracemalloc.start()
+    try:
+        text = serialize_responses(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 2_500_000
+    assert peak <= 2.5 * len(text), peak / len(text)
 
 
 def test_serialize_responses_accepts_a_path(tmp_path):
