@@ -26,6 +26,12 @@ cells need quoting (a comma, a double quote, a line feed) or are non-ASCII and
 whose items include 2.5, -0.0 and 1e300, values the writer cannot look up by
 digit.
 
+The fit row times ``fit_mle`` on the complete cohort of that export with the
+bundled structure against the per-node SVD fit in
+``tests/reference_params.py``; the script fails if any intercept, coefficient
+or residual sd differs by more than the oracle tests' bound (1e-11 relative)
+or if the warnings differ.
+
 The analysis rows time ``kmeans_best_seed(k=2)`` over seeds 1:4000 on the four
 bundled factor tables, the 1,260 ordered item-pair queries on the bundled
 model (``total_influence`` plus the best-first ``top_paths(k=2)``) and the
@@ -59,12 +65,13 @@ from pathlib import Path
 
 import numpy as np
 
-from attachnet import _draws, _kernels, compare, fixtures, influence, ingest, structure
+from attachnet import _draws, _kernels, compare, fixtures, influence, ingest, params, structure
 from attachnet.score import DEFAULT_RIDGE, stats_from_matrix
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 import reference_analysis  # noqa: E402
 import reference_ingest  # noqa: E402
+import reference_params  # noqa: E402
 import reference_structure  # noqa: E402
 import reference_kernels  # noqa: E402
 from reference_kernels import covariance_kernel, tabu_search_kernel  # noqa: E402
@@ -179,7 +186,8 @@ def main() -> None:
 
     bench_local_score(args.rows, args.seed, args.repeats)
     bench_repair(args.seed, args.repeats)
-    bench_ingest(args.seed, args.repeats)
+    cohort = bench_ingest(args.seed, args.repeats)
+    bench_fit(cohort, args.repeats)
     bench_analysis(args.repeats)
     bench_startup()
 
@@ -244,7 +252,8 @@ def bench_repair(seed: int, repeats: int) -> None:
           f"   {REPAIR_TABLES} tables, {repairs} arcs dropped (identical)")
 
 
-def bench_ingest(seed: int, repeats: int) -> None:
+def bench_ingest(seed: int, repeats: int) -> ingest.ResponseTable:
+    """Time the parse and the writer; the complete cohort of the export."""
     ref_repeats = max(1, repeats // 3)
     for label, quoted in (("parse (40k x 36)", False), ("parse, quoted (csv)", True)):
         raw = synthetic_export(EXPORT_ROWS, EXPORT_ITEMS, seed, quoted)
@@ -270,7 +279,21 @@ def bench_ingest(seed: int, repeats: int) -> None:
             sys.exit(f"error: serialize_responses and its reference write different bytes ({label})")
         print(f"{label:<22} {t_new * 1e3:>10.2f}ms {t_ref * 1e3:>10.2f}ms {t_ref / t_new:>8.1f}x"
               f"   {len(text.encode()) / 1e6:.1f} MB, {written.n} rows (byte-identical)")
+    return ingest.filter_cohort(table, ingest.CohortFilter(require_complete=True))
 
+
+def bench_fit(cohort: ingest.ResponseTable, repeats: int) -> None:
+    dag, _ = fixtures.load_fixture_model()
+    fit = reference_params.fit_with_warnings
+    t_new, (fitted, messages) = time_fn(fit, params.fit_mle, dag, cohort, repeats=repeats)
+    t_ref, (expected, ref_messages) = time_fn(fit, reference_params.fit_mle, dag, cohort,
+                                              repeats=repeats)
+    difference = reference_params.relative_difference(dag, cohort, fitted, expected, ref_messages)
+    if messages != ref_messages or not difference <= reference_params.RELATIVE_BOUND:
+        sys.exit(f"error: fit_mle and its reference disagree (relative difference {difference:.1e}, "
+                 f"{len(messages ^ ref_messages)} warnings differ)")
+    print(f"{'fit (40k cohort)':<22} {t_new * 1e3:>10.2f}ms {t_ref * 1e3:>10.2f}ms {t_ref / t_new:>8.1f}x"
+          f"   {cohort.n} rows, {len(dag.arcs)} arcs, relative difference {difference:.1e}")
 
 
 def bench_analysis(repeats: int) -> None:

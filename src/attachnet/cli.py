@@ -99,6 +99,8 @@ def _write(path, text: str) -> None:
 
 def _load_model(args):
     if getattr(args, "fixture", False):
+        if args.model is not None:
+            raise ValidationError("give a model JSON path or --fixture, not both")
         return fixtures.load_fixture_model()
     if args.model is None:
         raise ValidationError("a model JSON path (or --fixture) is required")
@@ -230,12 +232,17 @@ def cmd_learn(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    # the structure is settled before the corpus is parsed; only an arc
+    # list waits for it, because the corpus's items are its nodes
+    if args.dag and (args.model is not None or args.fixture):
+        raise ValidationError("--dag cannot be combined with --model or --fixture")
+    if not (args.dag or args.model is not None or args.fixture):
+        raise ValidationError("fit needs a structure: --dag, --model or --fixture")
+    dag = None if args.dag else _load_model(args)[0]
     table = parse_responses(args.input)
     table = filter_cohort(table, CohortFilter(require_complete=True))
-    if args.dag:
+    if dag is None:
         dag = load_csv(args.dag, Dag.from_arc_csv, table.items)
-    else:
-        dag, _ = _load_model(args)
     params = fit_mle(dag, table, unbiased=args.unbiased)
     out = args.output or "model.json"
     _write(out, write_model(dag, params))

@@ -305,6 +305,39 @@ def test_analyze_requires_model():
     assert main(["analyze"]) == 2
 
 
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(["fit", "{survey}", "--fixture", "--model", "/nonexistent.json", "-o", "{out}"],
+                 "give a model JSON path or --fixture, not both", id="fit-model-and-fixture"),
+    pytest.param(["fit", "{survey}", "--dag", "{arcs}", "--fixture", "-o", "{out}"],
+                 "--dag cannot be combined with --model or --fixture", id="fit-dag-and-fixture"),
+    pytest.param(["fit", "{survey}", "--dag", "{arcs}", "--model", "/nonexistent.json",
+                  "-o", "{out}"],
+                 "--dag cannot be combined with --model or --fixture", id="fit-dag-and-model"),
+    pytest.param(["analyze", "/nonexistent.json", "--fixture", "--out-dir", "{out}"],
+                 "give a model JSON path or --fixture, not both", id="analyze"),
+    pytest.param(["influence", "/nonexistent.json", "--fixture", "--from", "Q05", "--to", "Q03",
+                  "-o", "{out}"],
+                 "give a model JSON path or --fixture, not both", id="influence"),
+    pytest.param(["fit", "/nonexistent.csv", "-o", "{out}"],
+                 "fit needs a structure: --dag, --model or --fixture", id="fit-no-structure"),
+])
+def test_contradictory_or_missing_structure_exits_2(tmp_path, capsys, argv, message):
+    arcs = tmp_path / "arcs.csv"
+    arcs.write_text("from,to\nQ01,Q02\n")
+    out = tmp_path / "out"
+    names = {"survey": survey_csv(tmp_path), "arcs": arcs, "out": out}
+    assert main([arg.format(**names) for arg in argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_fit_reads_the_model_before_the_corpus(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text('{"nodes": [')
+    assert main(["fit", "/nonexistent.csv", "--model", str(model)]) == 2
+    assert capsys.readouterr().err.startswith("error: malformed model JSON")
+
+
 MODEL_JSON = (
     '{"nodes": [{"name": "a", "intercept": 0.5, "residual_sd": 1.0, "parents": []},'
     ' {"name": "b", "intercept": 0.0, "residual_sd": 1.0,'

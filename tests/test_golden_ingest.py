@@ -48,8 +48,10 @@ def test_ingest_outputs_byte_identical(run, tmp_path, monkeypatch, capsys):
 
 def test_fit_fixture_model_byte_identical(tmp_path, capsys):
     """``fit --fixture`` on the golden cohort writes the model that the
-    reference parser's table gives (the fit itself is unchanged, so this pins
-    the parse of a canonical CSV without depending on the BLAS build)."""
+    reference parser's table gives under the current fit.  Both sides run
+    the same fit, so this pins the parse of a canonical CSV without
+    depending on the BLAS build; ``test_fit_oracle.py`` holds the fit itself
+    to its frozen reference."""
     model = tmp_path / "model.json"
     assert main(["fit", str(GOLDEN / "cohort.csv"), "--fixture", "-o", str(model)]) == 0
     with open(GOLDEN / "cohort.csv", encoding="utf-8", newline="") as fh:
