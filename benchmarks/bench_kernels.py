@@ -21,7 +21,10 @@ against the per-cell versions in ``tests/reference_ingest.py``; the script
 fails on any difference in the parsed table or the written bytes.  The export
 is parsed twice: as written, which the block tokenizer reads, and with its
 country cells quoted, which hands the body to the csv module's reader.  The
-parsed table is written, and so is a 40,000-row table whose gender and country
+"parse, items only" row parses the export as written with
+``ingest.ITEMS_ONLY``, the schema ``fit`` and ``learn`` read with, against the
+full parse; the script fails unless both give the same items, rows (bit for
+bit) and dropped rows.  The parsed table is written, and so is a 40,000-row table whose gender and country
 cells need quoting (a comma, a double quote, a line feed) or are non-ASCII and
 whose items include 2.5, -0.0 and 1e300, values the writer cannot look up by
 digit.
@@ -124,12 +127,7 @@ def quoted_table(rows: int, items: int, seed: int) -> ingest.ResponseTable:
     values[odd] = rng.choice([2.5, -0.0, 1e300, np.nan], size=int(odd.sum()))
     gender = rng.choice(["female", "male", 'say "x"', "a,b", "x\ny", "männlich"], size=rows).tolist()
     country = rng.choice(["US", "GB", "Côte d'Ivoire", "Korea, South", "東京", ""], size=rows).tolist()
-    demo = ingest.Demographics(
-        age=rng.integers(-1, 80, size=rows).astype(np.int16),
-        gender=tuple(gender),
-        country=tuple(country),
-        region=tuple(map(ingest.map_region, country)),
-    )
+    demo = ingest.Demographics.from_labels(rng.integers(-1, 80, size=rows), gender, country)
     return ingest.ResponseTable(tuple(f"Q{k + 1:02d}" for k in range(items)), values, demo)
 
 
@@ -261,14 +259,21 @@ def bench_ingest(seed: int, repeats: int) -> ingest.ResponseTable:
         t_ref, ref_table = time_fn(reference_ingest.parse_responses, raw, repeats=ref_repeats)
         same = (
             table == ref_table
-            and np.array_equal(table.rows.view(np.uint64), ref_table.rows.view(np.uint64))
-            and (table.demographics.region, table.row_errors)
-            == (ref_table.demographics.region, ref_table.row_errors)
+            and reference_ingest.same_items(table, ref_table)
+            and table.demographics.region == ref_table.demographics.region
         )
         if not same:
             sys.exit(f"error: parse_responses and its reference disagree on the parsed table ({label})")
         print(f"{label:<22} {t_new * 1e3:>10.2f}ms {t_ref * 1e3:>10.2f}ms {t_ref / t_new:>8.1f}x"
               f"   {len(raw) / 1e6:.1f} MB, {table.n} rows (identical)")
+        if not quoted:
+            t_full = t_new
+            t_new, items_only = time_fn(ingest.parse_responses, raw, ingest.ITEMS_ONLY, repeats=repeats)
+            if not reference_ingest.same_items(items_only, table):
+                sys.exit("error: the items-only parse and the full parse disagree on the items, rows "
+                         "or dropped rows")
+            print(f"{'parse, items only':<22} {t_new * 1e3:>10.2f}ms {t_full * 1e3:>10.2f}ms "
+                  f"{t_full / t_new:>8.1f}x   against the full parse above (same items and rows)")
 
     # both exports hold the same cells, so either parsed table serializes the same
     quoted = quoted_table(EXPORT_ROWS, EXPORT_ITEMS, seed)

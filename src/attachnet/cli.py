@@ -48,6 +48,7 @@ from .dag import Dag, roots_and_terminals
 from .errors import AttachnetError, ValidationError
 from .influence import influence_result, cluster_coupling, median_abs_coefficient
 from .ingest import (
+    ITEMS_ONLY,
     CohortFilter,
     ColumnSchema,
     demographic_summary,
@@ -146,6 +147,13 @@ def _averaged_network(table, cfg, args, strengths_path) -> Dag:
     return average_network(strengths, threshold=args.threshold)
 
 
+def _complete_items(path):
+    """The rows of the survey at ``path`` that answer every item in 1-5; the
+    demographic columns are not read, because ``learn`` and ``fit`` use only
+    the items."""
+    return filter_cohort(parse_responses(path, schema=ITEMS_ONLY), CohortFilter(require_complete=True))
+
+
 def _search_config(args) -> SearchConfig:
     return SearchConfig(
         tabu_len=args.tabu_len,
@@ -207,9 +215,7 @@ def cmd_ingest(args) -> int:
 def cmd_learn(args) -> int:
     epochs = _checked_epochs(args, bool(args.stability))
     cfg = _search_config(args)
-    table = parse_responses(args.input)
-    complete = CohortFilter(require_complete=True)
-    table = filter_cohort(table, complete)
+    table = _complete_items(args.input)
 
     if args.stability:
         text = _stability_csv(table, epochs, cfg, args)
@@ -239,8 +245,7 @@ def cmd_fit(args) -> int:
     if not (args.dag or args.model is not None or args.fixture):
         raise ValidationError("fit needs a structure: --dag, --model or --fixture")
     dag = None if args.dag else _load_model(args)[0]
-    table = parse_responses(args.input)
-    table = filter_cohort(table, CohortFilter(require_complete=True))
+    table = _complete_items(args.input)
     if dag is None:
         dag = load_csv(args.dag, Dag.from_arc_csv, table.items)
     params = fit_mle(dag, table, unbiased=args.unbiased)

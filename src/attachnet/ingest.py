@@ -6,7 +6,11 @@ row) with item columns named ``Q1``/``Q01`` ... and optional ``age``,
 zero-padded form, and two columns naming the same item are an error.
 Unparseable numeric cells become missing values, unusable ages unknown;
 ragged rows are dropped and counted.  Country codes map to continental regions
-via a bundled ISO-3166 table, demographic codes via a key=value codebook.
+via a bundled ISO-3166 table, demographic codes via a key=value codebook.  A
+table holds each row's gender and country as a code into that column's
+distinct labels, and a row's region is its country label's region, so a
+filter or a count looks each label up once.  A ``ColumnSchema`` field set to
+None names a column that is not read at all.
 
 Parsing and writing work per distinct value, not per cell: a survey export
 repeats a handful of Likert codes and demographic labels, so each distinct
@@ -39,9 +43,7 @@ import math
 import os
 import re
 from array import array
-from collections import Counter
-from dataclasses import dataclass, field
-from itertools import compress, repeat
+from dataclasses import dataclass, field, replace
 from operator import itemgetter
 
 import numpy as np
@@ -130,33 +132,82 @@ def read_codebook(path) -> dict[str, dict[str, str]]:
 
 @dataclass(frozen=True)
 class ColumnSchema:
-    """Names of the demographic columns in a raw export."""
+    """Names of the demographic columns in a raw export.  A name of None
+    means the column is not read: every row then has the unknown age (-1),
+    gender ``"unknown"`` or country ``""``, as when the export lacks it."""
 
-    age: str = "age"
-    gender: str = "gender"
-    country: str = "country"
+    age: str | None = "age"
+    gender: str | None = "gender"
+    country: str | None = "country"
+
+
+ITEMS_ONLY = ColumnSchema(age=None, gender=None, country=None)  # what ``fit`` and ``learn`` read
+
+
+class _Codes(dict):
+    """Numbers each distinct label in first-seen order; local to one table."""
+
+    def __missing__(self, label):
+        code = self[label] = len(self)
+        return code
+
+
+def _coded(labels) -> tuple[tuple, np.ndarray]:
+    """The distinct ``labels`` and each one's code (its position among them)."""
+    codes = _Codes()
+    per_row = np.fromiter(map(codes.__getitem__, labels), np.int64)
+    return tuple(codes), per_row
 
 
 @dataclass(frozen=True)
 class Demographics:
+    """Each row's age, and its gender and country as an int64 code into that
+    column's distinct labels; a row's region is its country label's region."""
+
     age: np.ndarray  # int16, -1 = unknown
-    gender: tuple[str, ...]
-    country: tuple[str, ...]
-    region: tuple[str, ...]
+    gender_labels: tuple[str, ...]
+    gender_codes: np.ndarray
+    country_labels: tuple[str, ...]
+    country_codes: np.ndarray
+
+    @classmethod
+    def from_labels(cls, age, gender, country) -> "Demographics":
+        """The demographics of rows with these ages, gender labels and country labels."""
+        gender_labels, gender_codes = _coded(gender)
+        country_labels, country_codes = _coded(country)
+        return cls(np.asarray(age, dtype=np.int16), gender_labels, gender_codes,
+                   country_labels, country_codes)
 
     def __len__(self) -> int:
-        return len(self.gender)
+        return len(self.age)
+
+    @property
+    def region_labels(self) -> tuple[str, ...]:
+        """The region of each country label, so also indexed by ``country_codes``."""
+        return tuple(map(map_region, self.country_labels))
+
+    @property
+    def gender(self) -> tuple[str, ...]:
+        return _decoded(self.gender_labels, self.gender_codes)
+
+    @property
+    def country(self) -> tuple[str, ...]:
+        return _decoded(self.country_labels, self.country_codes)
+
+    @property
+    def region(self) -> tuple[str, ...]:
+        return _decoded(self.region_labels, self.country_codes)
 
     def take(self, mask) -> "Demographics":
         """The rows where ``mask`` is true (nonzero)."""
         mask = np.asarray(mask, dtype=bool)
-        keep = mask.tolist()
-        return Demographics(
-            age=self.age[mask],
-            gender=tuple(compress(self.gender, keep)),
-            country=tuple(compress(self.country, keep)),
-            region=tuple(compress(self.region, keep)),
-        )
+        return replace(self, age=self.age[mask], gender_codes=self.gender_codes[mask],
+                       country_codes=self.country_codes[mask])
+
+
+def _decoded(labels: tuple, codes: np.ndarray) -> tuple:
+    """Each row's label."""
+    return tuple(map(labels.__getitem__, codes.tolist()))
 
 
 @dataclass(frozen=True)
@@ -272,6 +323,18 @@ def _item_value(cell: str) -> float:
         return np.nan
 
 
+def _gender_label(gender_map: dict[str, str], cell: str) -> str:
+    raw = cell.strip()
+    if raw in gender_map:
+        return gender_map[raw]
+    return raw.lower() if raw.lower() in GENDERS else "unknown"
+
+
+def _country_label(country_map: dict[str, str], cell: str) -> str:
+    country = cell.strip()
+    return country_map.get(country, country).upper()
+
+
 def _age_value(cell: str) -> int:
     """Whole years, or -1 (unknown) for text that is not a finite number in
     the int16 range of ``Demographics.age``."""
@@ -294,8 +357,11 @@ def parse_responses(stream, schema: ColumnSchema | None = None, codebook=None) -
     ``dropped_rows`` and described in ``row_errors``.  Each distinct cell text
     is converted once per call: item cells by ``float(cell.strip())`` (NaN if
     that fails), ages by truncation to whole years (-1 if not a finite number
-    in the int16 range), genders and countries through the codebook, whose
-    gender labels must be ``GENDERS`` in any case (else ValidationError).  A body
+    in the int16 range), genders and countries through the codebook to the
+    code of their label, and the codebook's gender labels must be ``GENDERS``
+    in any case (else ValidationError).  A column the schema names None is
+    not converted; which columns are read changes neither the item rows nor
+    the dropped rows nor any error.  A body
     with no double quote, carriage return or NUL is tokenized in blocks of
     whole lines; any other, or one in a stream that cannot seek, is read by
     ``csv.reader``, with the same result.  A file opened from a path is
@@ -353,18 +419,8 @@ def _parse_text(fh, schema: ColumnSchema, codebook) -> ResponseTable:
 
     lower = [h.lower() for h in header]
 
-    def find_col(name: str) -> int | None:
-        return lower.index(name.lower()) if name.lower() in lower else None
-
-    def gender_of(cell: str) -> str:
-        raw = cell.strip()
-        if raw in gender_map:
-            return gender_map[raw]
-        return raw.lower() if raw.lower() in GENDERS else "unknown"
-
-    def country_of(cell: str) -> str:
-        country = cell.strip()
-        return country_map.get(country, country).upper()
+    def find_col(name: str | None) -> int | None:
+        return lower.index(name.lower()) if name is not None and name.lower() in lower else None
 
     rows = _Rows(
         len(header),
@@ -372,8 +428,8 @@ def _parse_text(fh, schema: ColumnSchema, codebook) -> ResponseTable:
         find_col(schema.age),
         find_col(schema.gender),
         find_col(schema.country),
-        gender_of,
-        country_of,
+        gender_map,
+        country_map,
     )
     try:
         body = fh.tell() if fh.seekable() else None
@@ -386,10 +442,11 @@ def _parse_text(fh, schema: ColumnSchema, codebook) -> ResponseTable:
         rows.read_csv(fh, delimiter)
 
     demo = Demographics(
-        age=np.array(rows.ages, dtype=np.int16),
-        gender=tuple(rows.genders),
-        country=tuple(rows.countries),
-        region=tuple(map(_Memo(map_region).__getitem__, rows.countries)),
+        age=np.frombuffer(rows.ages, dtype=np.int16),
+        gender_labels=tuple(rows.gender_labels),
+        gender_codes=np.frombuffer(rows.genders, dtype=np.int64),
+        country_labels=tuple(rows.country_labels),
+        country_codes=np.frombuffer(rows.countries, dtype=np.int64),
     )
     return ResponseTable(
         items=items,
@@ -403,27 +460,34 @@ def _parse_text(fh, schema: ColumnSchema, codebook) -> ResponseTable:
 class _Rows:
     """The data rows of one parse: where the wanted cells sit in a row of
     ``width`` fields, their per-call converters, and the columns read so far.
+    Gender and country cells are read as codes into ``gender_labels`` and
+    ``country_labels``.  A column that is None is not read: each row gets the
+    age -1, or the code of ``"unknown"`` or ``""``.
 
     Two tokenizers fill it.  ``read_blocks`` handles bodies in which no csv
     quoting or line-ending rule can apply; ``read_csv`` is the csv module's
     reader and handles any body.
     """
 
-    def __init__(self, width, item_cols, age_col, gender_col, country_col, gender_of, country_of):
+    def __init__(self, width, item_cols, age_col, gender_col, country_col, gender_map, country_map):
         self.width = width
         self.item_cols = item_cols
         self.age_col, self.gender_col, self.country_col = age_col, gender_col, country_col
+        genders = self.gender_labels = _Codes()
+        countries = self.country_labels = _Codes()
         self.item_value = _Memo(_item_value).__getitem__
         self.age_value = _Memo(_age_value).__getitem__
-        self.gender_value = _Memo(gender_of).__getitem__
-        self.country_value = _Memo(country_of).__getitem__
+        self.gender_value = _Memo(lambda cell: genders[_gender_label(gender_map, cell)]).__getitem__
+        self.country_value = _Memo(lambda cell: countries[_country_label(country_map, cell)]).__getitem__
+        self.no_gender = genders["unknown"] if gender_col is None else None
+        self.no_country = countries[""] if country_col is None else None
         self.clear()
 
     def clear(self) -> None:
         self.values = array("d")  # item cells, row-major
-        self.ages: list[int] = []
-        self.genders: list[str] = []
-        self.countries: list[str] = []
+        self.ages = array("h")
+        self.genders = array("q")
+        self.countries = array("q")
         self.errors: list[str] = []
 
     def read_csv(self, fh, delimiter: str) -> None:
@@ -433,6 +497,7 @@ class _Rows:
         age_col, gender_col, country_col = self.age_col, self.gender_col, self.country_col
         item_value, age_value = self.item_value, self.age_value
         gender_value, country_value = self.gender_value, self.country_value
+        no_gender, no_country = self.no_gender, self.no_country
         values, ages, genders, countries, errors = (
             self.values, self.ages, self.genders, self.countries, self.errors
         )
@@ -448,8 +513,8 @@ class _Rows:
                     continue
                 values.extend(map(item_value, item_cells(cells)))
                 ages.append(-1 if age_col is None else age_value(cells[age_col]))
-                genders.append("unknown" if gender_col is None else gender_value(cells[gender_col]))
-                countries.append("" if country_col is None else country_value(cells[country_col]))
+                genders.append(no_gender if gender_col is None else gender_value(cells[gender_col]))
+                countries.append(no_country if country_col is None else country_value(cells[country_col]))
         except csv.Error as exc:  # an over-long field, a bare "\r" in an unquoted one, or a NUL
             raise ParseError(str(exc), line=reader.line_num + 1) from None
 
@@ -515,14 +580,16 @@ class _Rows:
 
         def column(col, convert, missing, out):
             if col is None:
-                out.extend(repeat(missing, first.size))
+                values = np.full(first.size, missing, dtype=out.typecode)
             else:
                 spans = zip(starts[first + col].tolist(), ends[first + col].tolist())
-                out.extend(map(convert, [block[a:b] for a, b in spans]))
+                cells = [block[a:b] for a, b in spans]
+                values = np.fromiter(map(convert, cells), out.typecode, count=len(cells))
+            out.frombytes(values.tobytes())
 
         column(self.age_col, self.age_value, -1, self.ages)
-        column(self.gender_col, self.gender_value, "unknown", self.genders)
-        column(self.country_col, self.country_value, "", self.countries)
+        column(self.gender_col, self.gender_value, self.no_gender, self.genders)
+        column(self.country_col, self.country_value, self.no_country, self.countries)
         return lineno + last.size
 
 
@@ -540,14 +607,6 @@ def _csv_fields(values) -> list[str]:
     return fields
 
 
-def _numbered(values) -> tuple[list, np.ndarray]:
-    """The distinct ``values`` in first-seen order, and each value's number
-    (its position in that list)."""
-    distinct = list(dict.fromkeys(values))
-    number = dict(zip(distinct, range(len(distinct))))
-    return distinct, np.fromiter(map(number.__getitem__, values), np.intp, count=len(values))
-
-
 _NAN_CODE = 10  # item codes 0-9 are the whole numbers 0-9, 10 every NaN; other values follow
 
 
@@ -557,9 +616,9 @@ def serialize_responses(table: ResponseTable, buf=None) -> str:
 
     Each distinct cell value is formatted once per call, into the field text
     ``csv.writer`` gives it: item values by bit pattern (a whole number 0-9
-    by its digit, every NaN as one empty field), ages, genders and countries
-    by value.  The UTF-8 bytes of those fields, each with its separator, form
-    one pool.  Each block of ``_SERIALIZE_BLOCK`` rows numbers its cells,
+    by its digit, every NaN as one empty field), ages by value, genders and
+    countries by label.  The UTF-8 bytes of those fields, each with its
+    separator, form one pool.  Each block of ``_SERIALIZE_BLOCK`` rows numbers its cells,
     gathers their bytes from the pool in one array pass and decodes them, so
     only one block's cell numbers and bytes exist at a time.
     """
@@ -596,18 +655,16 @@ def _serialized_rows(table: ResponseTable):
     demo = table.demographics
     m = len(table.items)
     ages, age_number = np.unique(demo.age, return_inverse=True)
-    genders, gender_number = _numbered(demo.gender)
-    countries, country_number = _numbered(demo.country)
 
-    # item fields 0-9 and NaN, then every age, gender and country field; the
-    # ``{value:g}`` text of a number never needs quoting
+    # item fields 0-9 and NaN, then every age, gender label and country label
+    # field; the ``{value:g}`` text of a number never needs quoting
     texts = [f"{k}," for k in range(10)] + [","]
-    age_code = len(texts) + age_number
+    firsts = [len(texts)]  # the pool number of each demographic column's first field
     texts += [f + "," for f in _csv_fields("" if a < 0 else str(a) for a in ages.tolist())]
-    gender_code = len(texts) + gender_number
-    texts += [f + "," for f in _csv_fields(genders)]
-    country_code = len(texts) + country_number
-    texts += [f + "\n" for f in _csv_fields(countries)]
+    firsts.append(len(texts))
+    texts += [f + "," for f in _csv_fields(demo.gender_labels)]
+    firsts.append(len(texts))
+    texts += [f + "\n" for f in _csv_fields(demo.country_labels)]
     fields = [t.encode("utf-8", "surrogatepass") for t in texts]  # a lone surrogate survives
     pool = _Pool(fields)
     rare: dict[int, bytes] = {}  # the item field of any other value, by bit pattern
@@ -635,9 +692,10 @@ def _serialized_rows(table: ResponseTable):
                 if key not in rare:
                     rare[key] = f"{value:g},".encode()
             block_pool = _Pool(fields + [rare[key] for key in keys.tolist()])
-        cells[:, m] = age_code[start:stop]
-        cells[:, m + 1] = gender_code[start:stop]
-        cells[:, m + 2] = country_code[start:stop]
+        cells[:, m] = age_number[start:stop]
+        cells[:, m + 1] = demo.gender_codes[start:stop]
+        cells[:, m + 2] = demo.country_codes[start:stop]
+        cells[:, m:] += firsts
         yield str(block_pool.gather(cells.reshape(-1)).data, "utf-8", "surrogatepass")
 
 
@@ -649,9 +707,9 @@ def filter_cohort(table: ResponseTable, f: CohortFilter) -> ResponseTable:
         lo, hi = f.age_range
         mask &= (demo.age >= lo) & (demo.age <= hi)
     if f.genders is not None:
-        mask &= np.fromiter(map(f.genders.__contains__, demo.gender), bool, count=table.n)
+        mask &= np.fromiter(map(f.genders.__contains__, demo.gender_labels), bool)[demo.gender_codes]
     if f.regions is not None:
-        mask &= np.fromiter(map(f.regions.__contains__, demo.region), bool, count=table.n)
+        mask &= np.fromiter(map(f.regions.__contains__, demo.region_labels), bool)[demo.country_codes]
     if f.require_complete:
         in_range = np.isfinite(table.rows) & (table.rows >= 1) & (table.rows <= 5)
         mask &= in_range.all(axis=1)
@@ -676,9 +734,13 @@ def demographic_summary(table: ResponseTable) -> DemographicReport:
     region = {r: 0 for r in REGIONS}
     gender = {g: 0 for g in GENDERS}
     demo = table.demographics
-    for counts, labels in ((region, demo.region), (gender, demo.gender)):
-        for label, count in Counter(labels).items():
-            counts[label] += count
+    for counts, labels, codes in (
+        (region, demo.region_labels, demo.country_codes),
+        (gender, demo.gender_labels, demo.gender_codes),
+    ):
+        for label, count in zip(labels, np.bincount(codes, minlength=len(labels)).tolist()):
+            if count:
+                counts[label] += count
     age = demo.age
     age_band = {f"{lo}-{hi}": int(np.count_nonzero((age >= lo) & (age <= hi))) for lo, hi in AGE_BANDS}
     age_band["other"] = table.n - sum(age_band.values())

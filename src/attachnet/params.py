@@ -71,7 +71,9 @@ def fit_mle(dag: Dag, table, unbiased: bool = False, ridge: float = 1e-8) -> Gau
     residual norm and singular values as the one on R's columns, so every node
     is solved on R's few rows."""
     rows = np.asarray(table.rows, dtype=np.float64)
-    if not np.isfinite(rows).all():
+    # NaN propagates through min and max, so both are finite exactly when every
+    # value is, and no table-sized mask is built
+    if rows.size and not (np.isfinite(rows.min()) and np.isfinite(rows.max())):
         raise ValidationError("fit requires a complete table")
     n = rows.shape[0]
     col = {item: i for i, item in enumerate(table.items)}

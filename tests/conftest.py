@@ -26,14 +26,10 @@ def make_table(rows, items=None, age=None, gender=None, country=None):
     n = rows.shape[0]
     if items is None:
         items = tuple(f"Q{i + 1:02d}" for i in range(rows.shape[1]))
-    from attachnet.ingest import map_region
-
-    country = tuple(country) if country is not None else ("",) * n
-    demo = Demographics(
-        age=np.asarray(age if age is not None else [-1] * n, dtype=np.int16),
-        gender=tuple(gender) if gender is not None else ("unknown",) * n,
-        country=country,
-        region=tuple(map_region(c) for c in country),
+    demo = Demographics.from_labels(
+        age if age is not None else [-1] * n,
+        gender if gender is not None else ("unknown",) * n,
+        country if country is not None else ("",) * n,
     )
     return ResponseTable(items=tuple(items), rows=rows, demographics=demo)
 

@@ -1,13 +1,16 @@
-"""Reference ingest: the per-cell parser, serializer and summary attachnet used to run.
+"""Reference ingest: the per-cell parser, serializer, filter and summary attachnet used to run.
 
 These bodies convert one cell at a time (``float(cell.strip())`` per item
-cell, ``f"{value:g}"`` per written value, one dict update per row and
-dimension).  They are kept unchanged as the slow oracle that
+cell, ``f"{value:g}"`` per written value, one label test, region lookup and
+dict update per row and dimension) and read a table's demographics one row
+at a time, as per-row labels.  They are kept as the slow oracle that
 ``test_ingest.py``, ``test_golden_ingest.py`` and
 ``benchmarks/bench_kernels.py`` compare the columnar implementations in
-``attachnet.ingest`` against.  They predate two input checks: they accept a
-duplicated item column and raise ``OverflowError`` on a non-finite or
-out-of-range age, so the oracle comparisons draw neither.
+``attachnet.ingest`` against; only the parser's last step, building the
+table from its per-row lists, changed when tables came to hold gender and
+country as codes.  They predate two input checks: they accept a duplicated
+item column and raise ``OverflowError`` on a non-finite or out-of-range age,
+so the oracle comparisons draw neither.
 """
 import csv
 import io
@@ -27,7 +30,7 @@ from attachnet.ingest import (
     default_codebook,
     map_region,
 )
-from attachnet.errors import ParseError
+from attachnet.errors import EmptyCohortError, ParseError
 
 
 def parse_responses(stream, schema: ColumnSchema | None = None, codebook=None) -> ResponseTable:
@@ -112,12 +115,7 @@ def parse_responses(stream, schema: ColumnSchema | None = None, codebook=None) -
         countries.append(country)
 
     matrix = np.array(rows, dtype=np.float64).reshape(len(rows), len(items))
-    demo = Demographics(
-        age=np.array(ages, dtype=np.int16),
-        gender=tuple(genders),
-        country=tuple(countries),
-        region=tuple(map_region(c) for c in countries),
-    )
+    demo = Demographics.from_labels(np.array(ages, dtype=np.int16), genders, countries)
     return ResponseTable(
         items=items,
         rows=matrix,
@@ -132,13 +130,14 @@ def serialize_responses(table: ResponseTable, buf=None) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(list(table.items) + ["age", "gender", "country"])
     demo = table.demographics
+    genders, countries = demo.gender, demo.country
     for i in range(table.n):
         cells = []
         for value in table.rows[i]:
             cells.append("" if np.isnan(value) else f"{value:g}")
         cells.append("" if demo.age[i] < 0 else str(int(demo.age[i])))
-        cells.append(demo.gender[i])
-        cells.append(demo.country[i])
+        cells.append(genders[i])
+        cells.append(countries[i])
         writer.writerow(cells)
     text = out.getvalue()
     if buf is not None:
@@ -163,8 +162,56 @@ def demographic_summary(table: ResponseTable) -> DemographicReport:
     age_band = {f"{lo}-{hi}": 0 for lo, hi in AGE_BANDS}
     age_band["other"] = 0
     demo = table.demographics
+    genders, countries = demo.gender, demo.country
     for i in range(table.n):
-        region[demo.region[i]] += 1
-        gender[demo.gender[i]] += 1
+        region[map_region(countries[i])] += 1
+        gender[genders[i]] += 1
         age_band[_age_band(int(demo.age[i]))] += 1
     return DemographicReport(n=table.n, region=region, gender=gender, age_band=age_band)
+
+
+def take(demo: Demographics, mask) -> Demographics:
+    """The rows where ``mask`` is true, one row at a time."""
+    keep = [i for i, kept in enumerate(np.asarray(mask, dtype=bool).tolist()) if kept]
+    genders, countries = demo.gender, demo.country
+    return Demographics.from_labels(
+        np.array([demo.age[i] for i in keep], dtype=np.int16),
+        [genders[i] for i in keep],
+        [countries[i] for i in keep],
+    )
+
+
+def filter_cohort(table: ResponseTable, f) -> ResponseTable:
+    """Rows satisfying every criterion of ``f``, tested one row at a time."""
+    demo = table.demographics
+    genders, countries = demo.gender, demo.country
+    keep = []
+    for i in range(table.n):
+        ok = True
+        if f.age_range is not None:
+            ok = ok and f.age_range[0] <= demo.age[i] <= f.age_range[1]
+        if f.genders is not None:
+            ok = ok and genders[i] in f.genders
+        if f.regions is not None:
+            ok = ok and map_region(countries[i]) in f.regions
+        if f.require_complete:
+            ok = ok and all(np.isfinite(v) and 1 <= v <= 5 for v in table.rows[i])
+        keep.append(ok)
+    if not any(keep):
+        raise EmptyCohortError("cohort filter removed every row")
+    return ResponseTable(
+        items=table.items,
+        rows=table.rows[np.array(keep, dtype=bool)],
+        demographics=take(demo, keep),
+    )
+
+
+def same_items(table: ResponseTable, expected: ResponseTable) -> bool:
+    """Whether the two parses agree on everything but the demographics: the
+    items, every row bit for bit, and the dropped rows and their messages."""
+    return (
+        table.items == expected.items
+        and table.rows.shape == expected.rows.shape
+        and np.array_equal(table.rows.view(np.uint64), expected.rows.view(np.uint64))
+        and (table.dropped_rows, table.row_errors) == (expected.dropped_rows, expected.row_errors)
+    )

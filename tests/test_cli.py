@@ -282,6 +282,63 @@ def test_fit_on_fixed_structure(tmp_path, capsys):
     assert {p["name"] for p in q02["parents"]} == {"Q01", "Q03"}
 
 
+GARBLED = ["", "x", "nan", "-1e400", "é?", "\\N", '"a,b"', " 9 ", "FRANCE", "0x1F"]
+
+
+def garbled_survey(src, path):
+    """``src`` with each age, gender and country cell replaced by text that
+    names no age, gender or country, some of it quoted."""
+    lines = src.read_text().splitlines()
+    out = [lines[0]]
+    for i, line in enumerate(lines[1:]):
+        cells = line.split(",")[:-3]
+        out.append(",".join(cells + [GARBLED[(i + k) % len(GARBLED)] for k in (0, 3, 7)]))
+    path.write_text("\n".join(out) + "\n")
+    return path
+
+
+LEARN_AND_FIT = [
+    pytest.param(["learn", "-R", "3", "-m", "80", "--seed", "3"], id="learn"),
+    pytest.param(["learn", "--stability", "2,3", "--repeats", "1", "-m", "80"], id="learn-stability"),
+    pytest.param(["fit", "--dag", "arcs.csv"], id="fit"),
+]
+
+
+@pytest.fixture
+def in_tmp_path(tmp_path, monkeypatch):
+    """Run in ``tmp_path``, which holds ``arcs.csv``: three arcs over the survey's items."""
+    (tmp_path / "arcs.csv").write_text("from,to\nQ01,Q02\nQ03,Q02\nQ02,Q06\n")
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+@pytest.mark.parametrize("argv", LEARN_AND_FIT)
+def test_learn_and_fit_convert_no_demographic_cell(in_tmp_path, monkeypatch, argv):
+    import attachnet.ingest as ingest
+
+    def refuse(*args):
+        raise AssertionError(f"a demographic cell was converted: {args!r}")
+
+    for name in ("_age_value", "_gender_label", "_country_label", "map_region"):
+        monkeypatch.setattr(ingest, name, refuse)
+    src = survey_csv(in_tmp_path, n=120)
+    assert main([argv[0], str(src), *argv[1:], "-o", "out"]) == 0
+    with pytest.raises(AssertionError, match="demographic cell was converted"):
+        main(["ingest", str(src)])  # the patches do bite where demographics are read
+
+
+@pytest.mark.parametrize("argv", LEARN_AND_FIT)
+def test_learn_and_fit_outputs_do_not_depend_on_demographic_cells(in_tmp_path, capsys, argv):
+    clean = survey_csv(in_tmp_path, n=120)
+    garbled = garbled_survey(clean, in_tmp_path / "garbled.csv")
+    assert '"' in garbled.read_text()  # so the csv module's reader parses it, not the block tokenizer
+    results = []
+    for src in (clean, garbled):
+        assert main([argv[0], str(src), *argv[1:], "-o", "out"]) == 0
+        results.append(((in_tmp_path / "out").read_bytes(), capsys.readouterr().out))
+    assert results[0] == results[1]
+
+
 def test_analyze_fixture_summary(capsys):
     assert main(["analyze", "--fixture"]) == 0
     out = capsys.readouterr().out

@@ -199,7 +199,8 @@ def test_simulated_cohort_is_within_1e_12_of_exact_least_squares(fixture_model):
 
 def test_fit_peak_allocation_stays_under_a_quarter_of_the_table(fixture_model):
     """The fit reads the table a block of rows at a time: no transposed
-    copy, no n-row design or residual."""
+    copy, no n-row design or residual, and no table-sized mask for the
+    finiteness check.  Reads 0.14 MB against the table's 10.4 MB."""
     dag, _ = fixture_model
     table = make_table(seeded_rows("likert", 36_000, 36, seed=36))
     fit_mle(dag, table)  # first-call allocations (LAPACK workspace queries) are not the fit's
@@ -209,4 +210,4 @@ def test_fit_peak_allocation_stays_under_a_quarter_of_the_table(fixture_model):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < table.rows.nbytes / 4
+    assert peak < table.rows.nbytes / 50

@@ -15,8 +15,10 @@ import reference_ingest
 from attachnet.errors import EmptyCohortError, ParseError, ValidationError
 from attachnet.ingest import (
     GENDERS,
+    ITEMS_ONLY,
     REGIONS,
     CohortFilter,
+    Demographics,
     demographic_summary,
     filter_cohort,
     map_region,
@@ -510,10 +512,21 @@ def assert_parses_as_reference(raw, source=None):
     table = parse_responses(raw if source is None else source)
     assert table == expected
     assert table.rows.dtype == np.float64
-    assert np.array_equal(table.rows.view(np.uint64), expected.rows.view(np.uint64))
-    assert table.demographics.age.dtype == np.int16
-    assert table.demographics.region == expected.demographics.region
-    assert (table.dropped_rows, table.row_errors) == (expected.dropped_rows, expected.row_errors)
+    assert reference_ingest.same_items(table, expected)
+    assert_same_demographics(table.demographics, expected.demographics)
+
+
+def assert_same_demographics(demo, expected):
+    """``demo`` is well coded and has ``expected``'s rows, regions included."""
+    for labels, codes in ((demo.gender_labels, demo.gender_codes),
+                          (demo.country_labels, demo.country_codes)):
+        assert len(set(labels)) == len(labels)
+        assert codes.dtype == np.int64 and codes.shape == demo.age.shape
+        assert codes.size == 0 or 0 <= codes.min() <= codes.max() < len(labels)
+    assert demo.age.dtype == np.int16
+    assert np.array_equal(demo.age, expected.age)
+    assert (demo.gender, demo.country) == (expected.gender, expected.country)
+    assert demo.region == tuple(map(map_region, expected.country))
 
 
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
@@ -522,6 +535,42 @@ def test_parse_matches_reference(raw, block):
     block = block or ingest_module._PARSE_BLOCK  # characters read, then completed to a whole line
     with mock.patch.object(ingest_module, "_PARSE_BLOCK", block):
         assert_parses_as_reference(raw)
+
+
+def assert_items_only_parse_matches(raw):
+    """Reading no demographic column changes neither the items, nor the
+    rows, nor the dropped rows, nor the ParseError."""
+    try:
+        full = parse_responses(raw)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as err:
+            parse_responses(raw, schema=ITEMS_ONLY)
+        assert (str(err.value), err.value.line) == (str(exc), exc.line)
+        return
+    table = parse_responses(raw, schema=ITEMS_ONLY)
+    assert reference_ingest.same_items(table, full)
+    n = table.n
+    unread = Demographics.from_labels([-1] * n, ["unknown"] * n, [""] * n)
+    assert_same_demographics(table.demographics, unread)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(raw=st.one_of(raw_exports(), raw_exports(plain=True)), block=st.sampled_from([1, 3, None]))
+def test_an_items_only_parse_keeps_the_items_rows_and_errors(raw, block):
+    with mock.patch.object(ingest_module, "_PARSE_BLOCK", block or ingest_module._PARSE_BLOCK):
+        assert_items_only_parse_matches(raw)
+
+
+@pytest.mark.parametrize("raw", [
+    pytest.param(b"Q1,age,gender,country\n", id="empty-body"),
+    pytest.param(b"Q2,Q1,age", id="empty-body-no-line-end"),
+    pytest.param(b"Q1,Q2,country\n1,2,US\n3,4,5,6\n\n7,,", id="ragged-and-blank-blocks"),
+    pytest.param(b'Q1,Q2,country\n1,2,"U,S"\n3,4,5,6\n7,,\r\n', id="ragged-csv-reader"),
+    pytest.param(b"Q1,Q2,country\n1,2,US\n3,4," + b"x" * 200_000 + b"\n", id="over-long-country"),
+    pytest.param(b'Q1,gender\n1,"2\n3,x\n', id="unterminated-quote"),
+])
+def test_an_items_only_parse_keeps_the_items_rows_and_errors_at_the_edges(raw):
+    assert_items_only_parse_matches(raw)
 
 
 @pytest.mark.parametrize("source", ["bytes", "byte-stream", "path"])
@@ -557,6 +606,89 @@ def test_demographic_summary_matches_reference(table):
     assert got == expected
     for dim in ("region", "gender", "age_band"):
         assert list(getattr(got, dim)) == list(getattr(expected, dim))
+
+
+LABEL = st.one_of(
+    TRICKY_TEXT,
+    st.sampled_from(GENDERS + ("Female", "\ud800x", "a\udfff,b", "US", "gb", " fr ", "JP", "ZZ", "")),
+)
+
+
+@st.composite
+def labelled_tables(draw):
+    """Tables whose genders and countries include labels csv.writer quotes,
+    non-ASCII labels, lone surrogates, empty countries and genders outside
+    ``GENDERS``, with 1-5 answers, some of them missing or out of range."""
+    n = draw(st.integers(0, 20))
+    rows = draw(st.lists(st.sampled_from([1.0, 2.0, 3.0, 4.0, 5.0, 5.0, 0.0, 6.0, np.nan]),
+                         min_size=2 * n, max_size=2 * n))
+    return make_table(
+        np.array(rows, dtype=np.float64).reshape(n, 2),
+        age=draw(st.lists(st.integers(-1, 80), min_size=n, max_size=n)),
+        gender=draw(st.lists(LABEL, min_size=n, max_size=n)),
+        country=draw(st.lists(LABEL, min_size=n, max_size=n)),
+    )
+
+
+@st.composite
+def cohort_filters(draw):
+    ages = st.tuples(st.integers(-1, 81), st.integers(-1, 81)).map(lambda ab: tuple(sorted(ab)))
+    return CohortFilter(
+        age_range=draw(st.none() | ages),
+        genders=draw(st.none() | st.frozensets(st.sampled_from(GENDERS))),
+        regions=draw(st.none() | st.frozensets(st.sampled_from(REGIONS))),
+        require_complete=draw(st.booleans()),
+    )
+
+
+def assert_coded_cohort_matches_reference(table, f):
+    """``filter_cohort``, ``take``, ``demographic_summary`` and
+    ``serialize_responses`` on coded tables agree with the per-row
+    references; returns the rows kept."""
+    try:
+        expected = reference_ingest.filter_cohort(table, f)
+    except EmptyCohortError:
+        with pytest.raises(EmptyCohortError):
+            filter_cohort(table, f)
+        return 0
+    kept = filter_cohort(table, f)
+    assert kept == expected
+    assert_same_demographics(kept.demographics, expected.demographics)
+    assert serialize_responses(kept) == reference_ingest.serialize_responses(expected)
+    if set(expected.demographics.gender) <= set(GENDERS):
+        assert demographic_summary(kept) == reference_ingest.demographic_summary(expected)
+    else:  # a label outside GENDERS has no count to go to
+        for summary in (demographic_summary, reference_ingest.demographic_summary):
+            with pytest.raises(KeyError):
+                summary(kept)
+    return kept.n
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(table=labelled_tables(), f=cohort_filters(), data=st.data())
+def test_coded_tables_filter_take_summarize_and_write_as_the_reference_does(table, f, data):
+    assert_coded_cohort_matches_reference(table, f)
+    mask = data.draw(st.lists(st.booleans(), min_size=table.n, max_size=table.n))
+    assert_same_demographics(table.demographics.take(mask),
+                             reference_ingest.take(table.demographics, mask))
+
+
+def test_coded_filters_that_keep_no_row_one_row_and_every_row_match_the_reference():
+    table = make_table(
+        [[1, 2], [3, 4], [5, 5], [2, 2], [4, 1], [1, 1], [3, 3]],
+        age=[18, 33, 60, 25, -1, 40, 70],
+        gender=["female", "male", "unknown", "female", "other", "male", "Female"],
+        country=['say "hi"', "東京", "", "a\udfff,b", "GB", "us", "JP"],
+    )
+    cases = [
+        (0, CohortFilter(regions=frozenset({"Oceania", "Africa"}))),
+        (1, CohortFilter(age_range=(30, 35), genders=frozenset({"male"}))),
+        (6, CohortFilter(genders=frozenset(GENDERS))),  # the kept rows leave "Female" uncounted
+        (7, CohortFilter(require_complete=True,
+                         regions=frozenset({"Unknown", "Europe", "NorthAmerica", "Asia"}))),
+    ]
+    for kept, f in cases:
+        assert assert_coded_cohort_matches_reference(table, f) == kept
 
 
 @pytest.mark.parametrize("source,name", [

@@ -109,9 +109,9 @@ def test_needs_enough_rows():
         fit_mle(dag, table)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
 def test_fit_needs_more_rows_than_parents_plus_one(n):
-    table = make_table([[1, 2, 3], [2, 3, 5], [3, 1, 2], [4, 4, 1]][:n])
+    table = make_table(np.array([[1, 2, 3], [2, 3, 5], [3, 1, 2], [4, 4, 1]], dtype=float)[:n])
     dag = Dag(table.items, {("Q01", "Q03"), ("Q02", "Q03")})
     if n <= 3:
         with pytest.raises(ValidationError, match="need more than 3 rows to fit 2 parents"):
@@ -236,3 +236,18 @@ def test_polarity_table_matches_reference_split():
     polarity = load_polarity()
     positives = {i for i, p in polarity.items() if p == "positive"}
     assert positives == {"Q03", "Q15", "Q19", "Q22", "Q25", "Q27", "Q29", "Q31", "Q33", "Q35"}
+
+
+@pytest.mark.parametrize("value", [np.nan, -np.nan, np.inf, -np.inf, 1.7e308])
+@pytest.mark.parametrize("cell", [(0, 0), (2, 1)])
+def test_a_non_finite_value_is_refused_before_the_node_and_row_checks(value, cell):
+    """Three rows cannot fit two parents and the model names a node the
+    table lacks, yet a NaN or an infinity anywhere is reported first; a
+    finite value as large as 1.7e308 passes on to the node check."""
+    rows = np.array([[1.0, 2.0, 3.0], [-1.7e308, 3.0, 5.0], [3.0, 1.0, 2.0]])
+    rows[cell] = value
+    table = make_table(rows, items=("a", "b", "c"))
+    dag = Dag(("a", "b", "z"), {("a", "z"), ("b", "z")})
+    message = "missing from table" if np.isfinite(value) else "fit requires a complete table"
+    with pytest.raises(ValidationError, match=message):
+        fit_mle(dag, table)
