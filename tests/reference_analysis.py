@@ -1,22 +1,140 @@
-"""Reference analysis: the k-means sweep, path queries and Mann-Whitney
-counts attachnet used to run.
+"""Reference analysis: the walktrap merges, k-means sweep, path queries and
+Mann-Whitney counts attachnet used to run.
 
-``kmeans_best_seed`` runs one Lloyd clustering per seed (``_lloyd``), and the
+``_walktrap_component`` rescores every adjacent pair of communities by
+``ward_delta`` on every merge; ``communities_walktrap`` runs it on each
+connected component of the model's weight matrix.  ``kmeans_best_seed`` runs
+one Lloyd clustering per seed (``_lloyd``), and the
 path queries read a node's parents and children by scanning every arc of the
 DAG and sorting the result, and sweep every node of the graph.  ``top_paths``
 ranks the paths that ``enumerate_paths`` lists by their ``path_product``.
 ``_exact_u_counts`` enumerates the Mann-Whitney null distribution by the
 memoised recursion ``_count_ways``.  These bodies are kept unchanged as the
 slow oracle that ``test_analysis_oracle.py`` and
-``benchmarks/bench_kernels.py`` compare the distinct-start sweep, the cached
-adjacency, the pruned path queries and the bottom-up counts of
-``attachnet.compare``, ``attachnet.dag`` and ``attachnet.influence`` against.
+``benchmarks/bench_kernels.py`` compare the incremental merge scores, the
+distinct-start sweep, the cached adjacency, the pruned path queries and the
+bottom-up counts of ``attachnet.analytics``, ``attachnet.compare``,
+``attachnet.dag`` and ``attachnet.influence`` against.
 """
 import numpy as np
 
+from attachnet.analytics import Partition, _components, _weight_matrix
 from attachnet.compare import KMeansResult
+from attachnet.dag import Dag
 from attachnet.errors import PathCountError, ValidationError
 from attachnet.influence import DEFAULT_PATH_CAP, InfluencePath, _check_nodes
+from attachnet.params import GaussianBnParams
+
+
+# -- walktrap -------------------------------------------------------------------
+
+
+def _walktrap_component(w: np.ndarray, steps: int, total_weight: float) -> list[set[int]]:
+    """Merge path of one connected component, cut at maximum modularity.
+
+    Community distance follows the random-walk metric: squared difference of
+    t-step visit profiles, inversely weighted by node degree; merges pick the
+    adjacent pair with the smallest Ward increase.  The walk and the degrees
+    of the distance include a loop on each vertex of weight
+    ``sum_j w_ij / #{j : w_ij > 0}``; adjacency and modularity use ``w``
+    as given, whose total weight is ``total_weight``.
+    """
+    n = w.shape[0]
+    if n == 1:
+        return [{0}]
+    degree = w.sum(axis=1)
+    loop = degree / np.count_nonzero(w, axis=1)
+    walk_degree = degree + loop
+    transition = (w + np.diag(loop)) / walk_degree[:, None]
+    profile_1 = np.linalg.matrix_power(transition, steps)
+
+    members: dict[int, set[int]] = {i: {i} for i in range(n)}
+    profiles: dict[int, np.ndarray] = {i: profile_1[i].copy() for i in range(n)}
+    internal: dict[int, float] = {i: 0.0 for i in range(n)}  # 2x intra weight
+    deg_sum: dict[int, float] = {i: float(degree[i]) for i in range(n)}
+    between: dict[int, dict[int, float]] = {
+        i: {int(j): float(w[i, j]) for j in np.flatnonzero(w[i] > 0) if j != i}
+        for i in range(n)
+    }
+
+    def ward_delta(a: int, b: int) -> float:
+        diff = profiles[a] - profiles[b]
+        r2 = float(np.sum(diff * diff / walk_degree))
+        sa, sb = len(members[a]), len(members[b])
+        return sa * sb / (sa + sb) / n * r2
+
+    def modularity() -> float:
+        two_m = total_weight
+        q = 0.0
+        for c in members:
+            q += internal[c] / two_m - (deg_sum[c] / two_m) ** 2
+        return q
+
+    snapshots = [[set(s) for s in members.values()]]
+    qualities = [modularity()]
+    next_id = n
+    while len(members) > 1:
+        best = None
+        best_delta = np.inf
+        for a in sorted(between):
+            for b in sorted(between[a]):
+                if b <= a:
+                    continue
+                delta = ward_delta(a, b)
+                if delta < best_delta - 1e-15:
+                    best_delta = delta
+                    best = (a, b)
+        if best is None:  # disconnected inside a component cannot happen
+            break
+        a, b = best
+        sa, sb = len(members[a]), len(members[b])
+        merged = next_id
+        next_id += 1
+        members[merged] = members.pop(a) | members.pop(b)
+        profiles[merged] = (sa * profiles.pop(a) + sb * profiles.pop(b)) / (sa + sb)
+        internal[merged] = internal.pop(a) + internal.pop(b) + 2.0 * between[a].get(b, 0.0)
+        deg_sum[merged] = deg_sum.pop(a) + deg_sum.pop(b)
+        neighbors: dict[int, float] = {}
+        for old in (a, b):
+            for other, weight in between.pop(old).items():
+                if other in (a, b):
+                    continue
+                neighbors[other] = neighbors.get(other, 0.0) + weight
+                del between[other][old]
+        for other, weight in neighbors.items():
+            between[other][merged] = weight
+        between[merged] = neighbors
+        snapshots.append([set(s) for s in members.values()])
+        qualities.append(modularity())
+    best_step = int(np.argmax(qualities))
+    return snapshots[best_step]
+
+
+def communities_walktrap(dag: Dag, params: GaussianBnParams, steps: int = 4) -> Partition:
+    """Random-walk communities of the |coefficient|-weighted projection.
+
+    Each connected component is agglomerated on its own by a ``steps``-step
+    walk that may stay put along a per-vertex loop (mean incident weight),
+    and cut where the modularity of the loop-free graph peaks.
+    """
+    if steps < 1:
+        raise ValidationError("steps must be >= 1")
+    w = _weight_matrix(dag, params)
+    total_weight = float(w.sum())  # == 2m for the undirected graph
+    clusters: list[set[str]] = []
+    for comp in _components(w):
+        sub = w[np.ix_(comp, comp)]
+        if len(comp) == 1 or sub.sum() == 0:
+            clusters.extend({dag.nodes[i]} for i in comp)
+            continue
+        for group in _walktrap_component(sub, steps, total_weight):
+            clusters.append({dag.nodes[comp[i]] for i in group})
+    clusters.sort(key=lambda c: min(c))
+    assignment = {}
+    for label_no, group in enumerate(clusters, start=1):
+        for node in group:
+            assignment[node] = f"C{label_no}"
+    return Partition(assignment=assignment)
 
 
 # -- k-means ------------------------------------------------------------------

@@ -1,7 +1,8 @@
-"""The distinct-start k-means, the cached-adjacency pruned path queries and
-the bottom-up Mann-Whitney counts against ``reference_analysis.py``, the
-seed-at-a-time, arc-scanning, every-node and recursive code they replace.
-Results must be identical, bit for bit, not merely close."""
+"""The incremental walktrap merge scores, the distinct-start k-means, the
+cached-adjacency pruned path queries and the bottom-up Mann-Whitney counts
+against ``reference_analysis.py``, the rescore-every-pair, seed-at-a-time,
+arc-scanning, every-node and recursive code they replace.  Results must be
+identical, bit for bit, not merely close."""
 import contextlib
 import dataclasses
 import gc
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_analysis as ref
 from attachnet import compare, fixtures
+from attachnet.analytics import _components, _weight_matrix, communities_walktrap
 from attachnet._draws import choice_rows
 from attachnet.compare import FactorTable, kmeans_best_seed
 from attachnet.influence import (
@@ -38,6 +40,93 @@ def assert_same_result(got, expected):
     assert same_bits(got.centers, expected.centers)
     assert same_bits(got.total_within_ss, expected.total_within_ss)
     assert got.best_seed == expected.best_seed
+
+
+# -- walktrap ----------------------------------------------------------------------
+
+# two or three weights per graph make many exact ties between Ward deltas
+WEIGHT_SETS = [(0.5, 1.0), (0.25, 0.5, 1.0), (0.3, 0.6), (0.2, 0.5, 0.9)]
+SHAPES = ["cycle", "ladder", "grid", "star", "bipartite"]
+
+
+def shape_pairs(shape, n):
+    """Edges of a shape whose automorphisms tie Ward deltas exactly up to
+    rounding, so that which tied pair merges first decides the cut."""
+    h, k = n // 2, math.isqrt(n)
+    if shape == "cycle":
+        return [(i, (i + 1) % n) for i in range(n)]
+    if shape == "ladder":
+        return [(i, i + h) for i in range(h)] + [
+            (side + i, side + (i + 1) % h) for side in (0, h) for i in range(h)
+        ]
+    if shape == "grid":
+        return [(i, i + 1) for i in range(k * k) if (i + 1) % k] + [
+            (i, i + k) for i in range(k * k - k)
+        ]
+    if shape == "star":
+        return [(0, i) for i in range(1, n)]
+    return [(i, j) for i in range(h) for j in range(h, n)]  # complete bipartite
+
+
+def walktrap_model(seed):
+    """A DAG of 2-36 nodes whose |coefficients| take two or three values.
+    One graph in four is a symmetric shape of one weight; one in three keeps
+    its arcs inside 2-4 blocks of nodes."""
+    rng = np.random.default_rng(seed)
+    shaped = seed % 4 == 1
+    n = int(rng.integers(4 if shaped else 2, 37))
+    weights = WEIGHT_SETS[seed % len(WEIGHT_SETS)]
+    if shaped:
+        pairs = shape_pairs(SHAPES[seed // 4 % len(SHAPES)], n)
+        weights = weights[:1]
+    else:
+        density = float(rng.choice([0.1, 0.2, 0.4, 0.8]))
+        blocks = rng.integers(0, rng.integers(2, 5), size=n) if seed % 3 == 0 else np.zeros(n)
+        pairs = [
+            (i, j) for i in range(n) for j in range(i + 1, n)
+            if blocks[i] == blocks[j] and rng.random() < density
+        ]
+        pairs = pairs or [(0, 1)]  # at least one edge to merge along
+    names = [f"n{i:02d}" for i in rng.permutation(n)]  # the item order differs
+    order = [names[i] for i in rng.permutation(n)]     # from the causal order
+    arcs = [
+        (order[min(i, j)], order[max(i, j)], float(rng.choice(weights) * rng.choice([-1.0, 1.0])))
+        for i, j in pairs
+    ]
+    return build_model(tuple(names), arcs)
+
+
+@pytest.mark.parametrize("first", range(0, 320, 40))
+def test_walktrap_matches_reference(first):
+    split = 0
+    for seed in range(first, first + 40):
+        dag, params = walktrap_model(seed)
+        expected = ref.communities_walktrap(dag, params)
+        assert communities_walktrap(dag, params).assignment == expected.assignment, seed
+        split += len(_components(_weight_matrix(dag, params))) > 1
+    assert split >= 10  # isolated nodes and blocks give several components
+
+
+@pytest.mark.parametrize("steps", [1, 2, 4, 7])
+def test_walktrap_fixture_matches_reference(fixture_model, steps):
+    dag, params = fixture_model
+    expected = ref.communities_walktrap(dag, params, steps=steps)
+    assert communities_walktrap(dag, params, steps=steps).assignment == expected.assignment
+
+
+def test_batched_ward_sums_match_one_pair_at_a_time():
+    """A row sum over a stack of profile differences gives each pair's
+    ``np.sum`` bit for bit."""
+    rng = np.random.default_rng(24)
+    for n in [*range(5, 40), 64, 127, 128, 129, 130, 257]:
+        walk_degree = rng.uniform(0.1, 5.0, size=n)
+        profiles = rng.dirichlet(np.ones(n), size=int(rng.integers(2, 20)))
+        merged, others = profiles[0], profiles[1:]
+        diff = np.stack(list(others)) - merged
+        batched = (diff * diff / walk_degree).sum(axis=1).tolist()
+        for other, r2 in zip(others, batched):
+            d = merged - other
+            assert r2.hex() == float(np.sum(d * d / walk_degree)).hex(), n
 
 
 # -- k-means --------------------------------------------------------------------
