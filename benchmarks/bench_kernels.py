@@ -36,12 +36,14 @@ or residual sd differs by more than the oracle tests' bound (1e-11 relative)
 or if the warnings differ.
 
 The analysis rows time ``kmeans_best_seed(k=2)`` over seeds 1:4000 on the four
-bundled factor tables, the 1,260 ordered item-pair queries on the bundled
-model (``total_influence`` plus the best-first ``top_paths(k=2)``) and the
-Mann-Whitney exact null counts, against the seed-at-a-time sweep, the
-arc-scanning every-node queries that rank every path and the recursive counts
-in ``tests/reference_analysis.py``; the script fails unless every result is
-identical, product bits included.  The k-means sweep is
+bundled factor tables, ``communities_walktrap`` on the bundled model, the
+1,260 ordered item-pair queries on the bundled model (``total_influence``
+plus the best-first ``top_paths(k=2)``) and the Mann-Whitney exact null
+counts, against the seed-at-a-time sweep, the walktrap that rescores every
+adjacent pair on every merge, the arc-scanning every-node queries that rank
+every path and the recursive counts in ``tests/reference_analysis.py``; the
+script fails unless every result is identical, partitions and product bits
+included.  The k-means sweep is
 timed on its first call in the process and again once warm; its rows count
 the distinct starts, each of which begins a Lloyd run (runs that meet merge,
 so fewer run to the end).  The k-means
@@ -68,7 +70,7 @@ from pathlib import Path
 
 import numpy as np
 
-from attachnet import _draws, _kernels, compare, fixtures, influence, ingest, params, structure
+from attachnet import _draws, _kernels, analytics, compare, fixtures, influence, ingest, params, structure
 from attachnet.score import DEFAULT_RIDGE, stats_from_matrix
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
@@ -344,6 +346,13 @@ def bench_analysis(repeats: int) -> None:
               f"{t_ref / t_new:>8.1f}x   seeds 1:4000, k=2, against default_rng per seed (identical)")
 
     dag, params = fixtures.load_fixture_model()
+    t_new, part = time_fn(analytics.communities_walktrap, dag, params, repeats=repeats)
+    t_ref, ref_part = time_fn(reference_analysis.communities_walktrap, dag, params, repeats=repeats)
+    if part.assignment != ref_part.assignment:
+        sys.exit("error: communities_walktrap and its reference disagree")
+    print(f"{'walktrap (fixture)':<22} {t_new * 1e3:>10.2f}ms {t_ref * 1e3:>10.2f}ms {t_ref / t_new:>8.1f}x"
+          f"   steps 4, {len(part.clusters())} clusters; rescores only merged pairs (identical)")
+
     pairs = [(s, t) for s in dag.nodes for t in dag.nodes if s != t]
 
     def queries(module):

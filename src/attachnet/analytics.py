@@ -129,11 +129,19 @@ def _walktrap_component(w: np.ndarray, steps: int, total_weight: float) -> list[
         for i in range(n)
     }
 
-    def ward_delta(a: int, b: int) -> float:
-        diff = profiles[a] - profiles[b]
-        r2 = float(np.sum(diff * diff / walk_degree))
-        sa, sb = len(members[a]), len(members[b])
-        return sa * sb / (sa + sb) / n * r2
+    def ward_deltas(a: int, others: list[int]) -> dict[int, float]:
+        """Ward increase of merging ``a`` with each of ``others``, in one
+        array pass over their stacked profiles."""
+        if not others:
+            return {}
+        diff = np.stack([profiles[b] for b in others]) - profiles[a]
+        r2 = (diff * diff / walk_degree).sum(axis=1)
+        sa = len(members[a])
+        deltas = {}
+        for b, r in zip(others, r2.tolist()):
+            sb = len(members[b])
+            deltas[b] = sa * sb / (sa + sb) / n * r
+        return deltas
 
     def modularity() -> float:
         two_m = total_weight
@@ -142,17 +150,18 @@ def _walktrap_component(w: np.ndarray, steps: int, total_weight: float) -> list[
             q += internal[c] / two_m - (deg_sum[c] / two_m) ** 2
         return q
 
+    # pair_delta[a][b] for adjacent a < b.  Ids only grow and a merged
+    # community enters its neighbours' rows after every entry there, so the
+    # dicts iterate in sorted (a, b) order without sorting.
+    pair_delta = {a: ward_deltas(a, sorted(b for b in between[a] if b > a)) for a in range(n)}
     snapshots = [[set(s) for s in members.values()]]
     qualities = [modularity()]
     next_id = n
     while len(members) > 1:
         best = None
         best_delta = np.inf
-        for a in sorted(between):
-            for b in sorted(between[a]):
-                if b <= a:
-                    continue
-                delta = ward_delta(a, b)
+        for a, row in pair_delta.items():
+            for b, delta in row.items():
                 if delta < best_delta - 1e-15:
                     best_delta = delta
                     best = (a, b)
@@ -168,14 +177,20 @@ def _walktrap_component(w: np.ndarray, steps: int, total_weight: float) -> list[
         deg_sum[merged] = deg_sum.pop(a) + deg_sum.pop(b)
         neighbors: dict[int, float] = {}
         for old in (a, b):
+            del pair_delta[old]
             for other, weight in between.pop(old).items():
                 if other in (a, b):
                     continue
                 neighbors[other] = neighbors.get(other, 0.0) + weight
                 del between[other][old]
+                pair_delta[other].pop(old, None)
         for other, weight in neighbors.items():
             between[other][merged] = weight
         between[merged] = neighbors
+        # only the merged community's pairs are new (Pons & Latapy, section 4)
+        for other, delta in ward_deltas(merged, list(neighbors)).items():
+            pair_delta[other][merged] = delta
+        pair_delta[merged] = {}
         snapshots.append([set(s) for s in members.values()])
         qualities.append(modularity())
     best_step = int(np.argmax(qualities))

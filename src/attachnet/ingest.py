@@ -181,6 +181,18 @@ class Demographics:
     def __len__(self) -> int:
         return len(self.age)
 
+    def __eq__(self, other) -> bool:
+        """Same ages and same per-row labels, however the codes number them."""
+        if not isinstance(other, Demographics):
+            return NotImplemented
+        return (
+            np.array_equal(self.age, other.age)
+            and self.gender == other.gender
+            and self.country == other.country
+        )
+
+    __hash__ = None
+
     @property
     def region_labels(self) -> tuple[str, ...]:
         """The region of each country label, so also indexed by ``country_codes``."""
@@ -229,9 +241,7 @@ class ResponseTable:
             self.items == other.items
             and self.rows.shape == other.rows.shape
             and np.array_equal(self.rows, other.rows, equal_nan=True)
-            and np.array_equal(self.demographics.age, other.demographics.age)
-            and self.demographics.gender == other.demographics.gender
-            and self.demographics.country == other.demographics.country
+            and self.demographics == other.demographics
         )
 
     __hash__ = None

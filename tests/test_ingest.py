@@ -19,6 +19,7 @@ from attachnet.ingest import (
     REGIONS,
     CohortFilter,
     Demographics,
+    ResponseTable,
     demographic_summary,
     filter_cohort,
     map_region,
@@ -514,6 +515,38 @@ def assert_parses_as_reference(raw, source=None):
     assert table.rows.dtype == np.float64
     assert reference_ingest.same_items(table, expected)
     assert_same_demographics(table.demographics, expected.demographics)
+
+
+def test_demographics_compare_by_row_labels_not_codes():
+    demo = Demographics.from_labels([30, 41, -1], ["female", "male", "female"], ["US", "", "GB"])
+    assert demo == Demographics.from_labels([30, 41, -1], ["female", "male", "female"],
+                                            ["US", "", "GB"])
+    assert demo != Demographics.from_labels([30, 41, -1], ["female", "male", "male"],
+                                            ["US", "", "GB"])
+    assert demo != Demographics.from_labels([30, 41, -1], ["female", "male", "female"],
+                                            ["US", "", "CA"])
+    assert demo != Demographics.from_labels([30, 42, -1], ["female", "male", "female"],
+                                            ["US", "", "GB"])
+    assert demo != Demographics.from_labels([30, 41], ["female", "male"], ["US", ""])
+    # the same rows, with the labels coded in another order
+    renumbered = Demographics(demo.age, ("male", "female"), np.array([1, 0, 1]),
+                              ("GB", "", "US"), np.array([2, 1, 0]))
+    assert renumbered == demo and demo == renumbered
+    assert demo.__eq__("not demographics") is NotImplemented
+    with pytest.raises(TypeError):
+        hash(demo)
+
+
+def test_response_tables_compare_demographics_by_row_labels():
+    rows = [[1.0, 2.0], [3.0, np.nan]]
+    table = make_table(rows, age=[20, 30], gender=["female", "male"])
+    assert table == make_table(rows, age=[20, 30], gender=["female", "male"])
+    assert table != make_table(rows, age=[20, 31], gender=["female", "male"])
+    assert table != make_table(rows, age=[20, 30], gender=["female", "female"])
+    demo = table.demographics
+    renumbered = Demographics(demo.age, ("male", "female"), np.array([1, 0]),
+                              demo.country_labels, demo.country_codes)
+    assert table == ResponseTable(table.items, table.rows, renumbered)
 
 
 def assert_same_demographics(demo, expected):
