@@ -5,8 +5,9 @@ against their references.
 The references in ``tests/reference_kernels.py`` are the ndarray Cholesky
 local score, the per-candidate search (a depth-first cycle check and a fresh
 local score for every candidate move) and the two-pass covariance loop; the
-script fails unless the local scores of every parent set of a 12-node problem
-are identical, and the searches return the identical learned graph and score.
+script fails unless ``CachedScorer``'s local scores of every parent set of a
+12-node problem are identical to the reference's, and the searches return the
+identical learned graph and score.
 The structure search dominates bootstrap runtime, so its figure decides
 whether a 3000-replicate run takes minutes or days.
 
@@ -71,7 +72,8 @@ from pathlib import Path
 import numpy as np
 
 from attachnet import _draws, _kernels, analytics, compare, fixtures, influence, ingest, params, structure
-from attachnet.score import DEFAULT_RIDGE, stats_from_matrix
+from attachnet._kernels import DEFAULT_RIDGE, CachedScorer
+from attachnet.score import stats_from_matrix
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 import reference_analysis  # noqa: E402
@@ -166,18 +168,23 @@ def main() -> None:
     print(f"{'covariance':<22} {t_new * 1e3:>10.2f}ms {t_ref * 1e3:>10.2f}ms {t_ref / t_new:>8.1f}x"
           f"   max |diff| {cov_diff:.1e}")
 
-    # full tabu search from the empty graph, both sides on the same covariance
-    def run(search):
-        adj = np.zeros((args.nodes, args.nodes), dtype=np.int8)
-        return search(stats.cov, float(stats.n), adj, 10, 100, -1, DEFAULT_RIDGE, 0)
+    # full BIC tabu search from the empty graph, both sides on the same
+    # covariance; each current search gets a fresh scorer, so none reuses
+    # another's cached scores
+    def empty():
+        return np.zeros((args.nodes, args.nodes), dtype=np.int8)
 
-    run(_kernels.tabu_search_kernel)  # warm-up
-    t_new, (adj, score) = time_fn(lambda: run(_kernels.tabu_search_kernel), repeats=args.repeats)
+    def current():
+        return _kernels.tabu_search_kernel(CachedScorer(stats.cov, stats.n), empty(), 10, 100, None)
+
+    current()  # warm-up
+    t_new, (adj, score) = time_fn(current, repeats=args.repeats)
     if args.skip_reference_search:
         print(f"{'tabu search':<22} {t_new * 1e3:>10.2f}ms {'skipped':>12}")
     else:
         t_ref, (ref_adj, ref_score) = time_fn(
-            lambda: run(tabu_search_kernel), repeats=max(1, args.repeats // 3)
+            lambda: tabu_search_kernel(stats.cov, float(stats.n), empty(), 10, 100, -1, DEFAULT_RIDGE, 0),
+            repeats=max(1, args.repeats // 3),
         )
         if not (np.array_equal(adj, ref_adj) and score == ref_score):
             sys.exit("error: the search and its reference disagree on the learned graph or score")
@@ -193,7 +200,8 @@ def main() -> None:
 
 
 def bench_local_score(rows: int, seed: int, repeats: int) -> None:
-    """BIC local score of every node under every parent set of a 12-node problem."""
+    """BIC local score of every node under every parent set of a 12-node
+    problem, from one fresh ``CachedScorer`` per run."""
     stats = stats_from_matrix(synthetic_problem(SCORE_NODES, rows, seed), range(SCORE_NODES))
     n = float(stats.n)
     cases = [
@@ -204,8 +212,8 @@ def bench_local_score(rows: int, seed: int, repeats: int) -> None:
     ]
 
     def current():
-        c = stats.cov.tolist()
-        return [_kernels.local_score(c, n, v, parents, DEFAULT_RIDGE, 0) for v, parents in cases]
+        score = CachedScorer(stats.cov, stats.n).score
+        return [score(v, parents) for v, parents in cases]
 
     def reference():
         return [

@@ -1,19 +1,23 @@
 """Numeric kernels for scoring and structure search.
 
-The scoring kernels (``local_score`` and the Cholesky solve under it) are
-scalar loops over a parent set that read the covariance as nested lists: a
-Python float rounds as a float64 does, without the cost of a numpy scalar.
-The tabu search spends its time in them and in ``_pick_move``, which chooses
-each move from one cached matrix of score deltas with whole-matrix numpy
-operations on the adjacency and its closure, ``_reachability``; the closure
-also finds the arcs on cycles for ``structure.average_network``.  The search
-reuses what it computed: a node's column of score deltas per parent set, and,
-through ``CachedScorer``, local scores and the Cholesky factor rows that
-parent sets with a common prefix share.  The solve is one routine in three
+``CachedScorer`` is the one implementation of the decomposable Gaussian local
+score.  Its scalar loops over a parent set read the covariance as nested
+lists: a Python float rounds as a float64 does, without the cost of a numpy
+scalar.  For one covariance and metric it memoises local scores and shares
+the Cholesky factor rows that parent sets with a common prefix have in
+common; a parent set whose block does not factorize is solved once more,
+uncached, with a ridge on the block's diagonal.  Both run one solve in three
 steps (a factor row, a forward-substitution entry, the back substitution),
-which ``local_score`` runs uncached and ``CachedScorer`` runs on its shared
-rows, so the two agree bit for bit.  ``benchmarks/bench_kernels.py`` times
-the scoring and the search against the references kept under ``tests/``.
+so a score does not depend on the order in which the caches filled.
+``PENALTIES`` maps each metric's name to its penalty.
+
+The tabu search spends its time in the scorer and in ``_pick_move``, which
+chooses each move from one cached matrix of score deltas with whole-matrix
+numpy operations on the adjacency and its closure, ``_reachability``; the
+closure also finds the arcs on cycles for ``structure.average_network``.  The
+search keeps a node's column of score deltas per parent set.
+``benchmarks/bench_kernels.py`` times the scoring and the search against the
+references kept under ``tests/``.
 """
 from __future__ import annotations
 
@@ -23,6 +27,8 @@ from collections import deque
 
 import numpy as np
 
+from .errors import ValidationError
+
 
 def backend() -> str:
     """Name of the kernel backend, reported by the benchmarks: always ``numpy``."""
@@ -30,6 +36,15 @@ def backend() -> str:
 
 
 LOG_2PI = 1.8378770664093453
+
+DEFAULT_RIDGE = 1e-8
+
+# Each metric's penalty for k free parameters on n rows: k/2 * ln n, k or none.
+PENALTIES = {
+    "bic": lambda n, k: 0.5 * k * np.log(n),
+    "aic": lambda n, k: k,
+    "loglik": lambda n, k: 0,
+}
 
 # Move kinds, ordered for lexicographic (from, to, kind) tie-breaking.
 ADD, REMOVE, REVERSE = 0, 1, 2
@@ -76,40 +91,6 @@ def _back_substitute(low, y):
     return x
 
 
-def _chol_solve(a, b):
-    """Solve the SPD system a @ x = b (a list of rows) via Cholesky, with the
-    forward substitution done row by row.  Returns (x, ok); ok is False when
-    the factorization breaks down."""
-    low = []
-    y = []
-    for a_i, b_i in zip(a, b):
-        row = _factor_row(a_i, low)
-        if row is None:
-            return [0.0] * len(a), False
-        low.append(row)
-        y.append(_forward(row, b_i, y))
-    return _back_substitute(low, y), True
-
-
-def residual_variance(c, v, parents, ridge):
-    """ML residual variance of node v regressed on the given parents, from the
-    nested-list covariance ``c``, with a single ridge retry on a singular
-    parent submatrix; returns (variance, ok)."""
-    rhs = [c[u][v] for u in parents]
-    sub = [[c[u][w] for w in parents] for u in parents]
-    beta, ok = _chol_solve(sub, rhs)
-    if not ok:
-        for i in range(len(parents)):
-            sub[i][i] += ridge
-        beta, ok = _chol_solve(sub, rhs)
-        if not ok:
-            return 0.0, False
-    var = c[v][v]
-    for r, b in zip(rhs, beta):
-        var -= r * b
-    return var, True
-
-
 def _log_likelihood(n, var):
     """Maximized Gaussian log-likelihood of n rows with residual variance
     var, floored at 1e-12."""
@@ -119,68 +100,53 @@ def _log_likelihood(n, var):
     return -0.5 * n * (LOG_2PI + float(np.log(var)) + 1.0)
 
 
-def _penalty(n, k, metric):
-    """The metric's penalty for k free parameters: k/2 * ln n, k or none."""
-    if metric == 0:
-        return 0.5 * k * np.log(n)
-    if metric == 1:
-        return k
-    return 0
-
-
-def local_score(c, n, v, parents, ridge, metric):
-    """Decomposable Gaussian score term for one node.
-
-    ``c`` is the covariance as nested lists and ``parents`` a sequence of
-    column indices.  metric: 0 = penalized by (p + 2)/2 * ln n, 1 = penalized
-    by (p + 2), 2 = raw maximized log-likelihood.
-    """
-    var, ok = residual_variance(c, v, parents, ridge)
-    if not ok:
-        return -np.inf
-    return _log_likelihood(n, var) - _penalty(n, len(parents) + 2, metric)
-
-
 class CachedScorer:
-    """``local_score`` for one search: memoised per (node, parent set), with
-    the Cholesky work shared between parent sets.
+    """Local scores of one covariance under one metric, memoised per (node,
+    parent set), with the Cholesky work shared between parent sets.
 
-    For a sorted parent tuple p, factor row i reads only ``c[p_i][p_j]`` for
-    j <= i, so it depends on the prefix p[:i + 1] alone, and forward
-    substitution entry i on that prefix and v.  A trie keyed by parent index
-    holds one node per prefix: its factor row (None when the factorization
-    breaks down there), its forward entries by v and its children.  Only the
-    back substitution and the variance sum run per parent set.  A parent set
-    with a failing prefix takes ``local_score``'s uncached path, ridge retry
-    included.  Every value is bit-identical to ``local_score``.
+    The score of node v under a sorted parent tuple p is the maximized
+    Gaussian log-likelihood of v's regression on p, its residual variance
+    floored at 1e-12, less the metric's penalty for ``len(p) + 2`` free
+    parameters (the +2 counts the intercept and the residual variance).
+
+    Factor row i of the parent block reads only ``c[p_i][p_j]`` for j <= i,
+    so it depends on the prefix p[:i + 1] alone, and forward substitution
+    entry i on that prefix and v.  A trie keyed by parent index holds one
+    node per prefix: its factor row (None when the factorization breaks down
+    there), its forward entries by v and its children.  Only the back
+    substitution and the variance sum run per parent set.  A parent set with
+    a failing prefix is solved again, uncached, with ``ridge`` added to the
+    diagonal of its whole block; it scores -inf when that fails too.
     """
 
-    def __init__(self, c, n, ridge, metric):
-        self.c = c
+    def __init__(self, cov, n, metric="bic", ridge=DEFAULT_RIDGE):
+        if metric not in PENALTIES:
+            raise ValidationError(f"unknown metric {metric!r}")
+        self.c = cov.tolist()
         self.n = n
         self.ridge = ridge
-        self.metric = metric
-        self.penalty = [_penalty(n, p + 2, metric) for p in range(len(c))]
+        self.penalty = [PENALTIES[metric](n, p + 2) for p in range(len(self.c))]
         self.memo = {}
         self.trie = {}  # parent index -> (factor row, forward entries by v, children)
 
     def score(self, v, parents):
-        """``local_score(c, n, v, parents, ridge, metric)`` for a sorted
-        parent tuple."""
+        """Local score of node v under a sorted tuple of distinct parents."""
         key = (v, parents)
         s = self.memo.get(key)
         if s is None:
             var = self._variance(v, parents)
-            if var is None:  # a failing prefix: the uncached path retries with the ridge
-                s = local_score(self.c, self.n, v, parents, self.ridge, self.metric)
+            if var is None:  # a failing prefix: retry with the ridge
+                var = self._ridge_variance(v, parents)
+            if var is None:
+                s = -np.inf
             else:
                 s = _log_likelihood(self.n, var) - self.penalty[len(parents)]
             self.memo[key] = s
         return s
 
     def _variance(self, v, parents):
-        """``residual_variance`` from the shared factor rows, or None when a
-        prefix of the parents does not factorize."""
+        """Residual variance of v on the parents from the shared factor rows,
+        or None when a prefix of the parents does not factorize."""
         c = self.c
         low = []
         y = []
@@ -199,6 +165,29 @@ class CachedScorer:
                 y_i = ys[v] = _forward(row, c[p][v], y)
             low.append(row)
             y.append(y_i)
+        return self._residual(v, parents, low, y)
+
+    def _ridge_variance(self, v, parents):
+        """Residual variance of v on the parents with ``ridge`` added to the
+        diagonal of their block, solved uncached, or None when that block does
+        not factorize either."""
+        c = self.c
+        low = []
+        y = []
+        for i, p in enumerate(parents):
+            a_i = [c[p][w] for w in parents[: i + 1]]
+            a_i[i] += self.ridge
+            row = _factor_row(a_i, low)
+            if row is None:
+                return None
+            low.append(row)
+            y.append(_forward(row, c[p][v], y))
+        return self._residual(v, parents, low, y)
+
+    def _residual(self, v, parents, low, y):
+        """c[v][v] less the explained variance, from the parents' factor rows
+        ``low`` and forward entries ``y``."""
+        c = self.c
         var = c[v][v]
         for p, x_i in zip(parents, _back_substitute(low, y)):
             var -= c[p][v] * x_i
@@ -282,29 +271,30 @@ def _pick_move(d, present, reach, tabu, current, best):
     return kind, u, v
 
 
-def tabu_search_kernel(cov, n, adj, tabu_len, max_iter, max_parents, ridge, metric):
+def tabu_search_kernel(scorer, adj, tabu_len, max_iter, max_parents):
     """Score-based DAG search with add/remove/reverse moves.
 
-    Hill-climbs the decomposable score from the DAG ``adj``; after reaching a
-    local optimum it keeps taking the best admissible move (``_pick_move``) for
-    up to ``max_iter`` consecutive non-improving steps, with a tabu list
-    holding the inverses of the last ``tabu_len`` moves.  ``max_parents < 0``
-    means no limit.  Returns the best adjacency seen, with ``adj``'s dtype,
-    and its score; ``adj`` itself is left as it was.
+    Hill-climbs the decomposable score of the ``CachedScorer`` ``scorer``
+    from the DAG ``adj``; after reaching a local optimum it keeps taking the
+    best admissible move (``_pick_move``) for up to ``max_iter`` consecutive
+    non-improving steps, with a tabu list holding the inverses of the last
+    ``tabu_len`` moves.  ``max_parents`` None means no limit.  Returns the
+    best adjacency seen, with ``adj``'s dtype, and its score; ``adj`` itself
+    is left as it was.
 
     The search is incremental.  ``d[u, v]`` caches the change of ``ls[v]``
     when u joins or leaves v's parents, so a move only re-scores the column of
     the one or two nodes whose parent set changed.  A column depends only on
     v's parent tuple, which each move updates in place, so columns are kept
     per (node, parent set) and reused when the search returns to a parent set,
-    as its stall phase of reversals does.  Local scores come from a
-    ``CachedScorer``, which memoises them and shares Cholesky factor rows
-    between parent sets with a common prefix.  Cycle checks read a transitive
-    closure that an addition extends in place and a removal or reversal
-    recomputes.
+    as its stall phase of reversals does.  The scorer memoises local scores
+    and shares Cholesky factor rows between parent sets with a common prefix,
+    so searches that share it reuse each other's work.  Cycle checks read a
+    transitive closure that an addition extends in place and a removal or
+    reversal recomputes.
     """
-    m = cov.shape[0]
-    score = CachedScorer(cov.tolist(), n, ridge, metric).score
+    m = len(adj)
+    score = scorer.score
     present = adj != 0
     parents = [tuple(np.flatnonzero(present[:, v]).tolist()) for v in range(m)]
     ls = np.array([score(v, parents[v]) for v in range(m)])
@@ -318,7 +308,7 @@ def tabu_search_kernel(cov, n, adj, tabu_len, max_iter, max_parents, ridge, metr
         col = columns.get((v, pa))
         if col is None:
             base = ls[v]
-            room = max_parents < 0 or len(pa) < max_parents
+            room = max_parents is None or len(pa) < max_parents
             col = [-np.inf] * m
             for u in range(m):
                 if u in pa:

@@ -30,6 +30,7 @@ import numpy as np
 
 from . import fixtures
 from ._csv import csv_text, load_csv, number, read_rows, write_text
+from ._kernels import PENALTIES
 from .analytics import (
     Partition,
     betweenness,
@@ -528,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=int, default=100)
     p.add_argument("--max-parents", type=int, default=None)
     p.add_argument("--restarts", type=int, default=0)
-    p.add_argument("--metric", choices=("bic", "aic", "loglik"), default="bic")
+    p.add_argument("--metric", choices=tuple(PENALTIES), default="bic")
     p.set_defaults(func=cmd_learn)
 
     p = sub.add_parser("fit", help="fit parameters on a fixed structure")

@@ -2,9 +2,11 @@
 
 The default metric is the Gaussian BIC: per node, the maximized log-likelihood
 of the node given its parents minus ``(|parents| + 2) / 2 * ln n`` (the +2
-counts the intercept and residual variance).  The score decomposes over nodes,
+counts the intercept and residual variance); ``aic`` subtracts
+``|parents| + 2`` and ``loglik`` nothing.  The score decomposes over nodes,
 so a full-graph score is the sum of local terms and search moves only re-score
-the affected nodes.
+the affected nodes.  Every local score, here and in the search, comes from
+``_kernels.CachedScorer``; this module names nodes by item and checks them.
 """
 from __future__ import annotations
 
@@ -12,13 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
+from ._kernels import DEFAULT_RIDGE, CachedScorer
 from .dag import Dag
 from .errors import ValidationError
-
-METRICS = {"bic": 0, "aic": 1, "loglik": 2}
-
-DEFAULT_RIDGE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -56,20 +54,20 @@ def stats_from_matrix(rows: np.ndarray, items) -> SufficientStats:
     return SufficientStats(n=n, mean=mean, cov=centred.T @ centred / n, items=tuple(items))
 
 
-def local_score(node, parents, stats: SufficientStats, metric="bic", ridge=DEFAULT_RIDGE) -> float:
-    """Score contribution of one node given a parent set (larger is better)."""
+def _score(scorer: CachedScorer, node, parents, stats: SufficientStats) -> float:
+    """``scorer``'s local score of ``node`` under the named parents."""
     if node in parents:
         raise ValidationError(f"{node} cannot be its own parent")
     v = stats.index(node)
-    parent_idx = sorted(stats.index(p) for p in parents)
-    return float(
-        _kernels.local_score(stats.cov.tolist(), stats.n, v, parent_idx, ridge, METRICS[metric])
-    )
+    return float(scorer.score(v, tuple(sorted(stats.index(p) for p in parents))))
+
+
+def local_score(node, parents, stats: SufficientStats, metric="bic", ridge=DEFAULT_RIDGE) -> float:
+    """Score contribution of one node given a parent set (larger is better)."""
+    return _score(CachedScorer(stats.cov, stats.n, metric, ridge), node, parents, stats)
 
 
 def graph_score(dag: Dag, stats: SufficientStats, metric="bic", ridge=DEFAULT_RIDGE) -> float:
     """Sum of local scores over all nodes (decomposability)."""
-    return sum(
-        local_score(node, dag.parents(node), stats, metric=metric, ridge=ridge)
-        for node in dag.nodes
-    )
+    scorer = CachedScorer(stats.cov, stats.n, metric, ridge)
+    return sum(_score(scorer, node, dag.parents(node), stats) for node in dag.nodes)

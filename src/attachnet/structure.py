@@ -2,10 +2,11 @@
 
 ``tabu_search`` runs the add/remove/reverse local search
 (``_kernels.tabu_search_kernel``: one cached matrix of score deltas whose
-columns are kept per parent set, a reachability matrix for cycle checks, a
-per-search ``CachedScorer`` that memoises local scores and shares Cholesky
-factor rows between parent sets, and ``_kernels._pick_move``, which alone
-applies the admissibility, tabu, aspiration and tie rules).
+columns are kept per parent set, a reachability matrix for cycle checks, and
+``_kernels._pick_move``, which alone applies the admissibility, tabu,
+aspiration and tie rules).  One ``CachedScorer`` per set of sufficient
+statistics serves the search from the empty graph and every restart; it
+memoises local scores and shares Cholesky factor rows between parent sets.
 ``bootstrap_strengths`` repeats the search on resampled data and tallies how
 often each connection appears and in which direction; ``average_network``
 thresholds the tally into a consensus DAG.  Replicates run one after another
@@ -22,7 +23,7 @@ from . import _kernels
 from ._csv import csv_text
 from .dag import Dag, roots_and_terminals  # noqa: F401  (re-exported)
 from .errors import ValidationError
-from .score import METRICS, DEFAULT_RIDGE, SufficientStats, stats_from_matrix
+from .score import SufficientStats, stats_from_matrix
 
 
 @dataclass(frozen=True)
@@ -45,22 +46,8 @@ class SearchConfig:
             raise ValidationError("restarts must be >= 0")
         if not 0 <= self.seed < 2**64:
             raise ValidationError("seed must be a non-negative 64-bit integer")
-        if self.metric not in METRICS:
+        if self.metric not in _kernels.PENALTIES:
             raise ValidationError(f"unknown metric {self.metric!r}")
-
-
-def _run_kernel(stats: SufficientStats, cfg: SearchConfig, init_adj: np.ndarray):
-    max_parents = -1 if cfg.max_parents is None else cfg.max_parents
-    return _kernels.tabu_search_kernel(
-        stats.cov,
-        float(stats.n),
-        init_adj,
-        cfg.tabu_len,
-        cfg.max_iter,
-        max_parents,
-        DEFAULT_RIDGE,
-        METRICS[cfg.metric],
-    )
 
 
 def _random_dag_adjacency(
@@ -85,10 +72,15 @@ def _random_dag_adjacency(
 def _search(stats: SufficientStats, cfg: SearchConfig) -> np.ndarray:
     """The adjacency of ``tabu_search``'s DAG; bootstrap replicates use it as is."""
     m = len(stats.items)
-    best_adj, best_score = _run_kernel(stats, cfg, np.zeros((m, m), dtype=np.int8))
+    scorer = _kernels.CachedScorer(stats.cov, stats.n, cfg.metric)
+
+    def run(start):
+        return _kernels.tabu_search_kernel(scorer, start, cfg.tabu_len, cfg.max_iter, cfg.max_parents)
+
+    best_adj, best_score = run(np.zeros((m, m), dtype=np.int8))
     for restart in range(cfg.restarts):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x5EED, restart)))
-        adj, score = _run_kernel(stats, cfg, _random_dag_adjacency(m, rng, cfg.max_parents))
+        adj, score = run(_random_dag_adjacency(m, rng, cfg.max_parents))
         if score > best_score + 1e-9:
             best_adj, best_score = adj, score
     return best_adj

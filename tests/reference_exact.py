@@ -5,25 +5,25 @@ For every node v and every set S of other nodes it finds v's best parent set
 within S; then, for every set W of nodes, the best network on W, whose last
 node in some topological order (its sink) takes its best parents from the
 rest of W (Koivisto & Sood, JMLR 2004).  Every local score comes from the
-uncached ``_kernels.local_score``, so the optimum does not depend on the
-search's caches.  It is an oracle of truth for the tabu search, which can
+frozen ``reference_kernels.local_score``, so the optimum does not depend on
+the scorer under test.  It is an oracle of truth for the tabu search, which can
 only reach it or stop short of it: O(m 2^m) local scores, for small m.
 """
 import numpy as np
 
-from attachnet._kernels import local_score
+from reference_kernels import local_score
 
 
 def _members(mask):
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def exact_optimum(cov, n, ridge, metric, max_parents=-1):
+def exact_optimum(cov, n, ridge, metric, max_parents=None):
     """The best score over all DAGs on the covariance's columns and one DAG
     that reaches it, as ``(score, parents)`` with ``parents[v]`` a sorted
-    tuple.  ``max_parents < 0`` means no limit."""
+    tuple.  ``metric`` is the reference's integer code; ``max_parents`` None
+    means no limit."""
     m = cov.shape[0]
-    c = cov.tolist()
     full = (1 << m) - 1
     # best[v][s]: (score, parent set) of v's best parents within the set s
     best = []
@@ -34,8 +34,9 @@ def exact_optimum(cov, n, ridge, metric, max_parents=-1):
         # member is always already in the table
         for s in sorted(_subsets(others)):
             parents = _members(s)
-            if max_parents < 0 or len(parents) <= max_parents:
-                top = (local_score(c, n, v, parents, ridge, metric), parents)
+            if max_parents is None or len(parents) <= max_parents:
+                idx = np.array(parents, dtype=np.int64)
+                top = (local_score(cov, n, v, idx, ridge, metric), parents)
             else:
                 top = (-np.inf, ())
             for u in parents:

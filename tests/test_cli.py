@@ -119,6 +119,33 @@ def test_threads_default_to_one():
     assert parser.parse_args(["full-repro", "data.csv"]).threads == 1
 
 
+def test_metric_names_are_the_scorers_penalty_table(capsys):
+    """The CLI's ``--metric`` choices, the names ``SearchConfig`` accepts and
+    the scorer's penalty table are one set of names."""
+    from attachnet._kernels import PENALTIES, CachedScorer
+    from attachnet.errors import ValidationError
+    from attachnet.structure import SearchConfig
+
+    def accepts(make, name):
+        try:
+            make(name)
+        except (SystemExit, ValidationError):
+            return False
+        return True
+
+    parser = build_parser()
+    makers = {
+        "cli": lambda name: parser.parse_args(["learn", "data.csv", "--metric", name]),
+        "config": lambda name: SearchConfig(metric=name),
+        "scorer": lambda name: CachedScorer(np.eye(2), 10, name),
+    }
+    candidates = (*PENALTIES, "BIC", "bdeu", "")
+    assert list(PENALTIES) == ["bic", "aic", "loglik"]
+    for what, make in makers.items():
+        assert [name for name in candidates if accepts(make, name)] == list(PENALTIES), what
+    capsys.readouterr()  # argparse's usage errors
+
+
 def test_learn_zero_replicates_exits_2(tmp_path):
     src = survey_csv(tmp_path)
     assert main(["learn", str(src), "-R", "0"]) == 2

@@ -11,12 +11,13 @@ import itertools
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+import reference_kernels
 from attachnet import _kernels
-from attachnet.score import DEFAULT_RIDGE, METRICS
+from attachnet._kernels import DEFAULT_RIDGE, CachedScorer
 from attachnet.structure import _random_dag_adjacency
 from reference_exact import exact_optimum
 from reference_kernels import covariance_kernel
-from test_search_oracle import DEGENERACIES, simulated_rows
+from test_search_oracle import DEGENERACIES, METRIC_CODES, simulated_rows
 
 
 def _all_dags(m):
@@ -32,26 +33,29 @@ def _all_dags(m):
             yield adj
 
 
-def _graph_score(c, n, parents, metric):
-    return sum(_kernels.local_score(c, n, v, pa, DEFAULT_RIDGE, metric) for v, pa in enumerate(parents))
+def _graph_score(cov, n, parents, code):
+    """The frozen reference's score of a DAG, given as each node's parents."""
+    return sum(
+        reference_kernels.local_score(cov, n, v, np.array(pa, dtype=np.int64), DEFAULT_RIDGE, code)
+        for v, pa in enumerate(parents)
+    )
 
 
 def test_exact_optimum_is_the_best_of_every_four_node_dag():
     rng = np.random.default_rng(4)
     rows = simulated_rows(rng, 4, 120, "none")
     _, cov = covariance_kernel(rows)
-    c = cov.tolist()
     dags = list(_all_dags(4))
     assert len(dags) == 543
-    for metric in METRICS.values():
+    for code in METRIC_CODES.values():
         scores = [
-            _graph_score(c, 120.0, [tuple(np.flatnonzero(adj[:, v]).tolist()) for v in range(4)], metric)
+            _graph_score(cov, 120.0, [tuple(np.flatnonzero(adj[:, v]).tolist()) for v in range(4)], code)
             for adj in dags
         ]
-        score, parents = exact_optimum(cov, 120.0, DEFAULT_RIDGE, metric)
+        score, parents = exact_optimum(cov, 120.0, DEFAULT_RIDGE, code)
         # the log-likelihood ties every complete DAG up to rounding, so the
         # programme's DAG may sum its terms a last bit below the best one
-        assert max(scores) - 1e-9 <= _graph_score(c, 120.0, parents, metric) <= max(scores)
+        assert max(scores) - 1e-9 <= _graph_score(cov, 120.0, parents, code) <= max(scores)
         assert abs(score - max(scores)) <= 1e-9
 
 
@@ -60,8 +64,8 @@ def test_exact_optimum_is_the_best_of_every_four_node_dag():
     seed=st.integers(0, 2**32 - 1),
     m=st.integers(2, 8),
     degeneracy=st.sampled_from(DEGENERACIES),
-    metric=st.sampled_from(sorted(METRICS.values())),
-    max_parents=st.sampled_from([-1, 1, 2]),
+    metric=st.sampled_from(list(METRIC_CODES)),
+    max_parents=st.sampled_from([None, 1, 2]),
     start=st.sampled_from(["empty", "random"]),
 )
 def test_search_never_beats_the_exact_optimum(seed, m, degeneracy, metric, max_parents, start):
@@ -73,8 +77,8 @@ def test_search_never_beats_the_exact_optimum(seed, m, degeneracy, metric, max_p
     if start == "empty":
         init = np.zeros((m, m), dtype=np.int8)
     else:
-        init = _random_dag_adjacency(m, rng, None if max_parents < 0 else max_parents)
-    optimum, parents = exact_optimum(cov, n, DEFAULT_RIDGE, metric, max_parents)
-    assert max_parents < 0 or max(map(len, parents)) <= max_parents
-    _, score = _kernels.tabu_search_kernel(cov, n, init, 10, 100, max_parents, DEFAULT_RIDGE, metric)
+        init = _random_dag_adjacency(m, rng, max_parents)
+    optimum, parents = exact_optimum(cov, n, DEFAULT_RIDGE, METRIC_CODES[metric], max_parents)
+    assert max_parents is None or max(map(len, parents)) <= max_parents
+    _, score = _kernels.tabu_search_kernel(CachedScorer(cov, n, metric), init, 10, 100, max_parents)
     assert score <= optimum + 1e-9

@@ -28,9 +28,10 @@ import numpy as np
 import pytest
 
 from attachnet import fixtures
+from attachnet._kernels import CachedScorer, tabu_search_kernel
 from attachnet.params import simulate
 from attachnet.score import SufficientStats, graph_score, stats_from_matrix
-from attachnet.structure import SearchConfig, _random_dag_adjacency, _run_kernel, tabu_search
+from attachnet.structure import SearchConfig, _random_dag_adjacency, tabu_search
 
 GOLDEN = Path(__file__).parent / "golden" / "search"
 CORPUS_SEED, CORPUS_ROWS, SAMPLE_SIZE = 20210401, 16_000, 1000
@@ -61,7 +62,8 @@ def search(stats: SufficientStats, config: str):
     else:
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x5EED, 0)))
         start = _random_dag_adjacency(m, rng, cfg.max_parents)
-    adj, score = _run_kernel(stats, cfg, start)
+    scorer = CachedScorer(stats.cov, stats.n, cfg.metric)
+    adj, score = tabu_search_kernel(scorer, start, cfg.tabu_len, cfg.max_iter, cfg.max_parents)
     assert adj.dtype == np.int8
     arcs = [(stats.items[u], stats.items[v]) for u, v in zip(*np.nonzero(adj))]
     return sorted(arcs), float(score)

@@ -5,9 +5,10 @@ in ``reference_kernels.py``.
 The local score and the search must return identical values (``==``, not
 approximately) and the identical adjacency as the ndarray references, on clean
 data and on data whose covariance is singular, so that the ridge retry and the
-``-inf`` score of a failed factorization both take part.  The search's
-``CachedScorer``, which shares Cholesky factor rows between parent sets, is
-held to the same reference on its own.
+``-inf`` score of a failed factorization both take part.  ``CachedScorer`` is
+held to the reference both fresh, one parent set each, and shared across
+every parent set in a shuffled order, so that its factor rows come from
+prefixes factored for other sets.
 """
 import itertools
 import math
@@ -18,11 +19,15 @@ from hypothesis import given, settings, strategies as st
 
 import reference_kernels
 from attachnet import _kernels
-from attachnet.score import METRICS, DEFAULT_RIDGE, stats_from_matrix
+from attachnet._kernels import DEFAULT_RIDGE, PENALTIES, CachedScorer
+from attachnet.score import stats_from_matrix
 from attachnet.structure import _random_dag_adjacency
 from reference_kernels import covariance_kernel, tabu_search_kernel
 
 DEGENERACIES = ("none", "duplicated", "constant", "collinear", "scaled duplicate")
+
+# The frozen reference's integer code for each metric name.
+METRIC_CODES = {"bic": 0, "aic": 1, "loglik": 2}
 
 
 def simulated_rows(rng, m, n, degeneracy):
@@ -50,7 +55,7 @@ def simulated_rows(rng, m, n, degeneracy):
 CASES = [
     pytest.param(seed, m, max_parents, metric, start, id=f"{seed}-m{m}-p{max_parents}-{metric}-{start}")
     for seed, (m, max_parents, metric, start) in enumerate(
-        itertools.product((3, 5, 8, 12), (None, 1, 2), METRICS, ("empty", "random"))
+        itertools.product((3, 5, 8, 12), (None, 1, 2), PENALTIES, ("empty", "random"))
     )
 ]
 
@@ -67,22 +72,24 @@ def test_search_matches_reference_exactly(seed, m, max_parents, metric, start):
     else:
         init = _random_dag_adjacency(m, rng)
     limit = -1 if max_parents is None else max_parents
-    args = (10, 100, limit, DEFAULT_RIDGE, METRICS[metric])
-    ref_adj, ref_score = tabu_search_kernel(cov, n, init.copy(), *args)
-    adj, score = _kernels.tabu_search_kernel(cov, n, init.copy(), *args)
+    ref_adj, ref_score = tabu_search_kernel(
+        cov, n, init.copy(), 10, 100, limit, DEFAULT_RIDGE, METRIC_CODES[metric]
+    )
+    scorer = CachedScorer(cov, n, metric)
+    adj, score = _kernels.tabu_search_kernel(scorer, init.copy(), 10, 100, max_parents)
     assert np.array_equal(adj, ref_adj)
     assert score == ref_score
 
 
 @pytest.mark.parametrize("degeneracy", DEGENERACIES)
 def test_local_score_matches_frozen_reference(degeneracy):
-    """Every node, every parent set of up to 4 and every metric on 10 columns."""
+    """Every node, every parent set of up to 4 and every metric on 10 columns,
+    each scored by a fresh ``CachedScorer``, so that nothing is shared."""
     rng = np.random.default_rng(DEGENERACIES.index(degeneracy))
     m = 10
     rows = simulated_rows(rng, m, int(rng.integers(30, 400)), degeneracy)
     _, cov = covariance_kernel(rows)
     n = float(rows.shape[0])
-    c = cov.tolist()
     ridged = failed = 0
     for v in range(m):
         others = [u for u in range(m) if u != v]
@@ -92,9 +99,9 @@ def test_local_score_matches_frozen_reference(degeneracy):
             idx = np.array(parents, dtype=np.int64)
             if parents and not reference_kernels._chol_solve(cov[np.ix_(idx, idx)], cov[idx, v])[1]:
                 ridged += 1
-            for metric in METRICS.values():
-                got = _kernels.local_score(c, n, v, parents, DEFAULT_RIDGE, metric)
-                want = reference_kernels.local_score(cov, n, v, idx, DEFAULT_RIDGE, metric)
+            for metric, code in METRIC_CODES.items():
+                got = CachedScorer(cov, n, metric).score(v, parents)
+                want = reference_kernels.local_score(cov, n, v, idx, DEFAULT_RIDGE, code)
                 assert got == want or (np.isnan(got) and np.isnan(want)), (v, parents, metric)
                 failed += want == -np.inf
     if degeneracy == "constant":
@@ -146,11 +153,13 @@ def test_degenerate_data_reaches_ridge_and_failed_factorization():
     rows = simulated_rows(rng, 5, 100, "constant")
     _, cov = covariance_kernel(rows)
     # the constant column is a singular 1x1 parent block: only the ridge retry solves it
-    assert not _kernels._chol_solve(cov[:1, :1].tolist(), cov[:1, 2].tolist())[1]
-    assert np.isfinite(_kernels.local_score(cov.tolist(), 100.0, 2, (0,), DEFAULT_RIDGE, 0))
+    assert not reference_kernels._chol_solve(cov[:1, :1], cov[:1, 2])[1]
+    scorer = CachedScorer(cov, 100.0)
+    assert np.isfinite(scorer.score(2, (0,)))
+    assert scorer.trie[0][0] is None  # the factor row failed; the ridge retry scored it
     rows = simulated_rows(rng, 5, 100, "scaled duplicate")
     _, cov = covariance_kernel(rows)
-    assert _kernels.local_score(cov.tolist(), 100.0, 2, (0, 1), DEFAULT_RIDGE, 0) == -np.inf
+    assert CachedScorer(cov, 100.0).score(2, (0, 1)) == -np.inf
 
 
 @pytest.mark.parametrize("degeneracy", DEGENERACIES)
@@ -180,12 +189,12 @@ def _check_cached_scorer(cov, n, m, largest, order_seed):
     sets = [(v, parents) for v in range(m) for parents in _parent_sets(m, v, largest)]
     np.random.default_rng(order_seed).shuffle(sets)
     scorers = []
-    for metric in METRICS.values():
-        scorer = _kernels.CachedScorer(cov.tolist(), n, DEFAULT_RIDGE, metric)
+    for metric, code in METRIC_CODES.items():
+        scorer = CachedScorer(cov, n, metric)
         for v, parents in sets:
             got = scorer.score(v, parents)
             idx = np.array(parents, dtype=np.int64)
-            want = reference_kernels.local_score(cov, n, v, idx, DEFAULT_RIDGE, metric)
+            want = reference_kernels.local_score(cov, n, v, idx, DEFAULT_RIDGE, code)
             assert got == want or (np.isnan(got) and np.isnan(want)), (v, parents, metric)
         scorers.append(scorer)
     return scorers
@@ -232,8 +241,8 @@ def test_cached_scorer_reads_each_covariance_operand_as_the_reference():
 @pytest.mark.parametrize("degeneracy", ("constant", "scaled duplicate"))
 def test_cached_scorer_failing_prefix_takes_the_ridge_path(degeneracy):
     """A prefix that does not factorize is cached as a failure; every set
-    that starts with it takes the uncached path, ridge retry and -inf score
-    included, with the ridge on the whole parent block."""
+    that starts with it takes the uncached ridge retry, -inf score included,
+    with the ridge on the whole parent block."""
     rng = np.random.default_rng(5)
     m = 6
     rows = simulated_rows(rng, m, 100, degeneracy)

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from attachnet._kernels import DEFAULT_RIDGE, PENALTIES, CachedScorer, tabu_search_kernel
 from attachnet.dag import Dag
 from attachnet.errors import ValidationError
-from attachnet.score import DEFAULT_RIDGE, METRICS, graph_score, local_score, stats_from_matrix
+from attachnet.score import graph_score, local_score, stats_from_matrix
 from attachnet.structure import (
     ArcStrengthTable,
     SearchConfig,
     _random_dag_adjacency,
-    _run_kernel,
     average_network,
     bootstrap_strengths,
     stability_curve,
@@ -143,7 +143,7 @@ def test_random_start_respects_max_parents(seed, m, max_parents):
     seed=st.integers(0, 2**32 - 1),
     m=st.integers(2, 7),
     max_parents=st.one_of(st.none(), st.integers(0, 3)),
-    metric=st.sampled_from(sorted(METRICS)),
+    metric=st.sampled_from(sorted(PENALTIES)),
     random_start=st.booleans(),
 )
 def test_search_properties(seed, m, max_parents, metric, random_start):
@@ -156,7 +156,8 @@ def test_search_properties(seed, m, max_parents, metric, random_start):
         init = np.zeros((m, m), dtype=np.int8)
     start_score = graph_score(Dag.from_adjacency(items, init), stats, metric=metric)
     cfg = SearchConfig(max_parents=max_parents, metric=metric)
-    adj, score = _run_kernel(stats, cfg, init.copy())
+    scorer = CachedScorer(stats.cov, stats.n, metric)
+    adj, score = tabu_search_kernel(scorer, init.copy(), cfg.tabu_len, cfg.max_iter, max_parents)
     dag = Dag.from_adjacency(items, adj)  # raises unless acyclic
     assert score == pytest.approx(graph_score(dag, stats, metric=metric), rel=1e-12)
     assert score >= start_score - 1e-12 * abs(start_score)
@@ -346,7 +347,7 @@ def test_stability_curve_checks_every_setting_before_searching(rng, monkeypatch,
     def no_search(*args):
         raise AssertionError("a search ran before the settings were checked")
 
-    monkeypatch.setattr(structure, "_run_kernel", no_search)
+    monkeypatch.setattr(structure, "_search", no_search)
     table = make_table(rng.normal(size=(50, 3)), items=("a", "b", "c"))
     settings = {"epochs": [5], "repeats": 1, "sample_size": 20, **kwargs}
     with pytest.raises(ValidationError) as err:

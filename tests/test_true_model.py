@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 from attachnet import fixtures
+from attachnet._kernels import CachedScorer, tabu_search_kernel
 from attachnet.score import SufficientStats, graph_score
-from attachnet.structure import SearchConfig, _run_kernel, tabu_search
+from attachnet.structure import SearchConfig, tabu_search
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +54,11 @@ def v_structures(dag):
 def test_search_from_the_true_dag_keeps_it(truth):
     dag, sigma = truth
     stats = population_stats(dag, sigma, 16_000)
-    adj, score = _run_kernel(stats, SearchConfig(), dag.adjacency_matrix())
+    cfg = SearchConfig()
+    scorer = CachedScorer(stats.cov, stats.n, cfg.metric)
+    adj, score = tabu_search_kernel(
+        scorer, dag.adjacency_matrix(), cfg.tabu_len, cfg.max_iter, cfg.max_parents
+    )
     assert np.array_equal(adj, dag.adjacency_matrix())
     expected = graph_score(dag, stats)
     assert abs(score - expected) <= 1e-12 * abs(expected)
