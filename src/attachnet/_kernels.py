@@ -122,6 +122,8 @@ class CachedScorer:
     def __init__(self, cov, n, metric="bic", ridge=DEFAULT_RIDGE):
         if metric not in PENALTIES:
             raise ValidationError(f"unknown metric {metric!r}")
+        if not np.isfinite(cov).all():
+            raise ValidationError("covariance has non-finite entries")
         self.c = cov.tolist()
         self.n = n
         self.ridge = ridge

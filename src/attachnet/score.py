@@ -58,6 +58,11 @@ def _score(scorer: CachedScorer, node, parents, stats: SufficientStats) -> float
     """``scorer``'s local score of ``node`` under the named parents."""
     if node in parents:
         raise ValidationError(f"{node} cannot be its own parent")
+    seen = set()
+    for p in parents:
+        if p in seen:
+            raise ValidationError(f"repeated parent {p!r}")
+        seen.add(p)
     v = stats.index(node)
     return float(scorer.score(v, tuple(sorted(stats.index(p) for p in parents))))
 

@@ -171,3 +171,34 @@ def test_node_in_own_parents_rejected(rng):
     with pytest.raises(ValidationError):
         local_score("a", ("a",), stats)
 
+
+
+def test_repeated_parent_rejected(rng):
+    """A repeated parent names a singular block that the ridge retry would
+    score; it is an error instead."""
+    stats = stats_from_matrix(rng.normal(size=(50, 3)), ("a", "b", "c"))
+    with pytest.raises(ValidationError, match="^repeated parent 'b'$"):
+        local_score("a", ("b", "b"), stats)
+    with pytest.raises(ValidationError, match="^repeated parent 'c'$"):
+        local_score("a", ("c", "b", "c"), stats)
+
+
+@pytest.mark.parametrize("metric", ["BIC", "bdeu", ""])
+def test_unknown_metric_rejected(rng, metric):
+    stats = stats_from_matrix(rng.normal(size=(50, 2)), ("a", "b"))
+    message = f"^unknown metric {metric!r}$"
+    with pytest.raises(ValidationError, match=message):
+        local_score("a", ("b",), stats, metric=metric)
+    with pytest.raises(ValidationError, match=message):
+        graph_score(Dag(("a", "b"), {("b", "a")}), stats, metric=metric)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_covariance_rejected(rng, bad):
+    rows = rng.normal(size=(50, 3))
+    rows[7, 1] = bad
+    stats = stats_from_matrix(rows, ("a", "b", "c"))
+    with pytest.raises(ValidationError, match="^covariance has non-finite entries$"):
+        graph_score(Dag(("a", "b", "c"), {("a", "c")}), stats)
+    with pytest.raises(ValidationError, match="^covariance has non-finite entries$"):
+        local_score("c", ("a",), stats)

@@ -102,6 +102,19 @@ def test_search_beats_empty_graph(rng):
     assert graph_score(dag, stats) >= graph_score(empty, stats) - 1e-9
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_search_rejects_non_finite_covariance(rng, bad):
+    """One non-finite row makes every score delta NaN, which the move picker
+    would mask as inadmissible and return the empty graph; it fails instead."""
+    nodes = ("a", "b", "c")
+    rows = linear_system_rows(rng, nodes, 500)
+    rows[3, 0] = bad
+    stats = stats_from_matrix(rows, nodes)
+    for cfg in (SearchConfig(), SearchConfig(restarts=2)):
+        with pytest.raises(ValidationError, match="^covariance has non-finite entries$"):
+            tabu_search(stats, cfg)
+
+
 def test_search_is_deterministic(rng):
     rows = linear_system_rows(rng, ("a", "b", "c", "d"), 800)
     stats = stats_from_matrix(rows, ("a", "b", "c", "d"))
