@@ -109,16 +109,17 @@ def _load_model(args):
     return read_model(args.model)
 
 
-def _checked_epochs(args, stability: bool) -> list[int]:
-    """The ``--stability`` replicate counts (none unless ``stability``), once
-    they and every bootstrap, averaging and ``--threads`` flag are in range
-    and no ``--strengths`` file is asked of a stability sweep; called before
-    any input is read, so a bad flag fails before hours of work."""
+def _checked_epochs(args, stability: bool) -> list[int] | None:
+    """The ``--stability`` replicate counts (None unless ``stability``), once
+    there is at least one, they and every bootstrap, averaging and
+    ``--threads`` flag are in range and no ``--strengths`` file is asked of a
+    stability sweep; called before any input is read, so a bad flag fails
+    before hours of work."""
     if args.threads < 1:
         raise ValidationError("--threads must be >= 1")
     if stability and getattr(args, "strengths", None):
         raise ValidationError("--strengths cannot be combined with --stability")
-    epochs = _parse_int_list(args.stability) if stability else []
+    epochs = _parse_int_list(args.stability) if stability else None
     check_bootstrap_settings(
         replicates=args.replicates,
         sample_size=args.sample_size,
@@ -214,11 +215,11 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_learn(args) -> int:
-    epochs = _checked_epochs(args, bool(args.stability))
+    epochs = _checked_epochs(args, args.stability is not None)
     cfg = _search_config(args)
     table = _complete_items(args.input)
 
-    if args.stability:
+    if epochs:
         text = _stability_csv(table, epochs, cfg, args)
         if args.output:
             _write(args.output, text)

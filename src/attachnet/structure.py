@@ -149,18 +149,22 @@ def check_bootstrap_settings(
     sample_size: int = 2,
     threshold: float = 0.5,
     repeats: int = 1,
-    epochs=(),
+    epochs=None,
 ) -> None:
-    """ValidationError for the first setting out of range: a replicate count
-    (``replicates`` or any of the stability ``epochs``) below 1, a
-    ``sample_size`` below 2, a ``threshold`` outside (0, 1] or ``repeats``
-    below 1.
+    """ValidationError for the first setting out of range: stability
+    ``epochs`` that are empty, a replicate count (``replicates`` or any of the
+    ``epochs``) below 1, a ``sample_size`` below 2, a ``threshold`` outside
+    (0, 1] or ``repeats`` below 1.
 
     Every default is in range, so a caller checks only what it passes.
     ``bootstrap_strengths``, ``average_network`` and ``stability_curve`` check
     their own settings here, and the CLI checks its flags here before it
     reads any input.
     """
+    if epochs is None:
+        epochs = ()
+    elif len(epochs) == 0:
+        raise ValidationError("need at least one stability replicate count")
     for count in (replicates, *epochs):
         if count < 1:
             raise ValidationError(f"replicates must be >= 1, got {count}")

@@ -183,6 +183,21 @@ def test_bad_bootstrap_flag_exits_2_before_reading_input(tmp_path, capsys, comma
     assert not out.exists()  # not even full-repro's cohort.csv
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["learn", "--stability", ""], id="learn-empty"),
+    pytest.param(["learn", "--stability", ",,"], id="learn-commas"),
+    pytest.param(["full-repro", "--stability", ""], id="full-repro-empty"),
+    pytest.param(["full-repro", "--stability", ","], id="full-repro-comma"),
+])
+def test_empty_stability_list_exits_2_before_reading_input(tmp_path, capsys, monkeypatch, argv):
+    """An empty ``--stability`` list is an error, not a header-only table
+    and, for ``learn``, not a silent switch to the bootstrap."""
+    monkeypatch.chdir(tmp_path)
+    assert main([argv[0], str(tmp_path / "absent.csv"), *argv[1:]]) == 2
+    assert capsys.readouterr() == ("", "error: need at least one stability replicate count\n")
+    assert list(tmp_path.iterdir()) == []  # no model.json, no full-repro directory
+
+
 def test_learn_strengths_with_stability_exits_2_before_reading_input(tmp_path, capsys):
     strengths = tmp_path / "strengths.csv"
     argv = ["learn", str(tmp_path / "absent.csv"), "--stability", "3", "--strengths", str(strengths)]

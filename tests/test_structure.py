@@ -349,6 +349,7 @@ def test_stability_curve_single_epoch(rng):
 
 
 @pytest.mark.parametrize("kwargs,message", [
+    pytest.param({"epochs": ()}, "need at least one stability replicate count", id="no-epochs"),
     pytest.param({"epochs": [5, 0]}, "replicates must be >= 1, got 0", id="zero-epoch"),
     pytest.param({"repeats": 0}, "repeats must be >= 1, got 0", id="zero-repeats"),
     pytest.param({"sample_size": 1}, "sample_size must be >= 2, got 1", id="one-row-samples"),
