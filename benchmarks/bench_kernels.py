@@ -11,6 +11,12 @@ identical learned graph and score.
 The structure search dominates bootstrap runtime, so its figure decides
 whether a 3000-replicate run takes minutes or days.
 
+The closure-upkeep row replays one seeded sequence of random admissible
+moves (add, remove, reverse) on 36 nodes.  It times the search's path counts,
+one ``_count_arc`` outer product per arc added or taken away, against
+recomputing the closure ``_reachability`` after every move; the script fails
+unless the nonzero path counts equal the closure after every move.
+
 The cycle-repair row times ``average_network`` on a fixed batch of random
 bootstrap tallies against the Tarjan-component repair in
 ``tests/reference_structure.py``; the script fails on any difference in the
@@ -86,6 +92,7 @@ from reference_kernels import covariance_kernel, tabu_search_kernel  # noqa: E40
 EXPORT_ROWS, EXPORT_ITEMS = 40_000, 36
 REPAIR_TABLES, REPAIR_ITEMS = 200, 12
 SCORE_NODES = 12
+UPKEEP_NODES, UPKEEP_MOVES = 36, 400
 
 
 def synthetic_problem(nodes: int, rows: int, seed: int = 7):
@@ -192,6 +199,7 @@ def main() -> None:
               f"   {int(adj.sum())} arcs, score {score:.6f} (identical)")
 
     bench_local_score(args.rows, args.seed, args.repeats)
+    bench_upkeep(args.seed, args.repeats)
     bench_repair(args.seed, args.repeats)
     cohort = bench_ingest(args.seed, args.repeats)
     bench_fit(cohort, args.repeats)
@@ -229,6 +237,66 @@ def bench_local_score(rows: int, seed: int, repeats: int) -> None:
         sys.exit("error: local_score and its reference disagree")
     print(f"{'local score':<22} {t_new * 1e3:>10.2f}ms {t_ref * 1e3:>10.2f}ms {t_ref / t_new:>8.1f}x"
           f"   {len(cases)} parent sets of {SCORE_NODES} nodes (identical)")
+
+
+def random_moves(rng, m: int, count: int):
+    """``count`` moves drawn uniformly from the admissible adds, removals and
+    reversals of a DAG growing from the empty graph, found from its closure."""
+    adj = np.zeros((m, m))
+    moves = []
+    for _ in range(count):
+        present = adj != 0
+        reach = _kernels._reachability(adj)
+        options = {
+            _kernels.ADD: ~present & ~present.T & ~reach.T & ~np.eye(m, dtype=bool),
+            _kernels.REMOVE: present,
+            _kernels.REVERSE: present & ~(present.astype(np.float64) @ reach > 0),
+        }
+        cells = [(kind, u, v) for kind, ok in options.items() for u, v in zip(*np.nonzero(ok))]
+        kind, u, v = cells[rng.integers(len(cells))]
+        adj[u, v] = kind == _kernels.ADD
+        if kind == _kernels.REVERSE:
+            adj[v, u] = 1.0
+        moves.append((kind, int(u), int(v)))
+    return moves
+
+
+def bench_upkeep(seed: int, repeats: int) -> None:
+    """The closure after every move of one random move sequence: from the
+    search's path counts, and recomputed."""
+    m = UPKEEP_NODES
+    moves = random_moves(np.random.default_rng(seed), m, UPKEEP_MOVES)
+
+    def counted():
+        paths = _kernels._path_counts(np.zeros((m, m), dtype=bool))
+        closures = []
+        for kind, u, v in moves:
+            if kind == _kernels.ADD:
+                _kernels._count_arc(paths, u, v, 1)
+            else:
+                _kernels._count_arc(paths, u, v, -1)
+                if kind == _kernels.REVERSE:
+                    _kernels._count_arc(paths, v, u, 1)
+            closures.append(paths != 0)
+        return closures
+
+    def recomputed():
+        adj = np.zeros((m, m))
+        closures = []
+        for kind, u, v in moves:
+            adj[u, v] = kind == _kernels.ADD
+            if kind == _kernels.REVERSE:
+                adj[v, u] = 1.0
+            closures.append(_kernels._reachability(adj))
+        return closures
+
+    t_new, closures = time_fn(counted, repeats=repeats)
+    t_ref, ref_closures = time_fn(recomputed, repeats=repeats)
+    if not all(np.array_equal(a, b) for a, b in zip(closures, ref_closures)):
+        sys.exit("error: the path counts and the recomputed closure disagree")
+    arcs = int(ref_closures[-1].sum())
+    print(f"{'closure upkeep':<22} {t_new * 1e3:>10.2f}ms {t_ref * 1e3:>10.2f}ms {t_ref / t_new:>8.1f}x"
+          f"   {UPKEEP_MOVES} moves on {m} nodes, {arcs} reachable pairs at the end (identical)")
 
 
 def random_strengths(rng, m: int) -> structure.ArcStrengthTable:

@@ -13,11 +13,15 @@ so a score does not depend on the order in which the caches filled.
 
 The tabu search spends its time in the scorer and in ``_pick_move``, which
 chooses each move from one cached matrix of score deltas with whole-matrix
-numpy operations on the adjacency and its closure, ``_reachability``; the
-closure also finds the arcs on cycles for ``structure.average_network``.  The
-search keeps a node's column of score deltas per parent set.
-``benchmarks/bench_kernels.py`` times the scoring and the search against the
-references kept under ``tests/``.
+numpy operations on the adjacency and the number of directed paths between
+each pair of nodes: no path v -> u admits an arc u -> v, and a single path
+u -> v, the arc itself, admits its reversal.  Each arc change updates the
+counts by one outer product.  The scorer fills a node's column of score
+deltas in one call and keeps it per parent set.  The closure,
+``_reachability``, finds the arcs on cycles for ``structure.average_network``,
+whose graph may have cycles and so no finite path counts.
+``benchmarks/bench_kernels.py`` times the scoring, the path counts and the
+search against the references kept under ``tests/``.
 """
 from __future__ import annotations
 
@@ -129,22 +133,56 @@ class CachedScorer:
         self.ridge = ridge
         self.penalty = [PENALTIES[metric](n, p + 2) for p in range(len(self.c))]
         self.memo = {}
+        self.columns = {}
         self.trie = {}  # parent index -> (factor row, forward entries by v, children)
 
     def score(self, v, parents):
         """Local score of node v under a sorted tuple of distinct parents."""
-        key = (v, parents)
-        s = self.memo.get(key)
+        s = self.memo.get((v, parents))
         if s is None:
-            var = self._variance(v, parents)
-            if var is None:  # a failing prefix: retry with the ridge
-                var = self._ridge_variance(v, parents)
-            if var is None:
-                s = -np.inf
-            else:
-                s = _log_likelihood(self.n, var) - self.penalty[len(parents)]
-            self.memo[key] = s
+            s = self._fresh(v, parents)
         return s
+
+    def _fresh(self, v, parents):
+        """Score v under the parents and memoise it."""
+        var = self._variance(v, parents)
+        if var is None:  # a failing prefix: retry with the ridge
+            var = self._ridge_variance(v, parents)
+        if var is None:
+            s = -np.inf
+        else:
+            s = _log_likelihood(self.n, var) - self.penalty[len(parents)]
+        self.memo[v, parents] = s
+        return s
+
+    def column(self, v, parents, room):
+        """Array of the change of v's local score when u leaves the sorted
+        parent tuple, for each parent u, or joins it, for every other u != v
+        when ``room``; -inf for the moves that are not possible.  Columns are
+        kept per (v, parents, room); the caller must not modify one."""
+        key = (v, parents, room)
+        col = self.columns.get(key)
+        if col is not None:
+            return col
+        memo = self.memo
+        base = self.score(v, parents)
+        m = len(self.c)
+        col = [-np.inf] * m
+        for i, u in enumerate(parents):
+            fewer = parents[:i] + parents[i + 1 :]
+            s = memo.get((v, fewer))
+            col[u] = (self._fresh(v, fewer) if s is None else s) - base
+        if room:
+            i = 0  # where u goes in the parent tuple
+            for u in range(m):
+                if i < len(parents) and parents[i] == u:
+                    i += 1
+                elif u != v:
+                    more = parents[:i] + (u,) + parents[i:]
+                    s = memo.get((v, more))
+                    col[u] = (self._fresh(v, more) if s is None else s) - base
+        col = self.columns[key] = np.array(col)
+        return col
 
     def _variance(self, v, parents):
         """Residual variance of v on the parents from the shared factor rows,
@@ -217,17 +255,31 @@ def _reachability(a):
         reach = nxt
 
 
-def _add_arc_reach(reach, u, v):
-    """Update the closure ``reach`` in place for a new arc u -> v that closes
-    no cycle: u and its ancestors now reach v and its descendants."""
-    src = reach[:, u].copy()
-    src[u] = True
-    dst = reach[v].copy()
-    dst[v] = True
-    reach |= src[:, None] & dst
+def _count_arc(paths, u, v, sign):
+    """Add (``sign`` 1) or take away (-1) the arc u -> v in the path counts
+    ``paths`` of a DAG, in place: ``paths[x, y]`` counts the directed paths
+    from x to y, and the paths through the arc are those from u's ancestors
+    and u to v and its descendants.  Neither ``paths[:, u]`` nor ``paths[v]``
+    runs through the arc, which would close a cycle."""
+    src = sign * paths[:, u]
+    src[u] = sign
+    dst = paths[v].copy()
+    dst[v] = 1
+    paths += src[:, None] * dst
 
 
-def _pick_move(d, present, reach, tabu, current, best):
+def _path_counts(present):
+    """The directed paths between each pair of nodes of the DAG ``present``,
+    counted by adding its arcs one at a time: int64 up to 64 nodes, where a
+    count is at most 2**62, and Python ints above."""
+    m = len(present)
+    paths = np.zeros((m, m), dtype=np.int64 if m <= 64 else object)
+    for u, v in zip(*np.nonzero(present)):
+        _count_arc(paths, u, v, 1)
+    return paths
+
+
+def _pick_move(d, present, paths, tabu, current, best):
     """The search's next move as ``(kind, u, v)``, or None when every move is
     tabu or inadmissible.
 
@@ -240,12 +292,12 @@ def _pick_move(d, present, reach, tabu, current, best):
     """
     m = len(d)
     deltas = np.empty((m, m, 2))
-    # add u -> v needs no path v -> u, which also rules out an arc v -> u; an
-    # arc u -> v never has one, so its removal passes the same test.  Reverse
+    # ``paths`` counts the directed paths between each pair of nodes.  Add
+    # u -> v needs no path v -> u, which also rules out an arc v -> u; an arc
+    # u -> v never has one, so its removal passes the same test.  Reverse
     # u -> v needs no u -> v path other than the arc itself.
-    deltas[..., 0] = np.where(reach.T, -np.inf, d)
-    reversible = present & ~(np.matmul(present, reach, dtype=np.float64) > 0)
-    deltas[..., 1] = np.where(reversible, d + d.T, -np.inf)
+    deltas[..., 0] = np.where(paths.T == 0, d, -np.inf)
+    deltas[..., 1] = np.where(present & (paths == 1), d + d.T, -np.inf)
     deltas = deltas.reshape(-1)  # (from, to, kind) scan order
     deltas[np.isnan(deltas)] = -np.inf
     for kind, u, v in tabu:
@@ -286,51 +338,38 @@ def tabu_search_kernel(scorer, adj, tabu_len, max_iter, max_parents):
 
     The search is incremental.  ``d[u, v]`` caches the change of ``ls[v]``
     when u joins or leaves v's parents, so a move only re-scores the column of
-    the one or two nodes whose parent set changed.  A column depends only on
-    v's parent tuple, which each move updates in place, so columns are kept
-    per (node, parent set) and reused when the search returns to a parent set,
-    as its stall phase of reversals does.  The scorer memoises local scores
-    and shares Cholesky factor rows between parent sets with a common prefix,
-    so searches that share it reuse each other's work.  Cycle checks read a
-    transitive closure that an addition extends in place and a removal or
-    reversal recomputes.
+    the one or two nodes whose parent set changed, with one ``scorer.column``
+    call each.  The scorer keeps columns per (node, parent set) and reuses
+    them when the search returns to a parent set, as its stall phase of
+    reversals does; it memoises local scores and shares Cholesky factor rows
+    between parent sets with a common prefix, so searches that share it reuse
+    each other's work.  Cycle checks read ``paths``, the number of directed
+    paths between each pair of nodes (``_path_counts``), which each arc
+    change updates by one outer product (``_count_arc``).
     """
     m = len(adj)
-    score = scorer.score
     present = adj != 0
     parents = [tuple(np.flatnonzero(present[:, v]).tolist()) for v in range(m)]
-    ls = np.array([score(v, parents[v]) for v in range(m)])
+    ls = np.array([scorer.score(v, parents[v]) for v in range(m)])
     # -inf marks a move that is never taken: u is v, or u is not a parent
     # and v has no room for one.
     d = np.full((m, m), -np.inf)
-    columns = {}
 
     def refresh(v):
         pa = parents[v]
-        col = columns.get((v, pa))
-        if col is None:
-            base = ls[v]
-            room = max_parents is None or len(pa) < max_parents
-            col = [-np.inf] * m
-            for u in range(m):
-                if u in pa:
-                    col[u] = score(v, _without(pa, u)) - base
-                elif room and u != v:
-                    col[u] = score(v, _with(pa, u)) - base
-            col = columns[v, pa] = np.array(col)
-        d[:, v] = col
+        d[:, v] = scorer.column(v, pa, max_parents is None or len(pa) < max_parents)
 
     for v in range(m):
         refresh(v)
 
+    paths = _path_counts(present)
     current = ls.sum()
     best = current
     best_adj = adj.copy()
     tabu = deque(maxlen=tabu_len)
     stall = 0
-    reach = _reachability(present.astype(np.float64))
     while stall <= max_iter:
-        move = _pick_move(d, present, reach, tabu, current, best)
+        move = _pick_move(d, present, paths, tabu, current, best)
         if move is None:
             break  # every move tabu or inadmissible
         kind, u, v = move
@@ -338,18 +377,19 @@ def tabu_search_kernel(scorer, adj, tabu_len, max_iter, max_parents):
         if kind == ADD:
             parents[v] = _with(parents[v], u)
             tabu.append((REMOVE, u, v))
-            _add_arc_reach(reach, u, v)
+            _count_arc(paths, u, v, 1)
         else:
             parents[v] = _without(parents[v], u)
+            _count_arc(paths, u, v, -1)
             if kind == REVERSE:
                 present[v, u] = True
                 parents[u] = _with(parents[u], v)
                 tabu.append((REVERSE, v, u))
+                _count_arc(paths, v, u, 1)
             else:
                 tabu.append((ADD, u, v))
-            reach = _reachability(present.astype(np.float64))
         for w in (v, u) if kind == REVERSE else (v,):
-            ls[w] = score(w, parents[w])
+            ls[w] = scorer.score(w, parents[w])
             refresh(w)
         current = ls.sum()  # re-sum instead of accumulating deltas
         if current > best + 1e-9:

@@ -2,11 +2,12 @@
 
 ``tabu_search`` runs the add/remove/reverse local search
 (``_kernels.tabu_search_kernel``: one cached matrix of score deltas whose
-columns are kept per parent set, a reachability matrix for cycle checks, and
-``_kernels._pick_move``, which alone applies the admissibility, tabu,
-aspiration and tie rules).  One ``CachedScorer`` per set of sufficient
-statistics serves the search from the empty graph and every restart; it
-memoises local scores and shares Cholesky factor rows between parent sets.
+columns the scorer keeps per parent set, a matrix of path counts between
+nodes for cycle checks, and ``_kernels._pick_move``, which alone applies the
+admissibility, tabu, aspiration and tie rules).  One ``CachedScorer`` per set
+of sufficient statistics serves the search from the empty graph and every
+restart; it memoises local scores and delta columns and shares Cholesky
+factor rows between parent sets.
 ``bootstrap_strengths`` repeats the search on resampled data and tallies how
 often each connection appears and in which direction; ``average_network``
 thresholds the tally into a consensus DAG.  Replicates run one after another
@@ -249,7 +250,7 @@ def _repair_cycles(items, arcs) -> Dag:
     """Drop the weakest arc on a cycle, with a warning, until none is left.
 
     An arc u -> v lies on a cycle exactly when v reaches u, which the
-    search's reachability matrix of the remaining arcs answers.
+    closure ``_kernels._reachability`` of the remaining arcs answers.
     """
     index = {item: i for i, item in enumerate(items)}
     arc_set = {(u, v): (s, d) for u, v, s, d in arcs}

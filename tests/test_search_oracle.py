@@ -1,6 +1,6 @@
 """Oracle tests: the list-based local score, the incremental search, its
-reachability updates and the matmul covariance against the reference kernels
-in ``reference_kernels.py``.
+path-count upkeep and the matmul covariance against the reference kernels
+in ``reference_kernels.py`` and a depth-first path count.
 
 The local score and the search must return identical values (``==``, not
 approximately) and the identical adjacency as the ndarray references, on clean
@@ -81,6 +81,25 @@ def test_search_matches_reference_exactly(seed, m, max_parents, metric, start):
     assert score == ref_score
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_shared_scorer_matches_fresh_scorers(seed):
+    """One scorer serving searches with different parent limits, from the
+    empty graph and from random DAGs, gives each the graph and score a fresh
+    scorer gives: its delta columns are kept per parent limit too."""
+    rng = np.random.default_rng(200 + seed)
+    m = 8
+    rows = simulated_rows(rng, m, 200, DEGENERACIES[seed])
+    _, cov = covariance_kernel(rows)
+    shared = CachedScorer(cov, 200.0)
+    for max_parents in (None, 1, 2, None, 1):
+        init = np.zeros((m, m), dtype=np.int8)
+        if rng.random() < 0.5:
+            init = _random_dag_adjacency(m, rng, max_parents)
+        adj, score = _kernels.tabu_search_kernel(shared, init.copy(), 10, 100, max_parents)
+        fresh = _kernels.tabu_search_kernel(CachedScorer(cov, 200.0), init.copy(), 10, 100, max_parents)
+        assert np.array_equal(adj, fresh[0]) and score == fresh[1]
+
+
 @pytest.mark.parametrize("degeneracy", DEGENERACIES)
 def test_local_score_matches_frozen_reference(degeneracy):
     """Every node, every parent set of up to 4 and every metric on 10 columns,
@@ -125,27 +144,87 @@ def _admissible_moves(adj, reach):
     return moves
 
 
+def _dfs_path_counts(adj):
+    """``counts[x][y]``, the directed paths from x to y, by depth-first search:
+    each is an arc x -> c followed by nothing (c is y) or by a path c -> y."""
+    m = len(adj)
+    children = [np.flatnonzero(adj[x]).tolist() for x in range(m)]
+    memo = {}
+
+    def paths_from(x):
+        if x not in memo:
+            row = [0] * m
+            for c in children[x]:
+                row[c] += 1
+                for y, k in enumerate(paths_from(c)):
+                    row[y] += k
+            memo[x] = row
+        return memo[x]
+
+    return [paths_from(x) for x in range(m)]
+
+
+def _apply_move(adj, paths, kind, u, v):
+    """Make the move on ``adj`` and update ``paths`` as the search does."""
+    if kind == _kernels.ADD:
+        adj[u, v] = 1
+        _kernels._count_arc(paths, u, v, 1)
+    else:
+        adj[u, v] = 0
+        _kernels._count_arc(paths, u, v, -1)
+        if kind == _kernels.REVERSE:
+            adj[v, u] = 1
+            _kernels._count_arc(paths, v, u, 1)
+
+
+def _check_path_counts(adj, paths):
+    """The counts are the DFS counts; nonzero where the closure is true; one
+    on exactly the arcs that the old closure test, ``present @ reach``, found
+    reversible."""
+    present = adj != 0
+    reach = _kernels._reachability(adj.astype(np.float64))
+    assert paths.tolist() == _dfs_path_counts(adj)
+    assert np.array_equal(paths != 0, reach)
+    closure_reversible = present & ~(np.matmul(present, reach, dtype=np.float64) > 0)
+    assert np.array_equal(present & (paths == 1), closure_reversible)
+    return reach
+
+
 @settings(max_examples=150, deadline=None, database=None, derandomize=True)
 @given(data=st.data(), m=st.integers(2, 12), start=st.sampled_from(["empty", "random"]))
 def test_incremental_reachability_matches_closure(data, m, start):
-    """The search's closure upkeep: extend in place after an addition,
-    recompute after a removal or a reversal."""
+    """The search's path-count upkeep after every random admissible move: one
+    outer product per arc added or taken away, starting from the counts of
+    the start graph added arc by arc."""
     if start == "empty":
         adj = np.zeros((m, m), dtype=np.int8)
     else:
         adj = _random_dag_adjacency(m, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
-    reach = _kernels._reachability(adj.astype(np.float64))
+    paths = _kernels._path_counts(adj != 0)
+    assert paths.dtype == np.int64
+    reach = _check_path_counts(adj, paths)
     for _ in range(data.draw(st.integers(1, 30))):
         kind, u, v = data.draw(st.sampled_from(_admissible_moves(adj, reach)))
-        if kind == _kernels.ADD:
-            adj[u, v] = 1
-            _kernels._add_arc_reach(reach, u, v)
-        else:
-            adj[u, v] = 0
-            if kind == _kernels.REVERSE:
-                adj[v, u] = 1
-            reach = _kernels._reachability(adj.astype(np.float64))
-        assert np.array_equal(reach, _kernels._reachability(adj.astype(np.float64)))
+        _apply_move(adj, paths, kind, u, v)
+        reach = _check_path_counts(adj, paths)
+
+
+def test_path_counts_past_int64_use_python_ints():
+    """On 70 nodes the counts are Python ints: the complete DAG has 2**68
+    paths from its first node to its last, more than int64 holds."""
+    m = 70
+    adj = np.triu(np.ones((m, m), dtype=np.int8), 1)
+    paths = _kernels._path_counts(adj != 0)
+    assert paths.dtype == object
+    assert paths[0, m - 1] == 2**68 and type(paths[0, m - 1]) is int
+    reach = _check_path_counts(adj, paths)
+    rng = np.random.default_rng(70)
+    for _ in range(12):
+        moves = _admissible_moves(adj, reach)
+        kind, u, v = moves[rng.integers(len(moves))]
+        _apply_move(adj, paths, kind, u, v)
+        reach = _check_path_counts(adj, paths)
+    assert paths.max() > 2**63  # still past int64 after the moves
 
 
 def test_degenerate_data_reaches_ridge_and_failed_factorization():
