@@ -15,6 +15,7 @@ on independent seed streams derived from ``(seed, replicate)``.
 """
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 
@@ -29,6 +30,9 @@ from .score import SufficientStats, stats_from_matrix
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """Search settings.  The counts and the seed must be integers; numpy
+    integers are stored as ints."""
+
     tabu_len: int = 10
     max_iter: int = 100
     max_parents: int | None = None
@@ -37,6 +41,13 @@ class SearchConfig:
     metric: str = "bic"
 
     def __post_init__(self):
+        for name in ("tabu_len", "max_iter", "max_parents", "restarts", "seed"):
+            value = getattr(self, name)
+            if name == "max_parents" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # numpy integers become ints
         if self.tabu_len < 1:
             raise ValidationError("tabu_len must be >= 1")
         if self.max_iter < 1:

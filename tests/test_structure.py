@@ -63,6 +63,25 @@ def test_config_validation():
     assert SearchConfig(max_parents=0).max_parents == 0
 
 
+@pytest.mark.parametrize("field", ["tabu_len", "max_iter", "max_parents", "restarts", "seed"])
+@pytest.mark.parametrize("value", [2.5, 2.0, True, False, np.float64(3.0), "3", np.bool_(True)])
+def test_config_rejects_non_integer_settings(field, value):
+    """Floats, integral ones included, bools and strings fail at once with
+    the field's name, not later inside ``deque``, ``range`` or numpy."""
+    with pytest.raises(ValidationError, match=f"^{field} must be an integer, got "):
+        SearchConfig(**{field: value})
+
+
+def test_config_accepts_numpy_integers():
+    cfg = SearchConfig(tabu_len=np.int64(3), max_iter=np.int32(5), max_parents=np.uint8(2),
+                       restarts=np.int16(1), seed=np.uint64(2**63))
+    assert cfg == SearchConfig(3, 5, 2, 1, 2**63)
+    assert all(type(getattr(cfg, f)) is int for f in ("tabu_len", "max_iter", "max_parents",
+                                                      "restarts", "seed"))
+    stats = stats_from_matrix(np.random.default_rng(0).normal(size=(50, 3)), ("a", "b", "c"))
+    assert tabu_search(stats, cfg) == tabu_search(stats, SearchConfig(3, 5, 2, 1, 2**63))
+
+
 def test_two_correlated_items_get_one_arc(rng):
     x = rng.normal(size=1000)
     y = 0.9 * x + rng.normal(scale=np.sqrt(1 - 0.81), size=1000)
