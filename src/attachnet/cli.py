@@ -8,7 +8,8 @@ communities/centralities/coupling, ``influence`` reports path products, and
 bundled reference model; ``full-repro`` chains everything on a raw corpus
 download (hours of compute at the reference replicate counts).
 
-Exit codes: 0 success, 1 I/O failure, 2 invalid inputs or flags.
+Exit codes: 0 success, 1 I/O failure, 2 invalid inputs or flags.  Library
+warnings print on stderr as one ``warning: <message>`` line each.
 
 Examples::
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -612,13 +614,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if hasattr(args, "seed") and args.seed is None:
-            args.seed = _default_seed()
-        return args.func(args)
+        # library warnings print as one line each; the caller's filters apply
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            if hasattr(args, "seed") and args.seed is None:
+                args.seed = _default_seed()
+            return args.func(args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -181,6 +182,35 @@ def test_bad_bootstrap_flag_exits_2_before_reading_input(tmp_path, capsys, comma
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not out.exists()  # not even full-repro's cohort.csv
+
+
+def test_learn_prints_library_warnings_as_one_line_each(tmp_path, capsys):
+    """Averaging warnings reach stderr as ``warning: <message>``, without
+    Python's source path, line number, category or source line."""
+    src = survey_csv(tmp_path)
+    assert main(["learn", str(src), "-R", "2", "-m", "40", "--seed", "1",
+                 "-o", str(tmp_path / "model.json")]) == 0
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "warning: pair Q01-Q03 has no majority direction; left undirected",
+        "warning: pair Q02-Q05 has no majority direction; left undirected",
+        "warning: pair Q04-Q05 has no majority direction; left undirected",
+        "warning: dropped arc Q02->Q04 (strength*direction 0.5) to break a cycle",
+    ]
+    assert "UserWarning" not in err and ".py:" not in err
+
+
+def test_cli_keeps_the_callers_warning_filters(tmp_path, capsys):
+    """A caller that ignores warnings sees none, and gets its own
+    ``showwarning`` back."""
+    src = survey_csv(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        shown = warnings.showwarning
+        assert main(["learn", str(src), "-R", "2", "-m", "40", "--seed", "1",
+                     "-o", str(tmp_path / "model.json")]) == 0
+        assert warnings.showwarning is shown
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("argv", [
@@ -757,8 +787,6 @@ def test_compare_pca_and_ellipse(tmp_path, capsys):
 def test_full_repro_chain_on_synthetic_corpus(tmp_path, capsys):
     # simulate a small 36-item corpus from the reference model, then run the
     # whole chained pipeline at toy replicate counts
-    import warnings
-
     from attachnet import fixtures
     from attachnet.params import simulate
 
