@@ -13,7 +13,7 @@ whether a 3000-replicate run takes minutes or days.
 
 The closure-upkeep row replays one seeded sequence of random admissible
 moves (add, remove, reverse) on 36 nodes.  It times the search's path counts,
-one ``_count_arc`` outer product per arc added or taken away, against
+one outer product per arc added or taken away (``_count_move``), against
 recomputing the closure ``_reachability`` after every move; the script fails
 unless the nonzero path counts equal the closure after every move.
 
@@ -270,13 +270,8 @@ def bench_upkeep(seed: int, repeats: int) -> None:
     def counted():
         paths = _kernels._path_counts(np.zeros((m, m), dtype=bool))
         closures = []
-        for kind, u, v in moves:
-            if kind == _kernels.ADD:
-                _kernels._count_arc(paths, u, v, 1)
-            else:
-                _kernels._count_arc(paths, u, v, -1)
-                if kind == _kernels.REVERSE:
-                    _kernels._count_arc(paths, v, u, 1)
+        for move in moves:
+            _kernels._count_move(paths, *move)
             closures.append(paths != 0)
         return closures
 

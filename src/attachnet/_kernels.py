@@ -268,6 +268,14 @@ def _count_arc(paths, u, v, sign):
     paths += src[:, None] * dst
 
 
+def _count_move(paths, kind, u, v):
+    """Update the path counts for the move ``(kind, u, v)``: add or remove
+    the arc u -> v, or reverse it."""
+    _count_arc(paths, u, v, 1 if kind == ADD else -1)
+    if kind == REVERSE:
+        _count_arc(paths, v, u, 1)
+
+
 def _path_counts(present):
     """The directed paths between each pair of nodes of the DAG ``present``,
     counted by adding its arcs one at a time: int64 up to 64 nodes, where a
@@ -345,7 +353,7 @@ def tabu_search_kernel(scorer, adj, tabu_len, max_iter, max_parents):
     between parent sets with a common prefix, so searches that share it reuse
     each other's work.  Cycle checks read ``paths``, the number of directed
     paths between each pair of nodes (``_path_counts``), which each arc
-    change updates by one outer product (``_count_arc``).
+    added or taken away updates by one outer product (``_count_move``).
     """
     m = len(adj)
     present = adj != 0
@@ -374,18 +382,16 @@ def tabu_search_kernel(scorer, adj, tabu_len, max_iter, max_parents):
             break  # every move tabu or inadmissible
         kind, u, v = move
         present[u, v] = kind == ADD
+        _count_move(paths, kind, u, v)
         if kind == ADD:
             parents[v] = _with(parents[v], u)
             tabu.append((REMOVE, u, v))
-            _count_arc(paths, u, v, 1)
         else:
             parents[v] = _without(parents[v], u)
-            _count_arc(paths, u, v, -1)
             if kind == REVERSE:
                 present[v, u] = True
                 parents[u] = _with(parents[u], v)
                 tabu.append((REVERSE, v, u))
-                _count_arc(paths, v, u, 1)
             else:
                 tabu.append((ADD, u, v))
         for w in (v, u) if kind == REVERSE else (v,):

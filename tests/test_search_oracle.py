@@ -166,15 +166,10 @@ def _dfs_path_counts(adj):
 
 def _apply_move(adj, paths, kind, u, v):
     """Make the move on ``adj`` and update ``paths`` as the search does."""
-    if kind == _kernels.ADD:
-        adj[u, v] = 1
-        _kernels._count_arc(paths, u, v, 1)
-    else:
-        adj[u, v] = 0
-        _kernels._count_arc(paths, u, v, -1)
-        if kind == _kernels.REVERSE:
-            adj[v, u] = 1
-            _kernels._count_arc(paths, v, u, 1)
+    adj[u, v] = kind == _kernels.ADD
+    if kind == _kernels.REVERSE:
+        adj[v, u] = 1
+    _kernels._count_move(paths, kind, u, v)
 
 
 def _check_path_counts(adj, paths):
