@@ -6,8 +6,10 @@ The references in ``tests/reference_kernels.py`` are the ndarray Cholesky
 local score, the per-candidate search (a depth-first cycle check and a fresh
 local score for every candidate move) and the two-pass covariance loop; the
 script fails unless ``CachedScorer``'s local scores of every parent set of a
-12-node problem are identical to the reference's, and the searches return the
-identical learned graph and score.
+12-node problem, and of an 8-node problem with a constant column and a scaled
+duplicate, are identical to the reference's, and the searches return the
+identical learned graph and score.  The 8-node problem must reach the ridge
+retry and a ``-inf`` score.
 The structure search dominates bootstrap runtime, so its figure decides
 whether a 3000-replicate run takes minutes or days.
 
@@ -91,7 +93,7 @@ from reference_kernels import covariance_kernel, tabu_search_kernel  # noqa: E40
 
 EXPORT_ROWS, EXPORT_ITEMS = 40_000, 36
 REPAIR_TABLES, REPAIR_ITEMS = 200, 12
-SCORE_NODES = 12
+SCORE_NODES, DEGENERATE_NODES = 12, 8
 UPKEEP_NODES, UPKEEP_MOVES = 36, 400
 
 
@@ -209,34 +211,46 @@ def main() -> None:
 
 def bench_local_score(rows: int, seed: int, repeats: int) -> None:
     """BIC local score of every node under every parent set of a 12-node
-    problem, from one fresh ``CachedScorer`` per run."""
-    stats = stats_from_matrix(synthetic_problem(SCORE_NODES, rows, seed), range(SCORE_NODES))
-    n = float(stats.n)
-    cases = [
-        (v, parents)
-        for v in range(SCORE_NODES)
-        for size in range(SCORE_NODES)
-        for parents in itertools.combinations([u for u in range(SCORE_NODES) if u != v], size)
-    ]
-
-    def current():
-        score = CachedScorer(stats.cov, stats.n).score
-        return [score(v, parents) for v, parents in cases]
-
-    def reference():
-        return [
-            reference_kernels.local_score(
-                stats.cov, n, v, np.array(parents, dtype=np.int64), DEFAULT_RIDGE, 0
-            )
-            for v, parents in cases
+    problem, and of an 8-node one with a constant column, which only the
+    ridge retry solves, and a scaled duplicate, which scores -inf; from one
+    fresh ``CachedScorer`` per run."""
+    degenerate = synthetic_problem(DEGENERATE_NODES, rows, seed)
+    degenerate[:, 0] = 3.0
+    degenerate[:, 1] *= 1e6
+    degenerate[:, 2] = degenerate[:, 1]
+    for label, data in (("local score", synthetic_problem(SCORE_NODES, rows, seed)),
+                        ("local score, singular", degenerate)):
+        m = data.shape[1]
+        stats = stats_from_matrix(data, range(m))
+        n = float(stats.n)
+        cases = [
+            (v, parents)
+            for v in range(m)
+            for size in range(m)
+            for parents in itertools.combinations([u for u in range(m) if u != v], size)
         ]
 
-    t_new, scores = time_fn(current, repeats=repeats)
-    t_ref, ref_scores = time_fn(reference, repeats=max(1, repeats // 3))
-    if [float(x).hex() for x in scores] != [float(x).hex() for x in ref_scores]:
-        sys.exit("error: local_score and its reference disagree")
-    print(f"{'local score':<22} {t_new * 1e3:>10.2f}ms {t_ref * 1e3:>10.2f}ms {t_ref / t_new:>8.1f}x"
-          f"   {len(cases)} parent sets of {SCORE_NODES} nodes (identical)")
+        def current():
+            scorer = CachedScorer(stats.cov, stats.n)
+            return scorer, [scorer.score(v, parents) for v, parents in cases]
+
+        def reference():
+            return [
+                reference_kernels.local_score(
+                    stats.cov, n, v, np.array(parents, dtype=np.int64), DEFAULT_RIDGE, 0
+                )
+                for v, parents in cases
+            ]
+
+        t_new, (scorer, scores) = time_fn(current, repeats=repeats)
+        t_ref, ref_scores = time_fn(reference, repeats=max(1, repeats // 3))
+        if [float(x).hex() for x in scores] != [float(x).hex() for x in ref_scores]:
+            sys.exit(f"error: local_score and its reference disagree ({label})")
+        failed = sum(s == -np.inf for s in scores)
+        if data is degenerate and not (scorer.ridged and failed):
+            sys.exit("error: the singular problem reached no ridge retry or no -inf score")
+        print(f"{label:<22} {t_new * 1e3:>10.2f}ms {t_ref * 1e3:>10.2f}ms {t_ref / t_new:>8.1f}x"
+              f"   {len(cases)} parent sets of {m} nodes, {failed} -inf (identical)")
 
 
 def random_moves(rng, m: int, count: int):

@@ -5,10 +5,11 @@ score.  Its scalar loops over a parent set read the covariance as nested
 lists: a Python float rounds as a float64 does, without the cost of a numpy
 scalar.  For one covariance and metric it memoises local scores and shares
 the Cholesky factor rows that parent sets with a common prefix have in
-common; a parent set whose block does not factorize is solved once more,
-uncached, with a ridge on the block's diagonal.  Both run one solve in three
-steps (a factor row, a forward-substitution entry, the back substitution),
-so a score does not depend on the order in which the caches filled.
+common.  One walk solves a parent set in three steps (a factor row, a
+forward-substitution entry, the back substitution); a set whose block does
+not factorize is walked once more, with a ridge on the block's diagonal, in
+a second trie that holds the ridged rows.  A score does not depend on the
+order in which the caches filled.
 ``PENALTIES`` maps each metric's name to its penalty.
 
 The tabu search spends its time in the scorer and in ``_pick_move``, which
@@ -119,22 +120,25 @@ class CachedScorer:
     node per prefix: its factor row (None when the factorization breaks down
     there), its forward entries by v and its children.  Only the back
     substitution and the variance sum run per parent set.  A parent set with
-    a failing prefix is solved again, uncached, with ``ridge`` added to the
-    diagonal of its whole block; it scores -inf when that fails too.
+    a failing prefix is walked again with ``DEFAULT_RIDGE`` added to the
+    diagonal of its whole block.  A ridged row, too, depends on its prefix
+    alone, so a second trie, ``ridged``, shares the ridged rows between sets
+    as ``trie`` shares the others.  The set scores -inf when the ridged block
+    does not factorize either.
     """
 
-    def __init__(self, cov, n, metric="bic", ridge=DEFAULT_RIDGE):
+    def __init__(self, cov, n, metric="bic"):
         if metric not in PENALTIES:
             raise ValidationError(f"unknown metric {metric!r}")
         if not np.isfinite(cov).all():
             raise ValidationError("covariance has non-finite entries")
         self.c = cov.tolist()
         self.n = n
-        self.ridge = ridge
         self.penalty = [PENALTIES[metric](n, p + 2) for p in range(len(self.c))]
         self.memo = {}
         self.columns = {}
         self.trie = {}  # parent index -> (factor row, forward entries by v, children)
+        self.ridged = {}  # the same, for the blocks with the ridge on the diagonal
 
     def score(self, v, parents):
         """Local score of node v under a sorted tuple of distinct parents."""
@@ -145,9 +149,9 @@ class CachedScorer:
 
     def _fresh(self, v, parents):
         """Score v under the parents and memoise it."""
-        var = self._variance(v, parents)
+        var = self._variance(v, parents, self.trie, 0.0)
         if var is None:  # a failing prefix: retry with the ridge
-            var = self._ridge_variance(v, parents)
+            var = self._variance(v, parents, self.ridged, DEFAULT_RIDGE)
         if var is None:
             s = -np.inf
         else:
@@ -184,19 +188,20 @@ class CachedScorer:
         col = self.columns[key] = np.array(col)
         return col
 
-    def _variance(self, v, parents):
-        """Residual variance of v on the parents from the shared factor rows,
-        or None when a prefix of the parents does not factorize."""
+    def _variance(self, v, parents, trie, ridge):
+        """Residual variance of v on the parents, with ``ridge`` added to the
+        diagonal of their block, from the factor rows shared in ``trie``; None
+        when a prefix of the parents does not factorize."""
         c = self.c
         low = []
         y = []
-        level = self.trie
+        level = trie
         for i, p in enumerate(parents):
             node = level.get(p)
             if node is None:
-                cp = c[p]
-                row = _factor_row([cp[w] for w in parents[: i + 1]], low)
-                node = level[p] = (row, {}, {})
+                a_i = [c[p][w] for w in parents[: i + 1]]
+                a_i[i] += ridge
+                node = level[p] = (_factor_row(a_i, low), {}, {})
             row, ys, level = node
             if row is None:
                 return None
@@ -205,29 +210,6 @@ class CachedScorer:
                 y_i = ys[v] = _forward(row, c[p][v], y)
             low.append(row)
             y.append(y_i)
-        return self._residual(v, parents, low, y)
-
-    def _ridge_variance(self, v, parents):
-        """Residual variance of v on the parents with ``ridge`` added to the
-        diagonal of their block, solved uncached, or None when that block does
-        not factorize either."""
-        c = self.c
-        low = []
-        y = []
-        for i, p in enumerate(parents):
-            a_i = [c[p][w] for w in parents[: i + 1]]
-            a_i[i] += self.ridge
-            row = _factor_row(a_i, low)
-            if row is None:
-                return None
-            low.append(row)
-            y.append(_forward(row, c[p][v], y))
-        return self._residual(v, parents, low, y)
-
-    def _residual(self, v, parents, low, y):
-        """c[v][v] less the explained variance, from the parents' factor rows
-        ``low`` and forward entries ``y``."""
-        c = self.c
         var = c[v][v]
         for p, x_i in zip(parents, _back_substitute(low, y)):
             var -= c[p][v] * x_i

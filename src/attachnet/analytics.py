@@ -291,16 +291,14 @@ def betweenness(dag: Dag, params: GaussianBnParams) -> CentralityVector:
     return CentralityVector(kind="betweenness", values=score)
 
 
-def pagerank(
-    dag: Dag,
-    params: GaussianBnParams,
-    damping: float = 0.85,
-    tol: float = 1e-12,
-    max_iter: int = 100_000,
-) -> CentralityVector:
+_PAGERANK_TOL = 1e-12  # the L-infinity residual at which the power iteration stops
+_PAGERANK_MAX_ITER = 100_000  # iterations before a ConvergenceError
+
+
+def pagerank(dag: Dag, params: GaussianBnParams, damping: float = 0.85) -> CentralityVector:
     """Weighted PageRank: scores flow along arcs proportionally to
     |coefficient| / weighted out-degree; zero-out-degree nodes teleport
-    uniformly.  Power iteration to an L-infinity residual below ``tol``."""
+    uniformly.  Power iteration to an L-infinity residual below ``_PAGERANK_TOL``."""
     if not (0.0 < damping < 1.0):
         raise ValidationError("damping must be in (0, 1)")
     nodes = dag.nodes
@@ -315,14 +313,14 @@ def pagerank(
     transition[has_out] = w[has_out] / out_weight[has_out, None]
 
     rank = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
+    for _ in range(_PAGERANK_MAX_ITER):
         dangling = rank[~has_out].sum()
         new = damping * (rank @ transition) + damping * dangling / n + (1.0 - damping) / n
-        if np.max(np.abs(new - rank)) < tol:
+        if np.max(np.abs(new - rank)) < _PAGERANK_TOL:
             rank = new
             break
         rank = new
     else:
-        raise ConvergenceError(f"pagerank did not converge in {max_iter} iterations")
+        raise ConvergenceError(f"pagerank did not converge in {_PAGERANK_MAX_ITER} iterations")
     rank = rank / rank.sum()
     return CentralityVector(kind="pagerank", values={node: float(rank[idx[node]]) for node in nodes})

@@ -106,9 +106,11 @@ def read_codebook(path) -> dict[str, dict[str, str]]:
     """Parse a UTF-8 ``column.raw_value = label`` config file.
 
     A gender label is one of ``GENDERS`` in any case and is stored lower-case;
-    any other gender label raises ParseError naming its line.
+    any other gender label raises ParseError naming its line, and so does a
+    key that repeats an earlier line's, naming both lines.
     """
     book: dict[str, dict[str, str]] = {}
+    first_line: dict[str, int] = {}  # key -> the line it first appears on
     with open(path, encoding="utf-8") as fh:
         try:
             lines = fh.readlines()
@@ -121,6 +123,9 @@ def read_codebook(path) -> dict[str, dict[str, str]]:
         if "=" not in line or "." not in line.split("=", 1)[0]:
             raise ParseError(f"malformed codebook entry {line!r}", line=lineno)
         key, label = (part.strip() for part in line.split("=", 1))
+        first = first_line.setdefault(key, lineno)
+        if first != lineno:
+            raise ParseError(f"codebook key {key!r} repeats line {first}", line=lineno)
         column, raw_value = key.split(".", 1)
         if column == "gender":
             if label.lower() not in GENDERS:

@@ -46,6 +46,8 @@ class GaussianBnParams:
 # to 36-60 ms (192-1,024 rows); fewer rows than 160 only add calls.
 _FIT_BLOCK = 160
 
+_FIT_RIDGE = 1e-8  # the ridge on the Gram matrix of a rank-deficient design
+
 
 def _r_factor(rows: np.ndarray, columns: list[int]) -> np.ndarray:
     """The R factor of ``[1, rows[:, columns]]``, one block of rows at a time:
@@ -63,7 +65,7 @@ def _r_factor(rows: np.ndarray, columns: list[int]) -> np.ndarray:
     return r
 
 
-def fit_mle(dag: Dag, table, unbiased: bool = False, ridge: float = 1e-8) -> GaussianBnParams:
+def fit_mle(dag: Dag, table, unbiased: bool = False) -> GaussianBnParams:
     """Per-node OLS fit of the table columns on their parents in ``dag``.
 
     With ``[1, X] = QR`` over the model's columns and Q orthogonal, each
@@ -100,7 +102,7 @@ def fit_mle(dag: Dag, table, unbiased: bool = False, ridge: float = 1e-8) -> Gau
         beta, _, rank, _ = np.linalg.lstsq(design, y, rcond=cutoff)
         if rank < design.shape[1]:
             warnings.warn(f"rank-deficient design for {node}; using ridge fallback")
-            gram = design.T @ design + ridge * np.eye(design.shape[1])
+            gram = design.T @ design + _FIT_RIDGE * np.eye(design.shape[1])
             beta = np.linalg.solve(gram, design.T @ y)
         resid = y - design @ beta
         dof = n - design.shape[1] if unbiased else n
@@ -188,10 +190,22 @@ def _finite(value) -> float:
     return number
 
 
+def _parent_coefficients(entry) -> dict[str, float]:
+    """A model JSON node entry's parent -> coefficient map, listing each parent once."""
+    coefficients = {}
+    for parent in entry.get("parents", []):
+        name = parent["name"]
+        if name in coefficients:
+            raise ValidationError(f"model node {entry['name']!r} lists parent {name!r} twice")
+        coefficients[name] = _finite(parent["coeff"])
+    return coefficients
+
+
 def read_model(source) -> tuple[Dag, GaussianBnParams]:
     """The DAG and parameters of a model JSON file (or open text stream);
     ValidationError for bytes that are not UTF-8, text that is not JSON, a
-    missing field, or a number that does not parse or is not finite."""
+    missing field, a number that does not parse or is not finite, or a node
+    that lists a parent twice."""
     try:
         if hasattr(source, "read"):
             payload = json.load(source)
@@ -202,19 +216,12 @@ def read_model(source) -> tuple[Dag, GaussianBnParams]:
         nodes = tuple(e["name"] for e in entries)
         intercept = {e["name"]: _finite(e["intercept"]) for e in entries}
         residual_sd = {e["name"]: _finite(e["residual_sd"]) for e in entries}
-        coefficients = {
-            e["name"]: {p["name"]: _finite(p["coeff"]) for p in e.get("parents", [])}
-            for e in entries
-        }
+        coefficients = {e["name"]: _parent_coefficients(e) for e in entries}
     except UnicodeDecodeError as exc:
         raise ValidationError(not_utf8(source, exc)) from None
     except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise ValidationError(f"malformed model JSON: {exc}") from exc
-    arcs = {
-        (parent, child)
-        for child, parent_map in coefficients.items()
-        for parent in parent_map
-    }
+    arcs = {(parent, child) for child, parent_map in coefficients.items() for parent in parent_map}
     dag = Dag(nodes, arcs)
     params = GaussianBnParams(
         nodes=nodes,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import DEFAULT_RIDGE, CachedScorer
+from ._kernels import CachedScorer
 from .dag import Dag
 from .errors import ValidationError
 
@@ -67,12 +67,12 @@ def _score(scorer: CachedScorer, node, parents, stats: SufficientStats) -> float
     return float(scorer.score(v, tuple(sorted(stats.index(p) for p in parents))))
 
 
-def local_score(node, parents, stats: SufficientStats, metric="bic", ridge=DEFAULT_RIDGE) -> float:
+def local_score(node, parents, stats: SufficientStats, metric="bic") -> float:
     """Score contribution of one node given a parent set (larger is better)."""
-    return _score(CachedScorer(stats.cov, stats.n, metric, ridge), node, parents, stats)
+    return _score(CachedScorer(stats.cov, stats.n, metric), node, parents, stats)
 
 
-def graph_score(dag: Dag, stats: SufficientStats, metric="bic", ridge=DEFAULT_RIDGE) -> float:
+def graph_score(dag: Dag, stats: SufficientStats, metric="bic") -> float:
     """Sum of local scores over all nodes (decomposability)."""
-    scorer = CachedScorer(stats.cov, stats.n, metric, ridge)
+    scorer = CachedScorer(stats.cov, stats.n, metric)
     return sum(_score(scorer, node, dag.parents(node), stats) for node in dag.nodes)

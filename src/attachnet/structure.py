@@ -28,6 +28,13 @@ from .errors import ValidationError
 from .score import SufficientStats, stats_from_matrix
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int; ValidationError unless it is an integer (numpy's too, not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Search settings.  The counts and the seed must be integers; numpy
@@ -45,9 +52,7 @@ class SearchConfig:
             value = getattr(self, name)
             if name == "max_parents" and value is None:
                 continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))  # numpy integers become ints
+            object.__setattr__(self, name, _integer(name, value))  # numpy integers become ints
         if self.tabu_len < 1:
             raise ValidationError("tabu_len must be >= 1")
         if self.max_iter < 1:
@@ -166,7 +171,7 @@ def check_bootstrap_settings(
     """ValidationError for the first setting out of range: stability
     ``epochs`` that are empty, a replicate count (``replicates`` or any of the
     ``epochs``) below 1, a ``sample_size`` below 2, a ``threshold`` outside
-    (0, 1] or ``repeats`` below 1.
+    (0, 1] or ``repeats`` below 1, or a count that ``_integer`` refuses.
 
     Every default is in range, so a caller checks only what it passes.
     ``bootstrap_strengths``, ``average_network`` and ``stability_curve`` check
@@ -178,13 +183,13 @@ def check_bootstrap_settings(
     elif len(epochs) == 0:
         raise ValidationError("need at least one stability replicate count")
     for count in (replicates, *epochs):
-        if count < 1:
+        if _integer("replicates", count) < 1:
             raise ValidationError(f"replicates must be >= 1, got {count}")
-    if sample_size < 2:
+    if _integer("sample_size", sample_size) < 2:
         raise ValidationError(f"sample_size must be >= 2, got {sample_size}")
     if not (0.0 < threshold <= 1.0):
         raise ValidationError(f"threshold must be in (0, 1], got {threshold:g}")
-    if repeats < 1:
+    if _integer("repeats", repeats) < 1:
         raise ValidationError(f"repeats must be >= 1, got {repeats}")
 
 
@@ -215,7 +220,7 @@ def bootstrap_strengths(
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, replicate)))
         idx = rng.integers(0, n, size=sample_size)
         counts += _search(stats_from_matrix(rows[idx], items), cfg)
-    return ArcStrengthTable(items=items, counts=counts, replicates=replicates)
+    return ArcStrengthTable(items=items, counts=counts, replicates=int(replicates))
 
 
 def _thresholded_arcs(strengths: ArcStrengthTable, threshold: float):

@@ -498,6 +498,24 @@ def test_analyze_bad_model_json_exits_2(tmp_path, capsys, text, message):
     assert capsys.readouterr().err == f"error: malformed model JSON: {message}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["analyze", "{model}", "--out-dir", "{out}"], id="analyze"),
+    pytest.param(["influence", "{model}", "--from", "A", "--to", "B"], id="influence"),
+])
+def test_model_json_with_a_repeated_parent_exits_2(tmp_path, capsys, argv):
+    """Read as it was, the model would report B's coefficient on A as 0.9."""
+    model = tmp_path / "model.json"
+    model.write_text(
+        '{"nodes": [{"name": "A", "intercept": 0.0, "residual_sd": 1.0, "parents": []},'
+        ' {"name": "B", "intercept": 0.0, "residual_sd": 1.0, "parents":'
+        ' [{"name": "A", "coeff": 0.1}, {"name": "A", "coeff": 0.9}]}]}'
+    )
+    out = tmp_path / "out"
+    assert main([arg.format(model=model, out=out) for arg in argv]) == 2
+    assert capsys.readouterr() == ("", "error: model node 'B' lists parent 'A' twice\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv,name", [
     pytest.param(["ingest", "{bad}"], "bad", id="survey-export"),
     pytest.param(["ingest", "{survey}", "--codebook", "{bad}"], "bad", id="codebook"),
@@ -541,6 +559,15 @@ def test_unknown_codebook_gender_label_exits_2(tmp_path, capsys):
                  "-o", str(out)]) == 2
     assert capsys.readouterr() == ("", "error: line 2: codebook gender label 'féminin' is not "
                                        "one of female, male, other, unknown (in any case)\n")
+    assert not out.exists()
+
+
+def test_repeated_codebook_key_exits_2_before_reading_the_export(tmp_path, capsys):
+    codebook = tmp_path / "codes.cfg"
+    codebook.write_text("gender.1 = male\ncountry.UK1 = GB\ngender.1 = female\n")
+    out = tmp_path / "cohort.csv"
+    assert main(["ingest", "/nonexistent.csv", "--codebook", str(codebook), "-o", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: line 3: codebook key 'gender.1' repeats line 1\n")
     assert not out.exists()
 
 

@@ -331,6 +331,17 @@ def test_codebook_gender_labels_match_in_any_case(tmp_path):
     assert table.demographics.gender == ("female", "unknown")
 
 
+def test_codebook_rejects_a_repeated_key(tmp_path):
+    from attachnet.ingest import read_codebook
+
+    cfg = tmp_path / "codes.cfg"
+    cfg.write_text("gender.1 = male\n# a comment\ncountry.UK1 = GB\n gender.1 = female\n")
+    with pytest.raises(ParseError, match="^line 4: codebook key 'gender.1' repeats line 1$"):
+        read_codebook(cfg)
+    cfg.write_text("gender.1 = male\ngender.2 = female\ncountry.1 = GB\n")
+    assert read_codebook(cfg) == {"gender": {"1": "male", "2": "female"}, "country": {"1": "GB"}}
+
+
 def test_codebook_rejects_an_unknown_gender_label(tmp_path):
     from attachnet.ingest import read_codebook
 

@@ -185,6 +185,18 @@ def test_malformed_model_json_rejected():
         read_model(io.StringIO('{"nodes": [{"name": "a"}]}'))
 
 
+def test_model_json_rejects_a_repeated_parent():
+    """A second entry for the same parent would silently replace the first
+    coefficient."""
+    text = (
+        '{"nodes": [{"name": "A", "intercept": 0.0, "residual_sd": 1.0, "parents": []},'
+        ' {"name": "B", "intercept": 0.0, "residual_sd": 1.0, "parents":'
+        ' [{"name": "A", "coeff": 0.1}, {"name": "A", "coeff": 0.9}]}]}'
+    )
+    with pytest.raises(ValidationError, match="^model node 'B' lists parent 'A' twice$"):
+        read_model(io.StringIO(text))
+
+
 def test_fixture_model_counts_and_spot_values(fixture_model):
     dag, params = fixture_model
     assert len(dag.nodes) == 36

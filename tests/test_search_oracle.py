@@ -223,6 +223,8 @@ def test_path_counts_past_int64_use_python_ints():
 
 
 def test_degenerate_data_reaches_ridge_and_failed_factorization():
+    """The ridge retry walks its own trie of ridged factor rows, which later
+    sets with the failing prefix share, and scores as the reference does."""
     rng = np.random.default_rng(0)
     rows = simulated_rows(rng, 5, 100, "constant")
     _, cov = covariance_kernel(rows)
@@ -231,6 +233,16 @@ def test_degenerate_data_reaches_ridge_and_failed_factorization():
     scorer = CachedScorer(cov, 100.0)
     assert np.isfinite(scorer.score(2, (0,)))
     assert scorer.trie[0][0] is None  # the factor row failed; the ridge retry scored it
+    row = scorer.ridged[0][0]
+    assert row is not None and _trie_nodes(scorer.ridged) == 1  # the ridged row of (0,)
+    # further sets that start with the failing prefix reuse its ridged row
+    for v, parents in ((4, (0,)), (1, (0,)), (2, (0, 3))):
+        assert np.isfinite(scorer.score(v, parents))
+        assert scorer.ridged[0][0] is row
+    assert _trie_nodes(scorer.ridged) == 2  # only (0, 3) added a row
+    for (v, parents), got in scorer.memo.items():
+        idx = np.array(parents, dtype=np.int64)
+        assert got == reference_kernels.local_score(cov, 100.0, v, idx, DEFAULT_RIDGE, 0)
     rows = simulated_rows(rng, 5, 100, "scaled duplicate")
     _, cov = covariance_kernel(rows)
     assert CachedScorer(cov, 100.0).score(2, (0, 1)) == -np.inf
@@ -315,8 +327,8 @@ def test_cached_scorer_reads_each_covariance_operand_as_the_reference():
 @pytest.mark.parametrize("degeneracy", ("constant", "scaled duplicate"))
 def test_cached_scorer_failing_prefix_takes_the_ridge_path(degeneracy):
     """A prefix that does not factorize is cached as a failure; every set
-    that starts with it takes the uncached ridge retry, -inf score included,
-    with the ridge on the whole parent block."""
+    that starts with it takes the ridge retry, -inf score included, with the
+    ridge on the whole parent block and its rows shared in the ridged trie."""
     rng = np.random.default_rng(5)
     m = 6
     rows = simulated_rows(rng, m, 100, degeneracy)

@@ -373,6 +373,9 @@ def test_stability_curve_single_epoch(rng):
     pytest.param({"repeats": 0}, "repeats must be >= 1, got 0", id="zero-repeats"),
     pytest.param({"sample_size": 1}, "sample_size must be >= 2, got 1", id="one-row-samples"),
     pytest.param({"threshold": 1.5}, "threshold must be in (0, 1], got 1.5", id="threshold-above-1"),
+    pytest.param({"repeats": 1.5}, "repeats must be an integer, got 1.5", id="float-repeats"),
+    pytest.param({"epochs": [2.0]}, "replicates must be an integer, got 2.0", id="float-epoch"),
+    pytest.param({"sample_size": True}, "sample_size must be an integer, got True", id="bool-samples"),
 ])
 def test_stability_curve_checks_every_setting_before_searching(rng, monkeypatch, kwargs, message):
     import attachnet.structure as structure
@@ -386,6 +389,52 @@ def test_stability_curve_checks_every_setting_before_searching(rng, monkeypatch,
     with pytest.raises(ValidationError) as err:
         stability_curve(table, **settings)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("name,kwargs", [
+    pytest.param("replicates", lambda value: {"replicates": value}, id="replicates"),
+    pytest.param("sample_size", lambda value: {"sample_size": value}, id="sample-size"),
+    pytest.param("repeats", lambda value: {"repeats": value}, id="repeats"),
+    pytest.param("replicates", lambda value: {"epochs": [5, value]}, id="epoch"),
+])
+@pytest.mark.parametrize("value", [2.5, 20.0, True, np.float64(3.0), np.bool_(True)])
+def test_bootstrap_settings_reject_non_integers(name, kwargs, value):
+    """The counts take ``SearchConfig``'s integer rule: floats, integral ones
+    included, and bools fail at once with the setting's name."""
+    from attachnet.structure import check_bootstrap_settings
+
+    with pytest.raises(ValidationError, match=f"^{name} must be an integer, got "):
+        check_bootstrap_settings(**kwargs(value))
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    pytest.param({"replicates": 2.5}, "replicates must be an integer, got 2.5", id="float-replicates"),
+    pytest.param({"replicates": 2, "sample_size": 20.5}, "sample_size must be an integer, got 20.5",
+                 id="float-samples"),
+    pytest.param({"replicates": True}, "replicates must be an integer, got True", id="bool-replicates"),
+])
+def test_bootstrap_rejects_non_integer_counts(rng, monkeypatch, kwargs, message):
+    import attachnet.structure as structure
+
+    def no_search(*args):
+        raise AssertionError("a search ran before the settings were checked")
+
+    monkeypatch.setattr(structure, "_search", no_search)
+    table = make_table(rng.normal(size=(60, 3)), items=("a", "b", "c"))
+    with pytest.raises(ValidationError) as err:
+        bootstrap_strengths(table, **kwargs)
+    assert str(err.value) == message
+
+
+def test_bootstrap_accepts_numpy_integer_counts(rng):
+    table = make_table(rng.normal(size=(60, 3)), items=("a", "b", "c"))
+    cfg = SearchConfig(seed=2)
+    got = bootstrap_strengths(table, np.int64(2), sample_size=np.int32(30), cfg=cfg)
+    want = bootstrap_strengths(table, 2, sample_size=30, cfg=cfg)
+    assert type(got.replicates) is int and got.replicates == 2
+    assert np.array_equal(got.counts, want.counts)
+    report = stability_curve(table, [np.int64(2)], repeats=np.uint8(1), sample_size=30, cfg=cfg)
+    assert report == stability_curve(table, [2], repeats=1, sample_size=30, cfg=cfg)
 
 
 def test_strength_table_direction_sums_to_one(rng):
