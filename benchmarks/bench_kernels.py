@@ -9,7 +9,10 @@ script fails unless ``CachedScorer``'s local scores of every parent set of a
 12-node problem, and of an 8-node problem with a constant column and a scaled
 duplicate, are identical to the reference's, and the searches return the
 identical learned graph and score.  The 8-node problem must reach the ridge
-retry and a ``-inf`` score.
+retry and a ``-inf`` score.  On those parent sets the reference's residual
+variance, the last Cholesky pivot, must factor where the back-substitution
+route it replaced does and lie within 4 eps c_vv of it, with the 1e-12 floor
+never between them; the rows print the largest difference in eps c_vv.
 The structure search dominates bootstrap runtime, so its figure decides
 whether a 3000-replicate run takes minutes or days.
 
@@ -249,8 +252,29 @@ def bench_local_score(rows: int, seed: int, repeats: int) -> None:
         failed = sum(s == -np.inf for s in scores)
         if data is degenerate and not (scorer.ridged and failed):
             sys.exit("error: the singular problem reached no ridge retry or no -inf score")
+        ratio = pivot_against_solve(stats.cov, cases, label)
         print(f"{label:<22} {t_new * 1e3:>10.2f}ms {t_ref * 1e3:>10.2f}ms {t_ref / t_new:>8.1f}x"
-              f"   {len(cases)} parent sets of {m} nodes, {failed} -inf (identical)")
+              f"   {len(cases)} parent sets of {m} nodes, {failed} -inf (identical),"
+              f" pivot - solve <= {ratio:.2f} eps c_vv")
+
+
+def pivot_against_solve(cov, cases, label: str) -> float:
+    """The largest |pivot - solve| / (eps c_vv) over the cases, between the
+    reference's last-pivot residual variance and the back-substitution route
+    it replaced; exits unless both routes factor the same sets and differ by
+    at most 4 eps c_vv, with the 1e-12 floor never between them."""
+    eps = np.finfo(float).eps
+    worst = 0.0
+    for v, parents in cases:
+        idx = np.array(parents, dtype=np.int64)
+        pivot, ok = reference_kernels.residual_variance(cov, v, idx, DEFAULT_RIDGE)
+        solve, solve_ok = reference_kernels.residual_variance_solve(cov, v, idx, DEFAULT_RIDGE)
+        apart = ok and (abs(pivot - solve) > 4 * eps * cov[v, v] or (pivot < 1e-12) != (solve < 1e-12))
+        if ok != solve_ok or apart:
+            sys.exit(f"error: the pivot and the solve route disagree on node {v}, parents {parents} ({label})")
+        if ok and cov[v, v] > 0:
+            worst = max(worst, abs(pivot - solve) / (eps * cov[v, v]))
+    return worst
 
 
 def random_moves(rng, m: int, count: int):

@@ -5,11 +5,13 @@ score.  Its scalar loops over a parent set read the covariance as nested
 lists: a Python float rounds as a float64 does, without the cost of a numpy
 scalar.  For one covariance and metric it memoises local scores and shares
 the Cholesky factor rows that parent sets with a common prefix have in
-common.  One walk solves a parent set in three steps (a factor row, a
-forward-substitution entry, the back substitution); a set whose block does
-not factorize is walked once more, with a ridge on the block's diagonal, in
-a second trie that holds the ridged rows.  A score does not depend on the
-order in which the caches filled.
+common.  The residual variance of v on a parent set is the last pivot of
+the Cholesky factorization of the block of the set and v, so one walk finds
+it from a factor row and a forward-substitution entry per parent, with no
+back substitution; a set whose block does not factorize is walked once more,
+with a ridge on the parent block's diagonal, in a second trie that holds the
+ridged rows.  A score does not depend on the order in which the caches
+filled.
 ``PENALTIES`` maps each metric's name to its penalty.
 
 The tabu search spends its time in the scorer and in ``_pick_move``, which
@@ -84,18 +86,6 @@ def _forward(row, b_i, y):
     return s / row[-1]
 
 
-def _back_substitute(low, y):
-    """Solve L^T x = y for the factor rows ``low``."""
-    p = len(low)
-    x = [0.0] * p
-    for i in range(p - 1, -1, -1):
-        s = y[i]
-        for k in range(i + 1, p):
-            s -= low[k][i] * x[k]
-        x[i] = s / low[i][i]
-    return x
-
-
 def _log_likelihood(n, var):
     """Maximized Gaussian log-likelihood of n rows with residual variance
     var, floored at 1e-12."""
@@ -118,10 +108,13 @@ class CachedScorer:
     so it depends on the prefix p[:i + 1] alone, and forward substitution
     entry i on that prefix and v.  A trie keyed by parent index holds one
     node per prefix: its factor row (None when the factorization breaks down
-    there), its forward entries by v and its children.  Only the back
-    substitution and the variance sum run per parent set.  A parent set with
-    a failing prefix is walked again with ``DEFAULT_RIDGE`` added to the
-    diagonal of its whole block.  A ridged row, too, depends on its prefix
+    there), its forward entries by v and its children.  With A = L L^T the
+    parent block and y = L^-1 c[p][v], the residual variance
+    c[v][v] - c[p][v]^T A^-1 c[p][v] is c[v][v] - y^T y, the last pivot of
+    the block of p and v (the square of its factor's last diagonal entry), so
+    only that sum of squared forward entries runs per parent set.  A parent
+    set with a failing prefix is walked again with ``DEFAULT_RIDGE`` added to
+    the diagonal of its whole block.  A ridged row, too, depends on its prefix
     alone, so a second trie, ``ridged``, shares the ridged rows between sets
     as ``trie`` shares the others.  The set scores -inf when the ridged block
     does not factorize either.
@@ -190,8 +183,9 @@ class CachedScorer:
 
     def _variance(self, v, parents, trie, ridge):
         """Residual variance of v on the parents, with ``ridge`` added to the
-        diagonal of their block, from the factor rows shared in ``trie``; None
-        when a prefix of the parents does not factorize."""
+        diagonal of their block: c[v][v] less the squared forward entries, in
+        parent order, from the factor rows shared in ``trie``; None when a
+        prefix of the parents does not factorize."""
         c = self.c
         low = []
         y = []
@@ -211,8 +205,8 @@ class CachedScorer:
             low.append(row)
             y.append(y_i)
         var = c[v][v]
-        for p, x_i in zip(parents, _back_substitute(low, y)):
-            var -= c[p][v] * x_i
+        for y_i in y:
+            var -= y_i * y_i
         return var
 
 

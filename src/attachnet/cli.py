@@ -22,7 +22,6 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import warnings
 from dataclasses import replace
@@ -69,16 +68,6 @@ from .structure import (
     check_bootstrap_settings,
     stability_curve,
 )
-
-
-def _default_seed() -> int:
-    env = os.environ.get("ATTACHNET_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValidationError(f"ATTACHNET_SEED must be an integer, got {env!r}")
-    return 1
 
 
 def _parse_range(text: str, what: str, example: str) -> tuple[int, int]:
@@ -497,7 +486,7 @@ def _add_bootstrap_flags(
     p.add_argument("--stability", default=stability,
                    help="comma-separated replicate counts, e.g. 50,100,200")
     p.add_argument("--repeats", type=int, default=5, help="repeats per stability epoch")
-    p.add_argument("--seed", type=int, default=None, help="RNG seed (env ATTACHNET_SEED)")
+    p.add_argument("--seed", type=int, default=1, help="RNG seed (default 1)")
     p.add_argument(
         "--threads", type=int, default=1,
         help="accepted and checked to be >= 1; replicates run one at a time (default 1)",
@@ -625,8 +614,6 @@ def main(argv=None) -> int:
         # library warnings print as one line each; the caller's filters apply
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
-            if hasattr(args, "seed") and args.seed is None:
-                args.seed = _default_seed()
             return args.func(args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

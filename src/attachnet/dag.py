@@ -27,9 +27,10 @@ class Dag:
     def __init__(self, nodes, arcs):
         object.__setattr__(self, "nodes", tuple(nodes))
         object.__setattr__(self, "arcs", frozenset(tuple(a) for a in arcs))
-        if len(set(self.nodes)) != len(self.nodes):
-            raise ValidationError("duplicate node names")
         known = set(self.nodes)
+        if len(known) != len(self.nodes):
+            repeat = next(n for i, n in enumerate(self.nodes) if n in self.nodes[:i])
+            raise ValidationError(f"duplicate node name {repeat!r}")
         for u, v in self.arcs:
             if u == v:
                 raise ValidationError(f"self-loop on {u}")

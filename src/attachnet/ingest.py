@@ -105,9 +105,11 @@ def _bad_gender(label: str) -> str:
 def read_codebook(path) -> dict[str, dict[str, str]]:
     """Parse a UTF-8 ``column.raw_value = label`` config file.
 
-    A gender label is one of ``GENDERS`` in any case and is stored lower-case;
-    any other gender label raises ParseError naming its line, and so does a
-    key that repeats an earlier line's, naming both lines.
+    Spaces around the column, the raw value and the label are dropped, so
+    ``gender . 1 = male`` is the key ``gender.1``.  A gender label is one of
+    ``GENDERS`` in any case and is stored lower-case; any other gender label
+    raises ParseError naming its line, and so does a key that repeats an
+    earlier line's, naming both lines.
     """
     book: dict[str, dict[str, str]] = {}
     first_line: dict[str, int] = {}  # key -> the line it first appears on
@@ -122,11 +124,13 @@ def read_codebook(path) -> dict[str, dict[str, str]]:
             continue
         if "=" not in line or "." not in line.split("=", 1)[0]:
             raise ParseError(f"malformed codebook entry {line!r}", line=lineno)
-        key, label = (part.strip() for part in line.split("=", 1))
+        key, label = line.split("=", 1)
+        column, raw_value = (part.strip() for part in key.split(".", 1))
+        key = f"{column}.{raw_value}"
         first = first_line.setdefault(key, lineno)
         if first != lineno:
             raise ParseError(f"codebook key {key!r} repeats line {first}", line=lineno)
-        column, raw_value = key.split(".", 1)
+        label = label.strip()
         if column == "gender":
             if label.lower() not in GENDERS:
                 raise ParseError(_bad_gender(label), line=lineno)

@@ -3,19 +3,26 @@
 These are the ndarray Cholesky local score, the per-candidate re-scoring tabu
 search (a depth-first cycle check for every candidate move, every local score
 recomputed on every iteration) and the two-pass covariance loop.  They are
-kept unchanged as the slow oracle that ``test_search_oracle.py`` and
+kept as the slow oracle that ``test_search_oracle.py`` and
 ``benchmarks/bench_kernels.py`` compare the list-based local score, the
 incremental search and the matmul covariance against.
+
+The local score's residual variance is the variance less the squared
+forward-substitution entries, the last Cholesky pivot, as the scorer computes
+it.  ``residual_variance_solve`` keeps the route both used before, a back
+substitution for the regression coefficients and then the variance less
+their products with the right-hand side; the tests and the benchmark bound
+the two routes' difference by a few ulps of the variance.
 """
 import numpy as np
 
 from attachnet._kernels import ADD, LOG_2PI, REMOVE, REVERSE
 
 
-def _chol_solve(a, b):
-    """Solve the SPD system a @ x = b via Cholesky.
+def _chol_forward(a, b):
+    """Factor the SPD matrix a = L L^T via Cholesky and solve L y = b.
 
-    Returns (x, ok); ok is False when the factorization breaks down.
+    Returns (low, y, ok); ok is False when the factorization breaks down.
     """
     p = a.shape[0]
     low = np.zeros((p, p))
@@ -26,7 +33,7 @@ def _chol_solve(a, b):
                 s -= low[i, k] * low[j, k]
             if i == j:
                 if s <= 0.0:
-                    return np.zeros(p), False
+                    return low, np.zeros(p), False
                 low[i, i] = np.sqrt(s)
             else:
                 low[i, j] = s / low[j, j]
@@ -36,6 +43,18 @@ def _chol_solve(a, b):
         for k in range(i):
             s -= low[i, k] * y[k]
         y[i] = s / low[i, i]
+    return low, y, True
+
+
+def _chol_solve(a, b):
+    """Solve the SPD system a @ x = b via Cholesky.
+
+    Returns (x, ok); ok is False when the factorization breaks down.
+    """
+    low, y, ok = _chol_forward(a, b)
+    p = a.shape[0]
+    if not ok:
+        return np.zeros(p), False
     x = np.zeros(p)
     for i in range(p - 1, -1, -1):
         s = y[i]
@@ -45,21 +64,51 @@ def _chol_solve(a, b):
     return x, True
 
 
-def residual_variance(cov, v, parent_idx, ridge):
-    """ML residual variance of node v regressed on the given parents.
-
-    Falls back to a single ridge retry on a singular parent submatrix;
-    returns (variance, ok).
-    """
+def _parent_system(cov, v, parent_idx):
+    """The parents' block of the covariance and their covariances with v."""
     p = parent_idx.shape[0]
-    if p == 0:
-        return cov[v, v], True
     sub = np.empty((p, p))
     rhs = np.empty(p)
     for i in range(p):
         rhs[i] = cov[parent_idx[i], v]
         for j in range(p):
             sub[i, j] = cov[parent_idx[i], parent_idx[j]]
+    return sub, rhs
+
+
+def residual_variance(cov, v, parent_idx, ridge):
+    """ML residual variance of node v regressed on the given parents.
+
+    With the parent block A = L L^T and y = L^-1 b for b the parents'
+    covariances with v, the variance c_vv - b^T A^-1 b is c_vv - y^T y, the
+    last pivot of the Cholesky factorization of the block of the parents and
+    v.  Falls back to a single ridge retry on a singular parent submatrix;
+    returns (variance, ok).
+    """
+    p = parent_idx.shape[0]
+    if p == 0:
+        return cov[v, v], True
+    sub, rhs = _parent_system(cov, v, parent_idx)
+    _, y, ok = _chol_forward(sub, rhs)
+    if not ok:
+        for i in range(p):
+            sub[i, i] += ridge
+        _, y, ok = _chol_forward(sub, rhs)
+        if not ok:
+            return 0.0, False
+    var = cov[v, v]
+    for i in range(p):
+        var -= y[i] * y[i]
+    return var, True
+
+
+def residual_variance_solve(cov, v, parent_idx, ridge):
+    """``residual_variance`` by the route the scorer used to take: solve
+    A beta = b by forward and back substitution, then c_vv - b^T beta."""
+    p = parent_idx.shape[0]
+    if p == 0:
+        return cov[v, v], True
+    sub, rhs = _parent_system(cov, v, parent_idx)
     beta, ok = _chol_solve(sub, rhs)
     if not ok:
         for i in range(p):

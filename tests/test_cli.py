@@ -286,17 +286,13 @@ def test_no_thread_is_started(tmp_path, monkeypatch):
         assert (tmp_path / f"two.{name}").read_bytes() == (tmp_path / f"one.{name}").read_bytes()
 
 
-def test_seed_env_fallback(tmp_path, monkeypatch):
+def test_seed_defaults_to_one(tmp_path):
     src = survey_csv(tmp_path, n=120)
-    monkeypatch.setenv("ATTACHNET_SEED", "42")
-    a = tmp_path / "env.json"
+    a = tmp_path / "default.json"
     assert main(["learn", str(src), "-R", "4", "-m", "80", "-o", str(a)]) == 0
-    monkeypatch.delenv("ATTACHNET_SEED")
     b = tmp_path / "flag.json"
-    assert main(["learn", str(src), "-R", "4", "-m", "80", "--seed", "42", "-o", str(b)]) == 0
+    assert main(["learn", str(src), "-R", "4", "-m", "80", "--seed", "1", "-o", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
-    monkeypatch.setenv("ATTACHNET_SEED", "not-a-number")
-    assert main(["learn", str(src), "-R", "4", "-m", "80"]) == 2
 
 
 def test_learn_fit_analyze_pipeline(tmp_path, capsys):
@@ -516,6 +512,17 @@ def test_model_json_with_a_repeated_parent_exits_2(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def test_model_json_with_a_repeated_node_exits_2(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text(
+        '{"nodes": [{"name": "A", "intercept": 0.0, "residual_sd": 1.0, "parents": []},'
+        ' {"name": "A", "intercept": 1.0, "residual_sd": 1.0, "parents": []}]}'
+    )
+    assert main(["analyze", str(model), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr() == ("", "error: duplicate node name 'A'\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv,name", [
     pytest.param(["ingest", "{bad}"], "bad", id="survey-export"),
     pytest.param(["ingest", "{survey}", "--codebook", "{bad}"], "bad", id="codebook"),
@@ -558,6 +565,17 @@ def test_unknown_codebook_gender_label_exits_2(tmp_path, capsys):
     assert main(["ingest", str(survey_csv(tmp_path)), "--codebook", str(codebook),
                  "-o", str(out)]) == 2
     assert capsys.readouterr() == ("", "error: line 2: codebook gender label 'féminin' is not "
+                                       "one of female, male, other, unknown (in any case)\n")
+    assert not out.exists()
+
+
+def test_spaced_codebook_key_is_checked_and_exits_2(tmp_path, capsys):
+    codebook = tmp_path / "codes.cfg"
+    codebook.write_text("gender .1 = bogus\ncountry. UK1 = GB\n")
+    out = tmp_path / "cohort.csv"
+    assert main(["ingest", str(survey_csv(tmp_path)), "--codebook", str(codebook),
+                 "-o", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: line 1: codebook gender label 'bogus' is not "
                                        "one of female, male, other, unknown (in any case)\n")
     assert not out.exists()
 

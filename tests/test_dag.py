@@ -21,6 +21,11 @@ def test_rejects_unknown_endpoint():
         Dag(("a",), {("a", "b")})
 
 
+def test_rejects_a_repeated_node_naming_it():
+    with pytest.raises(ValidationError, match="^duplicate node name 'b'$"):
+        Dag(("a", "b", "c", "b", "a"), set())
+
+
 def test_topological_order_respects_arcs():
     dag = Dag(("d", "c", "b", "a"), {("a", "b"), ("b", "c"), ("a", "d")})
     order = dag.topological_order()

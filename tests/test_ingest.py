@@ -354,6 +354,23 @@ def test_codebook_rejects_an_unknown_gender_label(tmp_path):
         parse_responses(b"Q1,gender\n3,2\n", codebook={"gender": {"2": "féminin"}})
 
 
+def test_codebook_strips_the_spaces_around_a_keys_dot(tmp_path):
+    from attachnet.ingest import read_codebook
+
+    cfg = tmp_path / "codes.cfg"
+    cfg.write_text("gender .1 = bogus\n")
+    with pytest.raises(ParseError, match="^line 1: codebook gender label 'bogus' is not one of"):
+        read_codebook(cfg)
+    cfg.write_text("gender .1 = male\ncountry. UK1 = GB\n")
+    book = read_codebook(cfg)
+    assert book == {"gender": {"1": "male"}, "country": {"UK1": "GB"}}
+    table = parse_responses(b"Q1,gender,country\n3,1,UK1\n", codebook=book)
+    assert (table.demographics.gender[0], table.demographics.country[0]) == ("male", "GB")
+    cfg.write_text("country.UK1 = GB\ncountry . UK1 = IE\n")
+    with pytest.raises(ParseError, match="^line 2: codebook key 'country.UK1' repeats line 1$"):
+        read_codebook(cfg)
+
+
 def test_standard_filter_matches_reference_recipe():
     f = standard_filter()
     assert f.age_range == (18, 60)

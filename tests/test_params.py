@@ -197,6 +197,15 @@ def test_model_json_rejects_a_repeated_parent():
         read_model(io.StringIO(text))
 
 
+def test_model_json_rejects_a_repeated_node_naming_it():
+    text = (
+        '{"nodes": [{"name": "A", "intercept": 0.0, "residual_sd": 1.0, "parents": []},'
+        ' {"name": "A", "intercept": 1.0, "residual_sd": 1.0, "parents": []}]}'
+    )
+    with pytest.raises(ValidationError, match="^duplicate node name 'A'$"):
+        read_model(io.StringIO(text))
+
+
 def test_fixture_model_counts_and_spot_values(fixture_model):
     dag, params = fixture_model
     assert len(dag.nodes) == 36

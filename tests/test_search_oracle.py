@@ -129,6 +129,29 @@ def test_local_score_matches_frozen_reference(degeneracy):
         assert failed > 0
 
 
+@pytest.mark.parametrize("degeneracy", DEGENERACIES)
+def test_pivot_variance_matches_the_solve_route(degeneracy):
+    """The last pivot, c_vv less the squared forward entries, and the old
+    route, a back substitution and then c_vv less b^T beta, on every node and
+    every parent set of up to 4 on 10 columns: both factor or neither does,
+    their variances differ by at most 4 ulps of c_vv, and the 1e-12 floor
+    never falls between them."""
+    rng = np.random.default_rng(DEGENERACIES.index(degeneracy))
+    m = 10
+    rows = simulated_rows(rng, m, int(rng.integers(30, 400)), degeneracy)
+    _, cov = covariance_kernel(rows)
+    bound = 4 * np.finfo(float).eps
+    for v in range(m):
+        for parents in _parent_sets(m, v, 4):
+            idx = np.array(parents, dtype=np.int64)
+            pivot, ok = reference_kernels.residual_variance(cov, v, idx, DEFAULT_RIDGE)
+            solve, solve_ok = reference_kernels.residual_variance_solve(cov, v, idx, DEFAULT_RIDGE)
+            assert ok == solve_ok, (v, parents)
+            if ok:
+                assert abs(pivot - solve) <= bound * cov[v, v], (v, parents)
+                assert (pivot < 1e-12) == (solve < 1e-12), (v, parents)
+
+
 def _admissible_moves(adj, reach):
     """Every add, remove and reverse move that keeps ``adj`` acyclic."""
     m = adj.shape[0]
