@@ -1,4 +1,10 @@
-"""Reference cycle repair for ``structure.average_network``.
+"""Reference arc-strength tally and cycle repair for ``structure``.
+
+``strength``, ``direction``, ``to_csv`` and ``_thresholded_arcs`` are
+``ArcStrengthTable``'s methods and the thresholding step of
+``average_network`` as they were when each worked the pair arithmetic out
+per pair in its own loop; they take the table as their first argument and
+are kept unchanged as the oracle the table's precomputed arrays must match.
 
 ``_strongly_connected`` and ``_repair_cycles`` are the iterative Tarjan
 components and the repair loop that ``average_network`` used before it read
@@ -7,9 +13,70 @@ oracle it must match: the same Dag and the same warnings in the same order.
 """
 import warnings
 
+from attachnet._csv import csv_text
 from attachnet.dag import Dag
 from attachnet.errors import ValidationError
-from attachnet.structure import _thresholded_arcs
+
+
+def strength(table, u: str, v: str) -> float:
+    """Fraction of replicates containing u-v in either direction."""
+    i, j = table._index(u), table._index(v)
+    return (table.counts[i, j] + table.counts[j, i]) / table.replicates
+
+
+def direction(table, u: str, v: str) -> float:
+    """Of the replicates containing u-v, the fraction oriented u -> v."""
+    i, j = table._index(u), table._index(v)
+    both = table.counts[i, j] + table.counts[j, i]
+    if both == 0:
+        return 0.0
+    return table.counts[i, j] / both
+
+
+def to_csv(table) -> str:
+    rows = []
+    m = len(table.items)
+    for i in range(m):
+        for j in range(m):
+            if i == j:
+                continue
+            both = table.counts[i, j] + table.counts[j, i]
+            if both == 0:
+                continue
+            rows.append(
+                [
+                    table.items[i],
+                    table.items[j],
+                    f"{both / table.replicates:.6g}",
+                    f"{table.counts[i, j] / both:.6g}",
+                ]
+            )
+    return csv_text(["from", "to", "strength", "direction"], rows)
+
+
+def _thresholded_arcs(strengths, threshold: float):
+    """Oriented arcs passing the strength threshold plus tied-direction pairs."""
+    items = strengths.items
+    m = len(items)
+    counts = strengths.counts
+    arcs = []  # (u, v, strength, direction)
+    undirected = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            both = counts[i, j] + counts[j, i]
+            if both == 0:
+                continue
+            strength = both / strengths.replicates
+            if strength < threshold:
+                continue
+            d_ij = counts[i, j] / both
+            if d_ij == 0.5:
+                undirected.append((items[i], items[j]))
+            elif d_ij > 0.5:
+                arcs.append((items[i], items[j], strength, d_ij))
+            else:
+                arcs.append((items[j], items[i], strength, 1.0 - d_ij))
+    return arcs, undirected
 
 
 def _strongly_connected(nodes, arc_set):
