@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import numbers
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import _kernels
 from ._csv import csv_text
-from .dag import Dag, roots_and_terminals  # noqa: F401  (re-exported)
+from .dag import Dag
 from .errors import ValidationError
 from .score import SufficientStats, stats_from_matrix
 
@@ -115,11 +115,28 @@ def tabu_search(stats: SufficientStats, cfg: SearchConfig | None = None) -> Dag:
 
 @dataclass(frozen=True)
 class ArcStrengthTable:
-    """Bootstrap tallies: ``counts[i, j]`` replicates contained arc i -> j."""
+    """Bootstrap tallies: ``counts[i, j]`` replicates contained arc i -> j.
+
+    Pair ``(i, j)`` was learned ``both[i, j] = counts[i, j] + counts[j, i]``
+    times; its strength is ``both / replicates`` and its direction
+    ``counts / both`` (0.0 where ``both`` is 0).  Every reader takes them
+    from the arrays computed here.
+    """
 
     items: tuple[str, ...]
     counts: np.ndarray
     replicates: int
+    _both: np.ndarray = field(init=False, repr=False, compare=False)
+    _strength: np.ndarray = field(init=False, repr=False, compare=False)
+    _direction: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        both = self.counts + self.counts.T
+        object.__setattr__(self, "_both", both)
+        object.__setattr__(self, "_strength", both / self.replicates)
+        direction = np.zeros(both.shape)
+        np.divide(self.counts, both, out=direction, where=both != 0)
+        object.__setattr__(self, "_direction", direction)
 
     def _index(self, item: str) -> int:
         try:
@@ -129,35 +146,20 @@ class ArcStrengthTable:
 
     def strength(self, u: str, v: str) -> float:
         """Fraction of replicates containing u-v in either direction."""
-        i, j = self._index(u), self._index(v)
-        return (self.counts[i, j] + self.counts[j, i]) / self.replicates
+        return self._strength[self._index(u), self._index(v)]
 
     def direction(self, u: str, v: str) -> float:
         """Of the replicates containing u-v, the fraction oriented u -> v."""
-        i, j = self._index(u), self._index(v)
-        both = self.counts[i, j] + self.counts[j, i]
-        if both == 0:
-            return 0.0
-        return self.counts[i, j] / both
+        return self._direction[self._index(u), self._index(v)]
 
     def to_csv(self) -> str:
-        rows = []
-        m = len(self.items)
-        for i in range(m):
-            for j in range(m):
-                if i == j:
-                    continue
-                both = self.counts[i, j] + self.counts[j, i]
-                if both == 0:
-                    continue
-                rows.append(
-                    [
-                        self.items[i],
-                        self.items[j],
-                        f"{both / self.replicates:.6g}",
-                        f"{self.counts[i, j] / both:.6g}",
-                    ]
-                )
+        """Every ordered pair of distinct items learned at least once, row by row."""
+        learned = (self._both != 0) & ~np.eye(len(self.items), dtype=bool)
+        rows = (
+            [self.items[i], self.items[j],
+             f"{self._strength[i, j]:.6g}", f"{self._direction[i, j]:.6g}"]
+            for i, j in zip(*np.nonzero(learned))
+        )
         return csv_text(["from", "to", "strength", "direction"], rows)
 
 
@@ -226,25 +228,17 @@ def bootstrap_strengths(
 def _thresholded_arcs(strengths: ArcStrengthTable, threshold: float):
     """Oriented arcs passing the strength threshold plus tied-direction pairs."""
     items = strengths.items
-    m = len(items)
-    counts = strengths.counts
     arcs = []  # (u, v, strength, direction)
     undirected = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            both = counts[i, j] + counts[j, i]
-            if both == 0:
-                continue
-            strength = both / strengths.replicates
-            if strength < threshold:
-                continue
-            d_ij = counts[i, j] / both
-            if d_ij == 0.5:
-                undirected.append((items[i], items[j]))
-            elif d_ij > 0.5:
-                arcs.append((items[i], items[j], strength, d_ij))
-            else:
-                arcs.append((items[j], items[i], strength, 1.0 - d_ij))
+    passing = (np.triu(strengths._both, 1) != 0) & (strengths._strength >= threshold)
+    for i, j in zip(*np.nonzero(passing)):
+        strength, d_ij = strengths._strength[i, j], strengths._direction[i, j]
+        if d_ij == 0.5:
+            undirected.append((items[i], items[j]))
+        elif d_ij > 0.5:
+            arcs.append((items[i], items[j], strength, d_ij))
+        else:
+            arcs.append((items[j], items[i], strength, 1.0 - d_ij))
     return arcs, undirected
 
 
