@@ -250,8 +250,18 @@ def cmd_fit(args) -> int:
     return 0
 
 
+DAMPING, WALK_STEPS = 0.85, 4  # analyze's defaults, and full-repro's stage 5
+
+
 def cmd_analyze(args) -> int:
     dag, params = _load_model(args)
+    return _analysis_reports(dag, params, args.damping, args.steps, args.clusters,
+                             args.fixture, args.out_dir, args.dot)
+
+
+def _analysis_reports(dag, params, damping, steps, clusters, fixture, out_dir, dot) -> int:
+    """analyze's summary, reports and Graphviz file for one model; the partition
+    is ``clusters``'s, the bundled labels with ``fixture``, or walktrap's."""
     if not dag.arcs:
         raise ValidationError("model has no arcs; nothing to analyze")
 
@@ -261,15 +271,15 @@ def cmd_analyze(args) -> int:
     median = median_abs_coefficient(params)
     deg_in, deg_out = degree_centrality(dag)
     bet = betweenness(dag, params)
-    pr = pagerank(dag, params, damping=args.damping)
+    pr = pagerank(dag, params, damping=damping)
     walked = None
-    if args.clusters:
-        partition = load_csv(args.clusters, Partition.from_csv)
-    elif getattr(args, "fixture", False):
+    if clusters:
+        partition = load_csv(clusters, Partition.from_csv)
+    elif fixture:
         partition = fixtures.load_fixture_partition()
-        walked = communities_walktrap(dag, params, steps=args.steps)
+        walked = communities_walktrap(dag, params, steps=steps)
     else:
-        partition = communities_walktrap(dag, params, steps=args.steps)
+        partition = communities_walktrap(dag, params, steps=steps)
     coupling = cluster_coupling(dag, params, partition)
     pol = fixtures.load_polarity()
     intercepts = intercept_report(params, pol) if all(n in pol for n in dag.nodes) else None
@@ -288,7 +298,7 @@ def cmd_analyze(args) -> int:
     for (a, b), value in sorted(coupling.items()):
         print(f"  coupling {a}->{b}: {value:.5f}")
 
-    outdir = Path(args.out_dir) if args.out_dir else None
+    outdir = Path(out_dir) if out_dir else None
     if outdir:
         if intercepts is not None:
             _write(outdir / "intercepts.csv", intercepts.to_csv())
@@ -302,9 +312,9 @@ def cmd_analyze(args) -> int:
                csv_text(["from_cluster", "to_cluster", "sum_abs_coefficient"], rows))
         _write(outdir / "arcs.csv", dag.to_arc_csv())
         print(f"wrote reports to {outdir}")
-    if args.dot:
-        _write_dot(args.dot, dag, params, partition)
-        print(f"wrote {args.dot}")
+    if dot:
+        _write_dot(dot, dag, params, partition)
+        print(f"wrote {dot}")
     return 0
 
 
@@ -443,8 +453,7 @@ def cmd_full_repro(args) -> int:
     print("[1/5] ingest + standard cohort filter")
     table = parse_responses(args.input)
     table = filter_cohort(table, standard_filter())
-    report = demographic_summary(table)
-    print(f"  cohort rows: {report.n}")
+    print(f"  cohort rows: {table.n}")
     _write(outdir / "cohort.csv", serialize_responses(table))
 
     if not args.skip_stability:
@@ -464,11 +473,8 @@ def cmd_full_repro(args) -> int:
     print(f"  mean residual sd: {mean_sd:.4f}")
 
     print("[5/5] analysis reports")
-    analyze = args.analyze_parser.parse_args([])  # analyze's own defaults
-    analyze.model = str(outdir / "model.json")
-    analyze.out_dir = str(outdir / "analysis")
-    analyze.dot = str(outdir / "network.dot")
-    return cmd_analyze(analyze)
+    return _analysis_reports(dag, params, DAMPING, WALK_STEPS, None, False,
+                             outdir / "analysis", outdir / "network.dot")
 
 
 # -- parser ------------------------------------------------------------------
@@ -537,12 +543,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model", nargs="?", default=None)
     p.add_argument("--fixture", action="store_true", help="analyze the bundled reference model")
     p.add_argument("--out-dir", help="write plot-ready CSV reports here")
-    p.add_argument("--damping", type=float, default=0.85)
-    p.add_argument("--steps", type=int, default=4, help="walktrap walk length")
+    p.add_argument("--damping", type=float, default=DAMPING)
+    p.add_argument("--steps", type=int, default=WALK_STEPS, help="walktrap walk length")
     p.add_argument("--clusters", help="node,cluster CSV overriding walktrap")
     p.add_argument("--dot", help="write a Graphviz file here")
     p.set_defaults(func=cmd_analyze)
-    analyze_parser = p
 
     p = sub.add_parser("influence", help="total influence and top paths between two items")
     p.add_argument("model", nargs="?", default=None)
@@ -596,9 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default="full-repro")
     _add_bootstrap_flags(p, replicates=3000, stability="50,100,200,500,1000,1500,3000,5000")
     p.add_argument("--skip-stability", action="store_true")
-    # stage 5 takes analyze's defaults from this parser: building a second
-    # parser in every run kept about 0.3 MB more resident at the peak
-    p.set_defaults(func=cmd_full_repro, analyze_parser=analyze_parser)
+    p.set_defaults(func=cmd_full_repro)
 
     return parser
 
