@@ -412,11 +412,14 @@ def mann_whitney_u(a, b) -> tuple[float, float]:
     The exact null distribution is enumerated when ``len(a) * len(b)`` is at
     most ``_EXACT_LIMIT`` and the pooled values are tie-free; otherwise a
     normal approximation with tie and continuity corrections applies.
+    NaN has no rank and is rejected; infinities rank at the ends.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.size == 0 or b.size == 0:
         raise ValidationError("both samples must be nonempty")
+    if np.isnan(a).any() or np.isnan(b).any():
+        raise ValidationError("samples must not contain NaN")
     n_a, n_b = a.size, b.size
     pooled = np.concatenate([a, b])
     ranks = _midranks(pooled)

@@ -273,11 +273,16 @@ def influence_result(
 
 
 def cluster_coupling(dag: Dag, params: GaussianBnParams, partition) -> dict:
-    """Sum of |coefficient| over arcs crossing each ordered cluster pair."""
+    """Sum of |coefficient| over arcs crossing each ordered cluster pair;
+    the partition must assign exactly the model's nodes."""
     assignment = getattr(partition, "assignment", partition)
     missing = [n for n in dag.nodes if n not in assignment]
     if missing:
         raise ValidationError(f"partition missing nodes: {', '.join(missing)}")
+    unknown = set(assignment).difference(dag.nodes)
+    if unknown:
+        names = ", ".join(sorted(unknown))
+        raise ValidationError(f"partition names nodes not in the model: {names}")
     coupling: dict[tuple[str, str], float] = {}
     for parent, child, coeff in params.arc_items():
         cu, cv = assignment[parent], assignment[child]

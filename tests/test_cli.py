@@ -426,6 +426,16 @@ def test_analyze_bad_flag_exits_2_before_any_output(tmp_path, capsys, flags, mes
     assert not out.exists()
 
 
+def test_analyze_clusters_naming_an_unknown_node_exits_2_before_any_output(tmp_path, capsys):
+    clusters = tmp_path / "cl.csv"
+    rows = [f"Q{i:02d},C{i % 5 + 1}" for i in range(1, 37)] + ["Q99,C1"]
+    clusters.write_text("node,cluster\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "reports"
+    assert main(["analyze", "--fixture", "--clusters", str(clusters), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: partition names nodes not in the model: Q99\n")
+    assert not out.exists()
+
+
 def test_analyze_requires_model():
     assert main(["analyze"]) == 2
 

@@ -292,6 +292,20 @@ def test_mwu_exact_path_leaves_no_reference_cycle():
     assert gc.collect() == 0
 
 
+@pytest.mark.parametrize("a,b", [
+    pytest.param([1.0, np.nan, 3.0], [2.0, 4.0, 5.0], id="first"),
+    pytest.param([1.0, 3.0], [2.0, np.nan], id="second"),
+])
+def test_mwu_rejects_nan(a, b):
+    with pytest.raises(ValidationError, match="^samples must not contain NaN$"):
+        mann_whitney_u(a, b)
+
+
+def test_mwu_ranks_infinities():
+    assert mann_whitney_u([1.0, np.inf, 3.0], [2.0, 4.0, 5.0]) == (4.0, 1.0)
+    assert mann_whitney_u([-np.inf, 1.0], [2.0, np.inf]) == (0.0, pytest.approx(1 / 3))
+
+
 def test_mwu_matches_scipy_asymptotic_with_ties(rng):
     a = list(rng.integers(1, 6, size=30).astype(float))
     b = list(rng.integers(2, 7, size=25).astype(float))

@@ -321,6 +321,13 @@ def test_cluster_coupling_requires_full_cover(fixture_model):
         cluster_coupling(dag, params, Partition(assignment={"Q01": "C1"}))
 
 
+def test_cluster_coupling_rejects_nodes_the_model_lacks(fixture_model, fixture_partition):
+    dag, params = fixture_model
+    partition = Partition(assignment={**fixture_partition.assignment, "Q99": "C1", "Q98": "C2"})
+    with pytest.raises(ValidationError, match="^partition names nodes not in the model: Q98, Q99$"):
+        cluster_coupling(dag, params, partition)
+
+
 def test_median_fixture_exact(fixture_model):
     _, params = fixture_model
     assert median_abs_coefficient(params) == pytest.approx(0.17217, abs=1e-12)
