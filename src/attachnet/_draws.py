@@ -27,9 +27,9 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
 _POOL_SIZE = 4
-# PCG64's 128-bit LCG multiplier as 32-bit limbs, high to low
+# PCG64's 128-bit LCG multiplier as its high and low 64-bit halves
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MULT_LIMBS = [np.uint64((_PCG_MULT >> shift) & 0xFFFFFFFF) for shift in (96, 64, 32, 0)]
+_MULT_HI, _MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & (2**64 - 1))
 # above this population numpy's choice may tail-shuffle instead of using Floyd
 _FLOYD_MAX_N = 10_000
 
@@ -117,27 +117,18 @@ def _seeded_lcg(seeds: np.ndarray):
 def _lcg_step(state, inc):
     """``state * _PCG_MULT + inc`` modulo 2**128, on (high, low) uint64 halves."""
     hi, lo = state
-    a = [hi >> _SHIFT32, hi & _U32, lo >> _SHIFT32, lo & _U32]  # limbs, high to low
-    b = _MULT_LIMBS
-    # limb 0 (lowest) ... limb 3 of the product, carrying 32 bits at a time
-    p = a[3] * b[3]
-    r0 = p & _U32
-    carry = p >> _SHIFT32
-    t = a[3] * b[2]
-    u = a[2] * b[3]
-    s = carry + (t & _U32) + (u & _U32)
-    r1 = s & _U32
-    carry = (s >> _SHIFT32) + (t >> _SHIFT32) + (u >> _SHIFT32)
-    # limbs 2 and 3 wrap at 2**128, so the top limb needs only low halves
-    terms = [a[3] * b[1], a[2] * b[2], a[1] * b[3]]
-    s = carry + sum(x & _U32 for x in terms)
-    r2 = s & _U32
-    carry = (s >> _SHIFT32) + sum(x >> _SHIFT32 for x in terms)
-    r3 = (carry + a[3] * b[0] + a[2] * b[1] + a[1] * b[2] + a[0] * b[3]) & _U32
-    lo = (r1 << _SHIFT32) | r0
-    hi = (r3 << _SHIFT32) | r2
-    new_lo = lo + inc[1]
-    return hi + inc[0] + (new_lo < lo), new_lo
+    new_lo = lo * _MULT_LO + inc[1]
+    carry = new_lo < inc[1]
+    return _mulhi(lo, _MULT_LO) + hi * _MULT_LO + lo * _MULT_HI + inc[0] + carry, new_lo
+
+
+def _mulhi(a, b):
+    """The high 64 bits of the 128-bit product of uint64 ``a`` and ``b``, from
+    their 32-bit halves; each partial sum stays below 2**64."""
+    a_hi, a_lo, b_hi, b_lo = a >> _SHIFT32, a & _U32, b >> _SHIFT32, b & _U32
+    mid = a_hi * b_lo + ((a_lo * b_lo) >> _SHIFT32)
+    mid2 = a_lo * b_hi + (mid & _U32)
+    return a_hi * b_hi + (mid >> _SHIFT32) + (mid2 >> _SHIFT32)
 
 
 def _seed_sequence_state(seeds: np.ndarray):
