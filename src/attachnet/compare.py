@@ -248,7 +248,8 @@ def kmeans_best_seed(data: FactorTable, k: int, seed_range=(1, 4000)) -> KMeansR
     taking over only when it beats the best so far by more than 1e-12.
     Such a seed is below every earlier seed's ``ss``, so the replay visits
     only the first seed and the strict running-minimum records.  The
-    winning start is run once more for its labels and centres.
+    winner's labels, centres and ``ss`` are its start's from the block's
+    sweep.
     """
     n = len(data.items)
     if k > n:
@@ -259,25 +260,26 @@ def kmeans_best_seed(data: FactorTable, k: int, seed_range=(1, 4000)) -> KMeansR
     if not 0 <= lo <= hi:
         raise ValidationError(f"seed range must satisfy 0 <= lo <= hi, got {lo}:{hi}")
     points = np.asarray(data.values, dtype=np.float64)
-    best_seed = best_start = best_ss = None
+    best_seed = best_labels = best_centers = best_ss = None
     block = max(1, _BLOCK_BYTES // _seed_bytes(n, points.shape[1], k))
     for first in range(lo, hi + 1, block):
         seeds = range(first, min(first + block, hi + 1))
         draws = choice_rows(seeds, n, k)
         _, lead, start_of = np.unique(_row_keys(draws, n), return_index=True, return_inverse=True)
-        _, _, start_ss = _lloyd_sweep(points, draws[lead])
+        labels, centers, start_ss = _lloyd_sweep(points, draws[lead])
         ss = start_ss[start_of]
         # a seed that takes over is below every earlier seed's ss, so only
         # the first seed and those strict running-minimum records can
         records = np.flatnonzero(np.r_[True, ss[1:] < np.fmin.accumulate(ss)[:-1]])
         for i, seed_ss in zip(records.tolist(), ss[records].tolist()):
             if best_seed is None or seed_ss < best_ss - 1e-12:
-                best_seed, best_start, best_ss = seeds[i], draws[i], seed_ss
-    (labels,), (centers,), (ss,) = _lloyd_sweep(points, best_start[None])
+                best_seed, best_ss = seeds[i], seed_ss
+                best_labels, best_centers = labels[start_of[i]].copy(), centers[start_of[i]].copy()
+        del labels, centers  # before the next block's sweep; the winner's rows are copies
     return KMeansResult(
-        assignment={item: int(c) for item, c in zip(data.items, labels)},
-        centers=centers,
-        total_within_ss=float(ss),
+        assignment={item: int(c) for item, c in zip(data.items, best_labels)},
+        centers=best_centers,
+        total_within_ss=best_ss,
         best_seed=best_seed,
     )
 
