@@ -11,8 +11,9 @@ duplicate, are identical to the reference's, and the searches return the
 identical learned graph and score.  The 8-node problem must reach the ridge
 retry and a ``-inf`` score.  On those parent sets the reference's residual
 variance, the last Cholesky pivot, must factor where the back-substitution
-route it replaced does and lie within 4 eps c_vv of it, with the 1e-12 floor
-never between them; the rows print the largest difference in eps c_vv.
+route it replaced does and lie within (p + 1) eps c_vv of it for p parents,
+with the 1e-12 floor never between them; the rows print the largest
+difference as a share of that bound.
 The structure search dominates bootstrap runtime, so its figure decides
 whether a 3000-replicate run takes minutes or days.
 
@@ -255,25 +256,29 @@ def bench_local_score(rows: int, seed: int, repeats: int) -> None:
         ratio = pivot_against_solve(stats.cov, cases, label)
         print(f"{label:<22} {t_new * 1e3:>10.2f}ms {t_ref * 1e3:>10.2f}ms {t_ref / t_new:>8.1f}x"
               f"   {len(cases)} parent sets of {m} nodes, {failed} -inf (identical),"
-              f" pivot - solve <= {ratio:.2f} eps c_vv")
+              f" pivot - solve <= {ratio:.2f} of (p + 1) eps c_vv")
 
 
 def pivot_against_solve(cov, cases, label: str) -> float:
-    """The largest |pivot - solve| / (eps c_vv) over the cases, between the
-    reference's last-pivot residual variance and the back-substitution route
-    it replaced; exits unless both routes factor the same sets and differ by
-    at most 4 eps c_vv, with the 1e-12 floor never between them."""
+    """The largest |pivot - solve| / ((p + 1) eps c_vv) over the cases, between
+    the reference's last-pivot residual variance and the back-substitution
+    route it replaced, for p parents; exits unless both routes factor the same
+    sets and differ by at most that bound, with the 1e-12 floor never between
+    them.  The rounding gap grows with the set size: over the 12-node problem
+    at --seed 1-8 and --rows 500 and 1000, its largest value in eps c_vv ran
+    from 0.94 at p = 1 to 3.96 at p = 7."""
     eps = np.finfo(float).eps
     worst = 0.0
     for v, parents in cases:
         idx = np.array(parents, dtype=np.int64)
         pivot, ok = reference_kernels.residual_variance(cov, v, idx, DEFAULT_RIDGE)
         solve, solve_ok = reference_kernels.residual_variance_solve(cov, v, idx, DEFAULT_RIDGE)
-        apart = ok and (abs(pivot - solve) > 4 * eps * cov[v, v] or (pivot < 1e-12) != (solve < 1e-12))
+        bound = (len(parents) + 1) * eps * cov[v, v]
+        apart = ok and (abs(pivot - solve) > bound or (pivot < 1e-12) != (solve < 1e-12))
         if ok != solve_ok or apart:
             sys.exit(f"error: the pivot and the solve route disagree on node {v}, parents {parents} ({label})")
         if ok and cov[v, v] > 0:
-            worst = max(worst, abs(pivot - solve) / (eps * cov[v, v]))
+            worst = max(worst, abs(pivot - solve) / bound)
     return worst
 
 

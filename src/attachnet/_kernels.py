@@ -222,7 +222,8 @@ def _without(parents, u):
 
 
 def _reachability(a):
-    """Transitive closure of a DAG's 0/1 float adjacency: True where a path exists."""
+    """Transitive closure of a 0/1 float adjacency, cycles allowed: True where
+    a path exists, so on the diagonal for the nodes on a cycle."""
     reach = a
     while True:
         nxt = np.minimum(reach + reach @ reach, 1.0)
