@@ -279,10 +279,9 @@ def cluster_coupling(dag: Dag, params: GaussianBnParams, partition) -> dict:
     missing = [n for n in dag.nodes if n not in assignment]
     if missing:
         raise ValidationError(f"partition missing nodes: {', '.join(missing)}")
-    unknown = set(assignment).difference(dag.nodes)
+    unknown = sorted(set(assignment).difference(dag.nodes))
     if unknown:
-        names = ", ".join(sorted(unknown))
-        raise ValidationError(f"partition names nodes not in the model: {names}")
+        raise ValidationError(f"partition names nodes not in the model: {', '.join(unknown)}")
     coupling: dict[tuple[str, str], float] = {}
     for parent, child, coeff in params.arc_items():
         cu, cv = assignment[parent], assignment[child]
