@@ -64,7 +64,6 @@ def test_cycle_repair_matches_reference(table, threshold):
     assert all(order[u] < order[v] for u, v in dag.arcs)
 
 
-
 def hexed(thresholded):
     arcs, undirected = thresholded
     return [(u, v, s.hex(), d.hex()) for u, v, s, d in arcs], undirected
