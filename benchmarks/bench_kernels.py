@@ -66,8 +66,8 @@ the script fails unless every row is identical.
 
 The start-up rows give the median wall time of 10 fresh ``python -c "import
 attachnet"`` processes and of 10 importing ``attachnet.cli`` (interpreter
-start included), and whether the import loaded scipy, which only the
-comparison p values and quantiles need.
+start included); the script fails if either loads scipy, which attachnet
+runs without.
 
     PYTHONPATH=src python benchmarks/bench_kernels.py --nodes 36 --rows 1000 --repeats 3
 """
@@ -516,9 +516,10 @@ def bench_startup(processes: int = 10) -> None:
             proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                                   text=True, check=True)
             times.append(time.perf_counter() - start)
-        scipy_loaded = "yes" if proc.stdout.strip() == "True" else "no"
+        if proc.stdout.strip() == "True":
+            sys.exit(f"error: import {module} loaded scipy")
         print(f"{'import ' + module:<22} {statistics.median(times) * 1e3:>10.2f}ms {'-':>12} {'-':>9}"
-              f"   median of {processes} fresh processes; scipy loaded: {scipy_loaded}")
+              f"   median of {processes} fresh processes; scipy not loaded")
 
 
 if __name__ == "__main__":

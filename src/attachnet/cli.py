@@ -147,6 +147,12 @@ def _complete_items(path):
     return filter_cohort(parse_responses(path, schema=ITEMS_ONLY), CohortFilter(require_complete=True))
 
 
+def _report_dropped(table) -> None:
+    """Say on stderr how many malformed rows the parse of ``table`` dropped."""
+    if table.dropped_rows:
+        print(f"dropped {table.dropped_rows} malformed rows", file=sys.stderr)
+
+
 def _search_config(args) -> SearchConfig:
     return SearchConfig(
         tabu_len=args.tabu_len,
@@ -175,8 +181,7 @@ def cmd_ingest(args) -> int:
     schema = ColumnSchema(age=args.age_col, gender=args.gender_col, country=args.country_col)
     codebook = read_codebook(args.codebook) if args.codebook else None
     table = parse_responses(args.input, schema=schema, codebook=codebook)
-    if table.dropped_rows:
-        print(f"dropped {table.dropped_rows} malformed rows", file=sys.stderr)
+    _report_dropped(table)
     if f != CohortFilter():
         table = filter_cohort(table, f)
 
@@ -452,6 +457,7 @@ def cmd_full_repro(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     print("[1/5] ingest + standard cohort filter")
     table = parse_responses(args.input)
+    _report_dropped(table)
     table = filter_cohort(table, standard_filter())
     print(f"  cohort rows: {table.n}")
     _write(outdir / "cohort.csv", serialize_responses(table))

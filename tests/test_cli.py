@@ -897,6 +897,17 @@ def test_full_repro_chain_on_synthetic_corpus(tmp_path, capsys):
         assert (learned / name).read_bytes() == (outdir / name).read_bytes()
 
 
+def test_full_repro_reports_dropped_rows_as_ingest_does(tmp_path, capsys):
+    src = survey_csv(tmp_path, n=60)
+    with src.open("a") as f:
+        f.write("3,4\n")  # a ragged row
+    assert main(["ingest", str(src)]) == 0
+    assert capsys.readouterr().err == "dropped 1 malformed rows\n"
+    assert main(["full-repro", str(src), "--out-dir", str(tmp_path / "repro"), "-R", "1",
+                 "-m", "40", "--skip-stability"]) == 0
+    assert capsys.readouterr().err.startswith("dropped 1 malformed rows\n")
+
+
 def test_full_repro_threads_change_no_output(tmp_path, capsys):
     """``--threads 2`` writes the same bytes and prints the same lines, but
     for the output directory's name, as ``--threads 1``."""
