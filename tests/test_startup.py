@@ -13,6 +13,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from attachnet.cli import main
 from attachnet.compare import confidence_ellipse, mann_whitney_u, pearson_significance
 
@@ -45,6 +47,23 @@ FIRST_CALLS = {
 }
 
 
+@pytest.mark.parametrize("call", FIRST_CALLS.values(), ids=FIRST_CALLS.keys())
+def test_first_call_loads_scipy_and_matches_in_process(call):
+    """Each call once imported scipy on first use, hence the name; now a fresh
+    interpreter with ``sys.modules["scipy"] = None``, where any scipy import
+    raises, gives the call's result, identical to this process's."""
+    out = run_fresh(
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from attachnet.compare import confidence_ellipse, mann_whitney_u, pearson_significance\n"
+        f"result = {call}\n"
+        "assert sys.modules['scipy'] is None\n"
+        "assert not [m for m in sys.modules if m.startswith('scipy.')]\n"
+        "print(repr(result))\n"
+    )
+    assert out == repr(eval(call)) + "\n"
+
+
 def command_stdout(argv) -> list:
     """``main(argv)``'s exit code and standard output."""
     out = io.StringIO()
@@ -53,10 +72,10 @@ def command_stdout(argv) -> list:
     return [code, out.getvalue()]
 
 
-def test_no_call_or_command_loads_scipy(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
     """With ``sys.modules["scipy"] = None`` every scipy import raises, so a
-    fresh interpreter that gives each call's result and each command's
-    output, identical to this process's, loaded none."""
+    fresh interpreter that gives each command's output, identical to this
+    process's, loaded none."""
     values, groups = tmp_path / "values.csv", tmp_path / "groups.csv"
     tied = {"a": [1.0, 2.0, 2.0, 5.0, 7.0], "b": [2.0, 3.0, 8.0, 8.0, 9.0, 11.0]}
     items = [(f"i{g}{k}", g, v) for g, vs in tied.items() for k, v in enumerate(vs)]
@@ -75,12 +94,9 @@ def test_no_call_or_command_loads_scipy(tmp_path):
         "import contextlib, io, json, sys\n"
         "sys.modules['scipy'] = None\n"
         "from attachnet.cli import main\n"
-        "from attachnet.compare import confidence_ellipse, mann_whitney_u, pearson_significance\n"
         + inspect.getsource(command_stdout) +
-        f"calls = {{name: repr(eval(call)) for name, call in {FIRST_CALLS!r}.items()}}\n"
-        f"print(json.dumps([calls, [command_stdout(argv) for argv in {commands!r}]]))\n"
+        f"print(json.dumps([command_stdout(argv) for argv in {commands!r}]))\n"
     ))
-    assert fresh[0] == {name: repr(eval(call)) for name, call in FIRST_CALLS.items()}
-    assert fresh[1] == [command_stdout(argv) for argv in commands]
-    assert "p=2.48e-07" in fresh[1][0][1]
-    assert "U=5 p=0.0793" in fresh[1][2][1]
+    assert fresh == [command_stdout(argv) for argv in commands]
+    assert "p=2.48e-07" in fresh[0][1]
+    assert "U=5 p=0.0793" in fresh[2][1]
