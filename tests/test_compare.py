@@ -230,6 +230,13 @@ def test_pearson_rejects_bad_inputs():
         pearson_significance(0.5, 0)
 
 
+@pytest.mark.parametrize("df", [10.5, math.inf, math.nan])
+def test_pearson_rejects_a_df_that_is_not_a_whole_number(df):
+    with pytest.raises(ValidationError, match="df must be an integer"):
+        pearson_significance(0.5, df)
+    assert pearson_significance(0.5, 10.0) == pearson_significance(0.5, 10)
+
+
 def test_pearson_published_values():
     t, p = pearson_significance(0.626, 10)
     assert t == pytest.approx(2.54, abs=5e-3)
@@ -375,6 +382,20 @@ def test_edge_set_union_imputes_zero():
     x = [1.0, 2.0, 0.0, 0.0]
     y = [1.0, 0.0, 3.0, 1.0]
     assert r == pytest.approx(np.corrcoef(x, y)[0, 1])
+
+
+def test_edge_sets_whose_correlation_overflows_give_nan():
+    """Finite weights of 1e200 overflow inside ``np.corrcoef``; the NaN r it
+    returns gives NaN for t and p, not an error."""
+    pairs = [frozenset(p) for p in (("a", "b"), ("a", "c"), ("b", "c"), ("c", "d"))]
+    ours = dict(zip(pairs, (1e200, -1e200, 1e200, -1e200)))
+    theirs = dict(zip(pairs, (1e200, -1e200, -1e200, 1e200)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        n, r, t, p = edge_set_correlation(ours, theirs, mode="union")
+    assert n == 4
+    assert math.isnan(r) and math.isnan(t) and math.isnan(p)
+    t, p = pearson_significance(math.nan, 10)
+    assert math.isnan(t) and math.isnan(p)
 
 
 def test_edge_set_fixture_union_and_intersection():
